@@ -11,13 +11,16 @@
 // thread and its kShards single-threaded shard workers plus this client
 // thread use the four processors the benchmark is sized for.
 //
-// The seeded mix has three kinds of request:
-//  - hits: `allocate` requests drawn from a small menu, which the warm-up
-//    solved once, so shard caches answer them;
-//  - misses: `submit_ir` of medium functions with a unique frequency
-//    edit, which solve from scratch and insert into the cache;
-//  - deltas: `submit_ir` of a registered base with a unique frequency
-//    edit and its `base` key, which take the warm-start path.
+// The traffic follows layra-loadgen's two scenarios.  Each request is a
+// hit or a submit with equal odds (the seed draws which):
+//  - hits: loadgen's default request, `allocate` of eembc at 4..8
+//    registers, one register count per request; the warm-up solved each
+//    once, so shard caches answer them;
+//  - submits, as in `layra-loadgen --edit-heavy`: for each function of the
+//    pool in turn, a from-scratch `submit_ir` (a miss) and then one with
+//    the `base` key (a delta), each with a unique frequency edit.  Misses
+//    solve and insert into the cache; deltas take the warm-start path.
+//    Both kinds solve the same functions, so their latencies compare.
 // Hits load only the service and serialization path; misses put the solver
 // behind it; deltas exercise core/Delta.
 //
@@ -49,6 +52,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -64,25 +68,27 @@ using namespace perfbench;
 namespace {
 
 constexpr unsigned kShards = 2;
+/// layra-loadgen's default --clients, and nproc.
 constexpr unsigned kConnections = 4;
-/// Medium functions; the first kDeltaBases are registered as delta bases,
-/// the rest are the miss pool.
-constexpr unsigned kPoolSize = 64;
-constexpr unsigned kDeltaBases = 8;
-constexpr double kHitShare = 0.60;
-constexpr double kMissShare = 0.25; // Deltas take the rest.
-constexpr unsigned kSubmitRegs = 12;
+/// Medium functions, every one registered as a delta base in the warm-up.
+constexpr unsigned kPoolSize = 8;
+/// Odds that a request is a hit rather than a submit.
+constexpr double kHitShare = 0.5;
+/// One register count per submit, the top of loadgen's default 4..8.
+constexpr unsigned kSubmitRegs = 8;
 /// Functions the traced run replays through the public layer calls.
 constexpr unsigned kReplaySample = 32;
+/// Seconds of the window between two pauses, and set-up samples taken in
+/// each pause.  A sample takes a few milliseconds and lands in one of two
+/// modes about a third apart, so a steady median needs many of them.
+constexpr double kPauseSeconds = 2;
+constexpr unsigned kSetupsPerPause = 5;
 
-struct MenuItem {
-  const char *Suite;
-  unsigned Regs;
-};
-const MenuItem kMenu[] = {{"lao-kernels", 4}, {"lao-kernels", 8},
-                          {"lao-kernels", 16}, {"eembc", 6},
-                          {"eembc", 12}};
-constexpr unsigned kMenuSize = sizeof(kMenu) / sizeof(kMenu[0]);
+/// Hits: layra-loadgen's default `--suite=eembc --regs=4..8`, one request
+/// per register count.
+const char *const kMenuSuite = "eembc";
+constexpr unsigned kMenuFirstRegs = 4;
+constexpr unsigned kMenuSize = 5;
 
 enum class Kind { Hit, Miss, Delta };
 
@@ -160,8 +166,8 @@ std::vector<PoolFn> makePool(SpanRecorder &Rec) {
 ServiceRequest menuRequest(unsigned Item) {
   ServiceRequest Req;
   Req.K = ServiceRequest::Kind::Allocate;
-  Req.Suites = {kMenu[Item].Suite};
-  Req.Regs = {kMenu[Item].Regs};
+  Req.Suites = {kMenuSuite};
+  Req.Regs = {kMenuFirstRegs + Item};
   return Req;
 }
 
@@ -186,34 +192,30 @@ std::string payloadOf(const Request &R, const std::vector<PoolFn> &Pool,
                           : Client::makeSubmitIrRequest(Req);
 }
 
-/// The seeded request stream: kinds drawn by share, menu items and miss
-/// functions drawn uniformly, delta bases taken round-robin so each base
-/// is touched often enough to stay in the shard's bounded base registry.
+/// The seeded request stream: hit or submit drawn by kHitShare, menu items
+/// drawn uniformly.  Submits walk the pool round-robin, a miss and then a
+/// delta per function, so both kinds solve the same functions equally
+/// often and each base is touched often enough to stay in the shard's
+/// bounded base registry.
 class RequestStream {
 public:
   explicit RequestStream(uint64_t Seed) : R(Seed * 0x2545f4914f6cdd1dULL + 7) {}
   Request next() {
     Request Out;
-    double U = R.nextDouble();
-    if (U < kHitShare) {
+    if (R.nextDouble() < kHitShare) {
       Out.K = Kind::Hit;
       Out.Item = unsigned(R.nextBelow(kMenuSize));
-    } else if (U < kHitShare + kMissShare) {
-      Out.K = Kind::Miss;
-      Out.Item = kDeltaBases + unsigned(R.nextBelow(kPoolSize - kDeltaBases));
-      Out.Edit = ++Edits;
-    } else {
-      Out.K = Kind::Delta;
-      Out.Item = unsigned(NextBase++ % kDeltaBases);
-      Out.Edit = ++Edits;
+      return Out;
     }
+    Out.K = Submits % 2 ? Kind::Delta : Kind::Miss;
+    Out.Item = unsigned(Submits / 2 % kPoolSize);
+    Out.Edit = ++Submits;
     return Out;
   }
 
 private:
   Rng R;
-  uint64_t Edits = 0;
-  uint64_t NextBase = 0;
+  uint64_t Submits = 0;
 };
 
 /// A direct, fresh BatchDriver run of the jobs the server builds for a
@@ -224,10 +226,10 @@ std::string directResponse(const Request &R, const std::vector<PoolFn> &Pool,
   BatchJob &Job = Jobs[0];
   Suite Submitted;
   if (R.K == Kind::Hit) {
-    const Suite &S = Suites.at(kMenu[R.Item].Suite);
+    const Suite &S = Suites.at(kMenuSuite);
     Job.SuiteName = S.Name;
     Job.SuiteData = &S;
-    Job.NumRegisters = kMenu[R.Item].Regs;
+    Job.NumRegisters = kMenuFirstRegs + R.Item;
   } else {
     ParsedFunction Parsed = parseFunction(Pool[R.Item].text(R.Edit));
     if (!Parsed.Ok)
@@ -279,13 +281,15 @@ struct ServeSession {
   std::vector<Conn> Conns;
 };
 
-/// Pool generation, server start, connections and warm-up: every menu
-/// item solved once and every delta base registered.
-ServeSession setUp(const RunOptions &Opt, SpanRecorder &Rec, Tally &Ops) {
+/// Set-up: pool generation, server start and connections.  \p Tag keeps
+/// the socket of a second session apart from the first.
+ServeSession setUp(const RunOptions &Opt, SpanRecorder &Rec,
+                   const std::string &Tag = "") {
   ServeSession Out;
   Out.Pool = makePool(Rec);
   ServerOptions SO;
-  SO.UnixPath = Opt.OutDir + "/serve-" + std::to_string(::getpid()) + ".sock";
+  SO.UnixPath = Opt.OutDir + "/serve-" + std::to_string(::getpid()) + Tag +
+                ".sock";
   SO.Threads = 1;
   SO.Shards = kShards;
   Out.S = std::make_unique<Server>(SO);
@@ -299,27 +303,35 @@ ServeSession setUp(const RunOptions &Opt, SpanRecorder &Rec, Tally &Ops) {
       throw std::runtime_error("cannot connect: " + Error);
     Out.Conns.push_back(std::move(C));
   }
+  return Out;
+}
+
+/// Warm-up, after set-up and outside its time: every menu item solved once
+/// and every pool function registered as a delta base.
+void warmUp(ServeSession &Sess, Tally &Ops) {
   std::string Response;
   auto warm = [&](const std::string &Payload) {
-    if (!callSync(Out.Conns[0], Payload, Response))
+    if (!callSync(Sess.Conns[0], Payload, Response))
       Ops.fail("warm-up request failed in transport");
     else if (Client::isErrorResponse(Response))
       Ops.fail("warm-up request refused: " + Response);
   };
   for (unsigned I = 0; I < kMenuSize; ++I)
     warm(Client::makeAllocateRequest(menuRequest(I)));
-  for (unsigned I = 0; I < kDeltaBases; ++I)
-    warm(Client::makeSubmitIrRequest(submitRequest(Out.Pool[I].text(0), "")));
-  return Out;
+  for (unsigned I = 0; I < kPoolSize; ++I)
+    warm(Client::makeSubmitIrRequest(submitRequest(Sess.Pool[I].text(0), "")));
 }
 
 /// Sends requests from \p Stream on every idle connection until
 /// \p Seconds pass and every kind has enough samples for its p99 (or
 /// three times \p Seconds pass), then waits for the ones in flight.
-/// Returns the window's wall time.
+/// When \p Pause is set, every kPauseSeconds it stops sending, waits for
+/// the requests in flight and calls it.  Returns the window's wall time.
 double drive(ServeSession &Sess, RequestStream &Stream, double Seconds,
-             bool Trace, std::vector<Record> &Records, Tally &Ops) {
+             bool Trace, std::vector<Record> &Records, Tally &Ops,
+             const std::function<void()> &Pause = nullptr) {
   const double Start = nowSeconds(), Deadline = Start + Seconds;
+  double NextPause = Start + kPauseSeconds;
   size_t PerKind[3] = {0, 0, 0};
   auto enough = [&](double Now) {
     if (Now >= Start + 3 * Seconds)
@@ -335,9 +347,16 @@ double drive(ServeSession &Sess, RequestStream &Stream, double Seconds,
   char Buf[1 << 16];
   for (;;) {
     double Now = nowSeconds();
+    const bool Pausing = Pause && Now >= NextPause;
+    if (Pausing && std::none_of(Sess.Conns.begin(), Sess.Conns.end(),
+                                [](const Conn &C) { return C.Busy; })) {
+      Pause();
+      NextPause = nowSeconds() + kPauseSeconds;
+      continue;
+    }
     for (unsigned I = 0; I < Sess.Conns.size(); ++I) {
       Conn &C = Sess.Conns[I];
-      if (C.Busy || !C.Fd.valid() || enough(Now))
+      if (C.Busy || !C.Fd.valid() || Pausing || enough(Now))
         continue;
       Record Rec;
       Rec.Req = Stream.next();
@@ -515,9 +534,7 @@ void latencyMetrics(const std::vector<Record> &Records, const char *Prefix,
 
 std::map<std::string, Suite> menuSuites() {
   std::map<std::string, Suite> Suites;
-  for (const MenuItem &Item : kMenu)
-    if (!Suites.count(Item.Suite))
-      Suites.emplace(Item.Suite, makeSuite(Item.Suite));
+  Suites.emplace(kMenuSuite, makeSuite(kMenuSuite));
   return Suites;
 }
 
@@ -533,16 +550,28 @@ RunResult measure(const RunOptions &Opt) {
   RunResult Out;
   SpanRecorder Untraced(false);
   std::vector<double> SetupS;
-  ServeSession Sess;
-  for (int K = 0; K < kSetupRepeats; ++K) {
-    stop(Sess);
+  auto timedSetUp = [&](const std::string &Tag) {
     double T0 = nowSeconds();
-    Sess = setUp(Opt, Untraced, Out.Ops);
+    ServeSession S = setUp(Opt, Untraced, Tag);
     SetupS.push_back(nowSeconds() - T0);
-  }
+    return S;
+  };
+  // Set-up is timed again in the window's pauses, on a throwaway session,
+  // so its samples spread over the run like the slots do; the host's
+  // speed drifts too much for samples taken all at the start.
+  auto probe = [&] {
+    for (unsigned K = 0; K < kSetupsPerPause; ++K) {
+      ServeSession P = timedSetUp("-probe");
+      stop(P);
+    }
+  };
+  ServeSession Sess = timedSetUp("");
+  warmUp(Sess, Out.Ops);
   RequestStream Stream(Opt.Seed);
   std::vector<Record> Records;
-  drive(Sess, Stream, Opt.Seconds, false, Records, Out.Ops);
+  drive(Sess, Stream, Opt.Seconds, false, Records, Out.Ops, probe);
+  while (SetupS.size() < size_t(kSetupRepeats))
+    probe();
   stop(Sess);
   // Read before the checks, which solve on every processor at once.
   const double PeakRssMb = peakRssMb();
@@ -572,7 +601,6 @@ RunResult measure(const RunOptions &Opt) {
   M["throughput_per_s"] = {medianSlotThroughput(Records), "1/s", 0};
   M["latency_ms_p99"] = {latencyOf(Records, -1, 0.99, N), "ms", N};
   M["latency_ms_p50"] = {medianSlotP50(Records), "ms", N};
-  M["latency_ms_tail"] = M["latency_ms_p99"];
   latencyMetrics(Records, "", M);
   M["peak_rss_mb"] = {PeakRssMb, "MB", 0};
   M["spill_cost"] = {double(SpillCost), "cost", 0};
@@ -598,7 +626,8 @@ std::map<std::string, double> echoedSpans(const JsonValue &Doc) {
 RunResult traced(const RunOptions &Opt) {
   RunResult Out;
   SpanRecorder Setup(true);
-  ServeSession Sess = setUp(Opt, Setup, Out.Ops);
+  ServeSession Sess = setUp(Opt, Setup);
+  warmUp(Sess, Out.Ops);
   RequestStream Stream(Opt.Seed);
   std::vector<Record> Off, On;
   double OffS = drive(Sess, Stream, Opt.Seconds / 2, false, Off, Out.Ops);
@@ -773,8 +802,8 @@ RunResult traced(const RunOptions &Opt) {
                                   "fraction", 0};
   M["service.delta_lookups"] = count(DLookups);
   latencyMetrics(On, "service.", M);
-  // What the delta path buys: miss p50 over delta p50, both on functions
-  // drawn from the same generator shape.
+  // What the delta path buys: miss p50 over delta p50.  Both kinds solve
+  // the same pool functions equally often, so only the path differs.
   M["service.delta_speedup"] = {M["service.miss_ms_p50"].Value /
                                     M["service.delta_ms_p50"].Value,
                                 "x", M["service.delta_ms_p50"].Samples};

@@ -27,7 +27,7 @@ namespace perfbench {
 
 /// Fewest times a run repeats its workload's set-up; setup_s is the
 /// median of the repeats.
-inline constexpr int kSetupRepeats = 5;
+inline constexpr int kSetupRepeats = 9;
 
 struct RunOptions {
   std::string Workload;

@@ -6,13 +6,12 @@
 
 Runs two independent sets of --runs runs of each workload (by default the
 ones BENCHMARK.json lists; set A on seeds first..first+runs-1, set B on
-the next --runs seeds), then prints each metric's median and quartiles per
-set and whether the sets agree within the bounds: each set's spread
-(interquartile distance over the median) stays within the metric's bound,
-and set B's median is not worse than set A's by more than the bound.
-setup_s is exempt from the spread test: set-up is short and its bound only
-guards against work moving into it.  Bounds come from BENCHMARK.json for
-its end_to_end metrics and from perfbench/metrics.json for the rest.
+the next --runs seeds), then prints each metric the workload measures with
+its median and quartiles per set, and whether the sets agree within the
+bounds: each set's spread (interquartile distance over the median) stays
+within the metric's bound, and set B's median differs from set A's, either
+way, by at most the bound.  Bounds come from BENCHMARK.json for its
+end_to_end metrics and from perfbench/metrics.json for the rest.
 
 It also checks that the exact metrics (spill_cost, spill_ops, fit_frac)
 are identical in every run, and identical between a run on 1 solver
@@ -65,10 +64,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     with open(os.path.join(HERE, "metrics.json")) as f:
-        table = json.load(f)["metrics"]
-    bounds = {m["name"]: m for m in spec["end_to_end"]}
-    for m in table:
-        bounds.setdefault(m["name"], m)
+        table = spec["end_to_end"] + json.load(f)["metrics"]
     seconds = args.seconds or spec["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
@@ -86,30 +82,25 @@ def main():
               ("metric", "set", "median", "q1", "q3", "spread", "bound",
                "verdict"))
         for m in table:
-            name = m["name"]
-            if w not in m["workloads"]:
-                continue
-            bound = bounds[name]["bound"]
-            lower = bounds[name]["better"] == "lower"
+            name, bound = m["name"], m["bound"]
+            if name not in sets[0][0]:
+                continue  # Not measured on this workload.
             meds = []
             for label, runs in zip("AB", sets):
                 med, q1, q3, spread = summary([r[name] for r in runs])
                 meds.append(med)
-                good = name == "setup_s" or spread <= bound
+                good = spread <= bound
                 ok &= good
                 print("%-22s %-5s %12.6g %12.6g %12.6g %7.3f %7.3f  %s" %
                       (name, label, med, q1, q3, spread, bound,
                        "ok" if good else "SPREAD"))
-            worse = (meds[1] - meds[0]) if lower else (meds[0] - meds[1])
-            change = worse / meds[0] if meds[0] else 0.0
+            change = abs(meds[1] - meds[0]) / meds[0] if meds[0] else 0.0
             good = change <= bound
             ok &= good
             print("%-22s %-5s %12s %12s %12s %7.3f %7.3f  %s" %
                   (name, "B/A", "", "", "", change, bound,
                    "agree" if good else "DISAGREE"))
-        exact = [name for name in EXACT
-                 if any(name == m["name"] and w in m["workloads"]
-                        for m in table)]
+        exact = [name for name in EXACT if name in sets[0][0]]
         for name in exact:
             seen = {r[name] for runs in sets for r in runs}
             if len(seen) != 1:
