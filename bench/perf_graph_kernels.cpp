@@ -84,7 +84,7 @@ static void BM_MaximalCliques(benchmark::State &State) {
   EliminationOrder Peo = maximumCardinalitySearch(G);
   for (auto _ : State) {
     CliqueCover Cover = maximalCliquesChordal(G, Peo);
-    benchmark::DoNotOptimize(Cover.Cliques.data());
+    benchmark::DoNotOptimize(Cover.numCliques());
   }
 }
 BENCHMARK(BM_MaximalCliques)

@@ -43,6 +43,10 @@ PipelineResult layra::runAllocationPipeline(
   if (!Alloc)
     layraFatalError("unknown allocator name in pipeline options");
 
+  // Live intervals are built only for an allocator that reads them (the
+  // linear-scan family); every other round skips computeLiveIntervals.
+  const bool WithIntervals = Alloc->requiresIntervals();
+
   const DeltaBase *Base = Delta ? Delta->Base : nullptr;
   DeltaBase *Capture = Delta ? Delta->Capture : nullptr;
   assert(!(Base && Capture) && "a run either consumes a base or becomes one");
@@ -71,19 +75,21 @@ PipelineResult layra::runAllocationPipeline(
   auto buildRound0 = [&]() -> AllocationProblem {
     if (Base) {
       AllocationProblem P;
-      if (buildDeltaProblem(*Base, F, Target, Budgets, P, ExactRound0)) {
+      if (buildDeltaProblem(*Base, F, Target, Budgets, P, ExactRound0,
+                            WithIntervals)) {
         Delta->UsedDelta = true;
         return P;
       }
     }
     if (Capture) {
       ProblemBuildArtifacts Artifacts;
-      AllocationProblem P = buildSsaProblem(F, Target, Budgets, WS, &Artifacts);
+      AllocationProblem P =
+          buildSsaProblem(F, Target, Budgets, WS, &Artifacts, WithIntervals);
       Capture->Live = std::move(Artifacts.Live);
       Capture->Costs = std::move(Artifacts.Costs);
       return P;
     }
-    return buildSsaProblem(F, Target, Budgets, WS);
+    return buildSsaProblem(F, Target, Budgets, WS, nullptr, WithIntervals);
   };
 
   // Allocates \p P, warm-starting from the base when the round-0 problem
@@ -118,9 +124,10 @@ PipelineResult layra::runAllocationPipeline(
     PhaseSpan RoundSpan(Phase::SpillRound);
     ++Out.Rounds;
     obs::addSpillRound();
-    Current.emplace(Round == 0
-                        ? buildRound0()
-                        : buildSsaProblem(Out.Rewritten, Target, Budgets, WS));
+    Current.emplace(Round == 0 ? buildRound0()
+                               : buildSsaProblem(Out.Rewritten, Target,
+                                                 Budgets, WS, nullptr,
+                                                 WithIntervals));
     CurrentIsRound0 = (Round == 0);
     AllocationProblem &P = *Current;
     if (P.fitsBudgets())
@@ -168,7 +175,8 @@ PipelineResult layra::runAllocationPipeline(
 
   // Final assignment over whatever still lives in registers.
   if (!Current) {
-    Current.emplace(buildSsaProblem(Out.Rewritten, Target, Budgets, WS));
+    Current.emplace(buildSsaProblem(Out.Rewritten, Target, Budgets, WS,
+                                    nullptr, WithIntervals));
     CurrentIsRound0 = false;
   }
   AllocationProblem &P = *Current;

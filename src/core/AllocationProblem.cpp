@@ -28,23 +28,28 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
                                     SolverWorkspace *WS) {
   assert(!Budgets.empty() && "at least one register class required");
   // Freeze point: the edge set is complete, so flatten adjacency into the
-  // CSR view before the MCS/clique machinery walks it.
+  // CSR view before the MCS/clique machinery walks it (a no-op for graphs
+  // built from an edge list, which are born frozen).
   G.compress();
   AllocationProblem P;
   P.Budgets = std::move(Budgets);
   P.ClassOf = std::move(ClassOf);
   P.ClassOf.resize(G.numVertices(), 0);
+  // MCS fixes the PEO, and through its tie-breaking every clique index and
+  // spill decision downstream.  The RTL check is the only guard that the
+  // order is a PEO, so it runs in every build, fused with the clique
+  // extraction into one pass over the later neighbors.
   P.Peo = maximumCardinalitySearch(G, WS);
-  if (!isPerfectEliminationOrder(G, P.Peo, WS))
+  if (!maximalCliquesIfPeo(G, P.Peo, P.Cliques, WS))
     layraFatalError("fromChordalGraph called with a non-chordal graph");
-  P.Cliques = maximalCliquesChordal(G, P.Peo, WS);
-  P.Constraints.reserve(P.Cliques.Cliques.size());
-  for (const std::vector<VertexId> &Clique : P.Cliques.Cliques) {
+  P.Constraints.reserve(P.Cliques.numCliques());
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
+    NeighborRange Clique = P.Cliques.clique(K);
     PressureConstraint C;
-    C.Members = Clique;
+    C.Members.assign(Clique.begin(), Clique.end());
     // Cross-class vertices are never adjacent, so a clique lies wholly in
     // one class: its first member names it.
-    C.Class = Clique.empty() ? 0 : P.ClassOf[Clique.front()];
+    C.Class = Clique.empty() ? 0 : P.ClassOf[Clique[0]];
     assert(C.Class < P.Budgets.size() && "vertex class without a budget");
 #ifndef NDEBUG
     for (VertexId V : Clique)

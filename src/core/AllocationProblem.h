@@ -71,17 +71,19 @@ struct AllocationProblem {
   std::vector<RegClassId> ClassOf;
   /// Pressure constraints; every vertex appears in at least one.  For
   /// chordal instances the Members lists are exactly the maximal cliques
-  /// of G (mirrored in Cliques.Cliques, same order).
+  /// of G (mirrored in Cliques, same order).
   std::vector<PressureConstraint> Constraints;
   /// True when G is chordal and the constraints are its maximal cliques.
   bool Chordal = false;
   /// Perfect elimination order (chordal instances only).
   EliminationOrder Peo;
-  /// Clique bookkeeping (chordal instances only): Cliques.Cliques mirrors
-  /// Constraints[i].Members; CliquesOf supports the fixed-point allocator.
+  /// Clique bookkeeping (chordal instances only): Cliques.clique(i) mirrors
+  /// Constraints[i].Members; cliquesOf() supports the fixed-point
+  /// allocator.
   CliqueCover Cliques;
   /// Flattened live intervals (instances derived from a function); linear
-  /// scan allocators require these.
+  /// scan allocators require these.  The allocation pipeline builds them
+  /// only for allocators that read them (Allocator::requiresIntervals).
   std::optional<LiveIntervalTable> Intervals;
 
   const Graph &graph() const { return *G; }
@@ -113,9 +115,10 @@ struct AllocationProblem {
   }
 
   /// Builds a single-class chordal instance from a chordal graph: computes
-  /// the PEO (MCS) and the maximal cliques.  Aborts if \p G is not
-  /// chordal.  \p WS optionally supplies the chordal-machinery scratch;
-  /// the built problem never aliases workspace memory.
+  /// the PEO (MCS), checks it and extracts the maximal cliques in one pass
+  /// (maximalCliquesIfPeo).  Aborts if \p G is not chordal.  \p WS
+  /// optionally supplies the chordal-machinery scratch; the built problem
+  /// never aliases workspace memory.
   static AllocationProblem fromChordalGraph(Graph G, unsigned NumRegisters,
                                             SolverWorkspace *WS = nullptr);
 

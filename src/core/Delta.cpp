@@ -133,7 +133,8 @@ FunctionDelta layra::computeFunctionDelta(const Function &Base,
 bool layra::buildDeltaProblem(const DeltaBase &Base, const Function &F,
                               const TargetDesc &Target,
                               const std::vector<unsigned> &Budgets,
-                              AllocationProblem &Out, bool &ExactRound0) {
+                              AllocationProblem &Out, bool &ExactRound0,
+                              bool WithIntervals) {
   if (!Base.Live)
     return false; // Capture never completed; nothing to reuse.
   FunctionDelta D = computeFunctionDelta(Base.Ssa, F);
@@ -158,10 +159,17 @@ bool layra::buildDeltaProblem(const DeltaBase &Base, const Function &F,
       // verbatim (allocateProblem is a pure function of the problem).
       Out = Base.Problem;
       ExactRound0 = true;
-      return true;
+    } else {
+      Out = Base.Problem.withBudgets(std::move(UsedBudgets));
+      ExactRound0 = false;
     }
-    Out = Base.Problem.withBudgets(std::move(UsedBudgets));
-    ExactRound0 = false;
+    // Intervals depend on structure and costs only, so the base's table is
+    // exact when present; a base captured without one rebuilds it from the
+    // retained liveness.
+    if (!WithIntervals)
+      Out.Intervals.reset();
+    else if (!Out.Intervals)
+      Out.Intervals = computeLiveIntervals(F, *Base.Live, NewCosts);
     return true;
   }
 
@@ -179,7 +187,10 @@ bool layra::buildDeltaProblem(const DeltaBase &Base, const Function &F,
   Out.Chordal = Base.Problem.Chordal;
   Out.Peo = Base.Problem.Peo;
   Out.Cliques = Base.Problem.Cliques;
-  Out.Intervals = computeLiveIntervals(F, *Base.Live, NewCosts);
+  if (WithIntervals)
+    Out.Intervals = computeLiveIntervals(F, *Base.Live, NewCosts);
+  else
+    Out.Intervals.reset();
   Out.Budgets = std::move(UsedBudgets);
   ExactRound0 = false;
   return true;

@@ -98,10 +98,18 @@ struct DeltaBase {
 /// Base.Problem (equal recomputed costs and equal budgets): in that case
 /// a caller using Base.AllocatorName may reuse Base.Round0 instead of
 /// allocating, because allocateProblem is a pure function of the problem.
+///
+/// \p WithIntervals says whether the consuming allocator reads live
+/// intervals: \p Out carries them exactly when it is true, rebuilt from
+/// the retained liveness where the base was captured without them, just
+/// as buildSsaProblem(..., WithIntervals) would.  Only the interval table
+/// can then differ from Base.Problem, and only under an allocator other
+/// than Base.AllocatorName, which never reuses Base.Round0.
 bool buildDeltaProblem(const DeltaBase &Base, const Function &F,
                        const TargetDesc &Target,
                        const std::vector<unsigned> &Budgets,
-                       AllocationProblem &Out, bool &ExactRound0);
+                       AllocationProblem &Out, bool &ExactRound0,
+                       bool WithIntervals = true);
 
 /// Optional delta channel of one runAllocationPipeline() call.  At most
 /// one of Base/Capture is set by the driver: Base feeds the warm-start

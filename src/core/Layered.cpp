@@ -96,13 +96,13 @@ struct LayeredState {
   /// remaining vertices leave the candidate set.
   void updateCliques(const std::vector<VertexId> &Fresh) {
     for (VertexId V : Fresh)
-      for (unsigned C : P.Cliques.CliquesOf[V]) {
+      for (unsigned C : P.Cliques.cliquesOf(V)) {
         if (CliqueClosed[C])
           continue;
         if (++PerClique[C] < P.uniformBudget())
           continue;
         CliqueClosed[C] = 1;
-        for (VertexId U : P.Cliques.Cliques[C])
+        for (VertexId U : P.Cliques.clique(C))
           Candidates[U] = 0;
       }
   }
@@ -148,7 +148,7 @@ AllocationResult layra::layeredAllocate(const AllocationProblem &P,
     for (unsigned C = 0; C < P.Cliques.numCliques(); ++C)
       if (!S.CliqueClosed[C] && S.PerClique[C] >= R) {
         S.CliqueClosed[C] = 1;
-        for (VertexId U : P.Cliques.Cliques[C])
+        for (VertexId U : P.Cliques.clique(C))
           S.Candidates[U] = 0;
       }
     for (;;) {

@@ -48,7 +48,8 @@ AllocationProblem layra::buildSsaProblem(const Function &F,
                                          const TargetDesc &Target,
                                          const std::vector<unsigned> &Budgets,
                                          SolverWorkspace *WS,
-                                         ProblemBuildArtifacts *Artifacts) {
+                                         ProblemBuildArtifacts *Artifacts,
+                                         bool WithIntervals) {
   assert(verifyFunction(F, /*ExpectSsa=*/true) &&
          "buildSsaProblem requires a strict SSA function");
   PhaseSpan BuildSpan(Phase::ProblemBuild);
@@ -63,7 +64,8 @@ AllocationProblem layra::buildSsaProblem(const Function &F,
   resolveClasses(F, Budgets, UsedBudgets, ClassOf);
   AllocationProblem P = AllocationProblem::fromChordalGraph(
       std::move(Info.G), std::move(UsedBudgets), std::move(ClassOf), WS);
-  P.Intervals = computeLiveIntervals(F, Live, Costs);
+  if (WithIntervals)
+    P.Intervals = computeLiveIntervals(F, Live, Costs);
   if (Artifacts) {
     Artifacts->Costs = Costs;
     Artifacts->Live.emplace(std::move(Live));

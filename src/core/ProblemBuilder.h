@@ -54,11 +54,13 @@ AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
 /// class (resolveClassBudgets in ir/Target.h).  \p Artifacts, when
 /// non-null, receives the liveness and spill costs the build computed
 /// (delta-base capture); exporting them changes nothing about the built
-/// problem.
+/// problem.  \p WithIntervals false leaves AllocationProblem::Intervals
+/// empty, for consumers whose allocator never reads them.
 AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
                                   const std::vector<unsigned> &Budgets,
                                   SolverWorkspace *WS = nullptr,
-                                  ProblemBuildArtifacts *Artifacts = nullptr);
+                                  ProblemBuildArtifacts *Artifacts = nullptr,
+                                  bool WithIntervals = true);
 
 /// Builds a *general* instance from any function (typically non-SSA, as in
 /// the paper's JikesRVM evaluation): point live sets become the ILP

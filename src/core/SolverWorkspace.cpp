@@ -20,12 +20,17 @@ void SolverWorkspace::releaseMemory() {
   release(Stable.RedStack);
   release(Stable.BlueAdjacent);
 
-  release(Chordal.Buckets);
+  release(Chordal.BucketHead);
+  release(Chordal.BucketNodes);
   release(Chordal.Count);
   release(Chordal.Visited);
   release(Chordal.Later);
+  release(Chordal.LaterStart);
   release(Chordal.LaterCount);
   release(Chordal.Parent);
+  release(Chordal.ChildEnd);
+  release(Chordal.Children);
+  release(Chordal.Stamp);
   release(Chordal.Flags);
   release(Chordal.MustBeAdjacentTo);
 
@@ -64,6 +69,10 @@ void SolverWorkspace::releaseMemory() {
 
   release(Interference.Point);
   release(Interference.Entry);
+  release(Interference.Edges);
+  release(Interference.BucketEnd);
+  release(Interference.Bucket);
+  release(Interference.Stamp);
 
   release(ClassSplit.ToGlobal);
   release(ClassSplit.MergedFlags);

@@ -10,8 +10,9 @@
 /// path would otherwise reallocate per layer and per task: candidate masks
 /// and weight vectors (core/Layered), Frank's-algorithm residuals
 /// (graph/StableSet), MCS buckets and later-neighbor buffers
-/// (graph/Chordal), clique-tree DP tables (core/StepLayer), shortest-path
-/// state of the residual network (flow/MinCostFlow), the simplex tableau
+/// (graph/Chordal), the interference edge list (ir/Interference),
+/// clique-tree DP tables (core/StepLayer), shortest-path state of the
+/// residual network (flow/MinCostFlow), the simplex tableau
 /// (lp/Simplex), cluster buffers (core/LayeredHeuristic) and the pipeline's
 /// pin/spill flags (alloc/Pipeline).
 ///
@@ -151,15 +152,27 @@ public:
     std::vector<char> BlueAdjacent;
   } Stable;
 
-  /// Chordal machinery (graph/Chordal.cpp): MCS buckets, the shared
-  /// later-neighbors buffer, and the RTL PEO-check batches.
+  /// One node of MCS's linked bucket stacks (graph/Chordal.cpp).
+  struct McsNode {
+    VertexId V;
+    uint32_t Next;
+  };
+
+  /// Chordal machinery (graph/Chordal.cpp): MCS bucket stacks, the
+  /// later-neighbor buffers of the fused PEO-check + clique pass, and the
+  /// reference RTL check's batches.
   struct ChordalScratch {
-    std::vector<std::vector<VertexId>> Buckets;
+    std::vector<uint32_t> BucketHead;
+    std::vector<McsNode> BucketNodes;
     std::vector<unsigned> Count;
     std::vector<char> Visited;
     std::vector<VertexId> Later;
+    std::vector<uint32_t> LaterStart;
     std::vector<unsigned> LaterCount;
     std::vector<VertexId> Parent;
+    std::vector<uint32_t> ChildEnd;
+    std::vector<VertexId> Children;
+    std::vector<VertexId> Stamp;
     std::vector<char> Flags;
     std::vector<std::vector<VertexId>> MustBeAdjacentTo;
   } Chordal;
@@ -241,10 +254,15 @@ public:
   } Pipeline;
 
   /// Interference-graph construction (ir/Interference.cpp): the per-point
-  /// live-index buffers the backward walk re-fills per instruction.
+  /// live-index buffers the backward walk re-fills per instruction, the
+  /// discovered edge list, and the stable-dedup buckets and stamps.
   struct InterferenceScratch {
     std::vector<VertexId> Point;
     std::vector<VertexId> Entry;
+    std::vector<GraphEdge> Edges;
+    std::vector<uint32_t> BucketEnd;
+    std::vector<uint32_t> Bucket;
+    std::vector<VertexId> Stamp;
   } Interference;
 
   /// Per-class decomposition of multi-class instances
@@ -272,7 +290,7 @@ private:
 
   /// Capacity each acquireCleared/acquireNested buffer had at its previous
   /// checkout, keyed by buffer address.  Direct members have stable
-  /// addresses; pooled inner vectors (Step.Nodes, Chordal.Buckets) can
+  /// addresses; pooled inner vectors (Step.Nodes) can
   /// move when their pool grows, which merely re-classifies their retained
   /// capacity as cold once.  Pure accounting state -- never affects buffer
   /// contents.

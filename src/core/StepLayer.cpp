@@ -36,9 +36,9 @@ double layra::estimateBoundedLayerStates(const AllocationProblem &P,
                                          const std::vector<char> &Mask,
                                          unsigned Bound) {
   double Total = 0;
-  for (const auto &K : P.Cliques.Cliques) {
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
     unsigned M = 0;
-    for (VertexId V : K)
+    for (VertexId V : P.Cliques.clique(K))
       M += (Mask.empty() || Mask[V]) ? 1 : 0;
     // Sum of binomials C(M, 0..Bound), saturating.
     double Count = 1, Term = 1;
@@ -137,7 +137,7 @@ layra::optimalBoundedLayer(const AllocationProblem &P,
   // Masked bags and separators, both sorted by vertex id (canonical order).
   for (unsigned C = 0; C < NumNodes; ++C) {
     SolverWorkspace::StepDpNode &T = Tables[C];
-    for (VertexId V : Cover.Cliques[C])
+    for (VertexId V : Cover.clique(C))
       if (Mask[V])
         T.Bag.push_back(V);
     std::sort(T.Bag.begin(), T.Bag.end());

@@ -15,6 +15,7 @@
 #include "core/SolverWorkspace.h"
 #include "driver/BatchDriver.h"
 #include "driver/ReportIO.h"
+#include "fuzz/BuildReference.h"
 #include "ir/Parser.h"
 #include "obs/EventLog.h"
 #include "obs/RequestTrace.h"
@@ -193,6 +194,25 @@ OracleOutcome checkWorkspacePure(const OracleContext &Ctx) {
       return fail(std::string(Name) +
                   " diverges between fresh and reused workspaces");
   }
+  return {};
+}
+
+/// The allocation-free problem build must equal the incremental reference
+/// (fuzz/BuildReference.h): on the SSA form adjacency order, PEO, clique
+/// lists and cliquesOf; on the case's own function, typically not SSA and
+/// defining values at several points, the general build's adjacency, where
+/// the stable dedup drops rediscovered edges.
+OracleOutcome checkBuildVsReference(const OracleContext &Ctx) {
+  std::string Diff = diffAgainstReference(
+      buildSsaProblem(*Ctx.Ssa, *Ctx.Target, Ctx.Case->Budgets, Ctx.WS),
+      referenceInterferenceGraph(*Ctx.Ssa, *Ctx.Target));
+  if (!Diff.empty())
+    return fail("SSA build: " + Diff);
+  Diff = diffAgainstReference(
+      buildGeneralProblem(Ctx.Case->F, *Ctx.Target, Ctx.Case->Budgets),
+      referenceInterferenceGraph(Ctx.Case->F, *Ctx.Target));
+  if (!Diff.empty())
+    return fail("general build: " + Diff);
   return {};
 }
 
@@ -443,6 +463,9 @@ const std::vector<Oracle> &layra::oracleRegistry() {
       {"workspace-pure",
        "shared-SolverWorkspace runs are byte-equal to fresh runs",
        checkWorkspacePure, false},
+      {"build-vs-reference",
+       "CSR problem build equals addEdge/compress + RTL + Fulkerson-Gross",
+       checkBuildVsReference, false},
       {"parse-roundtrip",
        "textual IR print/parse round trip is stable and hash-preserving",
        checkParseRoundtrip, false},

@@ -8,7 +8,8 @@
 /// \file
 /// The oracle registry: every invariant the test suite checks ad hoc --
 /// heuristics never beat a proven exact optimum, assignments respect
-/// interference and per-class budgets, workspace reuse is byte-pure,
+/// interference and per-class budgets, workspace reuse is byte-pure, the
+/// allocation-free problem build equals its incremental reference,
 /// the batch driver's cache is report-transparent, the allocation server
 /// answers byte-identically to a direct driver run -- as named, reusable
 /// checks over one FuzzCase.  `layra-fuzz` sweeps them over mutated
@@ -71,9 +72,9 @@ struct Oracle {
 };
 
 /// All oracles, in a stable order:
-///   heuristic-vs-exact, assignment-valid, workspace-pure,
-///   parse-roundtrip, cache-transparent, delta-vs-full, metrics-quiet,
-///   serve-direct.
+///   heuristic-vs-exact, assignment-valid, baseline-backends,
+///   workspace-pure, build-vs-reference, parse-roundtrip,
+///   cache-transparent, delta-vs-full, metrics-quiet, serve-direct.
 const std::vector<Oracle> &oracleRegistry();
 
 /// Lookup by name; nullptr when unknown.

@@ -36,25 +36,36 @@ EliminationOrder layra::maximumCardinalitySearch(const Graph &G,
   WorkspaceOrLocal LocalScope(WS);
   WS = LocalScope.get();
   unsigned N = G.numVertices();
-  // Bucketed MCS: Buckets[c] holds unvisited vertices with c visited
-  // neighbors; we repeatedly visit from the highest non-empty bucket.
-  std::vector<std::vector<VertexId>> &Buckets =
-      WS->acquireNested(WS->Chordal.Buckets, N + 1);
+  // Bucketed MCS: bucket c is a stack of unvisited vertices with c visited
+  // neighbors; we repeatedly visit from the highest non-empty bucket.  The
+  // stacks are linked lists threaded through one flat node pool: every
+  // vertex is pushed once up front and at most once more per edge (when
+  // its first endpoint is visited), so N + E nodes always suffice.
+  constexpr uint32_t kNil = ~0u;
+  std::vector<uint32_t> &Head =
+      WS->acquire(WS->Chordal.BucketHead, N + 1, kNil);
+  std::vector<SolverWorkspace::McsNode> &Nodes =
+      WS->acquireCleared(WS->Chordal.BucketNodes);
+  Nodes.reserve(N + G.numEdges());
+  auto Push = [&](unsigned Bucket, VertexId V) {
+    Nodes.push_back({V, Head[Bucket]});
+    Head[Bucket] = static_cast<uint32_t>(Nodes.size() - 1);
+  };
   std::vector<unsigned> &Count = WS->acquire(WS->Chordal.Count, N, 0u);
   std::vector<char> &Visited = WS->acquire(WS->Chordal.Visited, N, char(0));
   for (VertexId V = 0; V < N; ++V)
-    Buckets[0].push_back(V);
+    Push(0, V);
 
   std::vector<VertexId> Visit;
   Visit.reserve(N);
   unsigned Top = 0;
   while (Visit.size() < N) {
-    while (Buckets[Top].empty()) {
+    while (Head[Top] == kNil) {
       assert(Top > 0 && "MCS ran out of vertices before visiting all");
       --Top;
     }
-    VertexId V = Buckets[Top].back();
-    Buckets[Top].pop_back();
+    VertexId V = Nodes[Head[Top]].V;
+    Head[Top] = Nodes[Head[Top]].Next;
     if (Visited[V])
       continue; // Stale bucket entry; the vertex moved to a higher bucket.
     if (Count[V] != Top)
@@ -65,7 +76,7 @@ EliminationOrder layra::maximumCardinalitySearch(const Graph &G,
       if (Visited[U])
         continue;
       ++Count[U];
-      Buckets[Count[U]].push_back(U);
+      Push(Count[U], U);
       Top = std::max(Top, Count[U]);
     }
   }
@@ -180,10 +191,34 @@ bool layra::isChordal(const Graph &G) {
   return isPerfectEliminationOrder(G, maximumCardinalitySearch(G));
 }
 
+CliqueCover::CliqueCover(unsigned NumVertices, std::vector<uint32_t> Offsets,
+                         std::vector<VertexId> Packed)
+    : CliqueStart(std::move(Offsets)), Members(std::move(Packed)) {
+  assert(!CliqueStart.empty() && CliqueStart.front() == 0 &&
+         CliqueStart.back() == Members.size() && "malformed clique offsets");
+  // The inverse index by a counting sort over the packed members, clique
+  // by clique, so each vertex's clique indices come out ascending.
+  // OfStart[V] serves as V's fill cursor and is shifted back afterwards.
+  OfStart.assign(NumVertices + 1, 0);
+  for (VertexId V : Members) {
+    assert(V < NumVertices && "clique mentions unknown vertex");
+    ++OfStart[V + 1];
+  }
+  for (VertexId V = 0; V < NumVertices; ++V)
+    OfStart[V + 1] += OfStart[V];
+  OfClique.resize(Members.size());
+  for (unsigned K = 0; K < numCliques(); ++K)
+    for (VertexId V : clique(K))
+      OfClique[OfStart[V]++] = K;
+  for (VertexId V = NumVertices; V > 0; --V)
+    OfStart[V] = OfStart[V - 1];
+  OfStart[0] = 0;
+}
+
 unsigned CliqueCover::maxCliqueSize() const {
   size_t Max = 0;
-  for (const auto &K : Cliques)
-    Max = std::max(Max, K.size());
+  for (unsigned K = 0; K < numCliques(); ++K)
+    Max = std::max(Max, clique(K).size());
   return static_cast<unsigned>(Max);
 }
 
@@ -219,23 +254,120 @@ CliqueCover layra::maximalCliquesChordal(const Graph &G,
     if (Parent[U] != ~0u && LaterCount[U] == LaterCount[Parent[U]] + 1)
       Absorbed[Parent[U]] = 1;
 
-  CliqueCover Cover;
-  Cover.CliquesOf.resize(N);
+  std::vector<uint32_t> Offsets{0};
+  std::vector<VertexId> Members;
   for (VertexId V : Peo.Order) {
     if (Absorbed[V])
       continue;
     laterNeighbors(G, Peo, V, Later);
-    // The clique itself is output, not scratch: copy at exact size.
-    std::vector<VertexId> Clique;
-    Clique.reserve(Later.size() + 1);
-    Clique.assign(Later.begin(), Later.end());
-    Clique.push_back(V);
-    unsigned Index = Cover.numCliques();
-    for (VertexId U : Clique)
-      Cover.CliquesOf[U].push_back(Index);
-    Cover.Cliques.push_back(std::move(Clique));
+    Members.insert(Members.end(), Later.begin(), Later.end());
+    Members.push_back(V);
+    Offsets.push_back(static_cast<uint32_t>(Members.size()));
   }
-  return Cover;
+  return CliqueCover(N, std::move(Offsets), std::move(Members));
+}
+
+bool layra::maximalCliquesIfPeo(const Graph &G, const EliminationOrder &Order,
+                                CliqueCover &Out, SolverWorkspace *WS) {
+  PhaseSpan PeoSpan(Phase::McsPeo);
+  WorkspaceOrLocal LocalScope(WS);
+  WS = LocalScope.get();
+  unsigned N = G.numVertices();
+  if (Order.Order.size() != N)
+    return false;
+  const std::vector<unsigned> &Position = Order.Position;
+
+  // Later neighbors of every vertex, packed in neighbor order (each edge is
+  // later for exactly one endpoint), and each vertex's parent: its
+  // earliest later neighbor.
+  std::vector<uint32_t> &LaterStart =
+      WS->acquire(WS->Chordal.LaterStart, N + 1, 0u);
+  std::vector<VertexId> &Later = WS->acquireCleared(WS->Chordal.Later);
+  Later.reserve(G.numEdges());
+  std::vector<VertexId> &Parent =
+      WS->acquire(WS->Chordal.Parent, N, VertexId(~0u));
+  for (VertexId V = 0; V < N; ++V) {
+    LaterStart[V] = static_cast<uint32_t>(Later.size());
+    unsigned Earliest = ~0u;
+    for (VertexId U : G.neighbors(V)) {
+      if (Position[U] <= Position[V])
+        continue;
+      Later.push_back(U);
+      if (Position[U] < Earliest) {
+        Earliest = Position[U];
+        Parent[V] = U;
+      }
+    }
+  }
+  LaterStart[N] = static_cast<uint32_t>(Later.size());
+  auto LaterOf = [&](VertexId V) {
+    return NeighborRange(Later.data() + LaterStart[V],
+                         Later.data() + LaterStart[V + 1]);
+  };
+
+  // Rose-Tarjan-Lueker: every later neighbor of V other than its parent P
+  // must be a later neighbor of P.  Bucket the vertices by parent, then
+  // stamp later(P) once and test all of P's children against it.
+  std::vector<uint32_t> &ChildEnd =
+      WS->acquire(WS->Chordal.ChildEnd, N, 0u);
+  for (VertexId V = 0; V < N; ++V)
+    if (Parent[V] != ~0u)
+      ++ChildEnd[Parent[V]];
+  uint32_t Sum = 0;
+  for (VertexId P = 0; P < N; ++P) {
+    Sum += ChildEnd[P];
+    ChildEnd[P] = Sum - ChildEnd[P]; // Start for now; the fill ends it.
+  }
+  std::vector<VertexId> &Children =
+      WS->acquire(WS->Chordal.Children, Sum, VertexId(0));
+  for (VertexId V = 0; V < N; ++V)
+    if (Parent[V] != ~0u)
+      Children[ChildEnd[Parent[V]]++] = V;
+  std::vector<VertexId> &Stamp =
+      WS->acquire(WS->Chordal.Stamp, N, VertexId(~0u));
+  uint32_t Begin = 0;
+  for (VertexId P = 0; P < N; ++P) {
+    uint32_t End = ChildEnd[P];
+    if (Begin != End) {
+      for (VertexId W : LaterOf(P))
+        Stamp[W] = P;
+      for (uint32_t I = Begin; I < End; ++I)
+        for (VertexId U : LaterOf(Children[I]))
+          if (U != P && Stamp[U] != P)
+            return false;
+    }
+    Begin = End;
+  }
+
+  // Fulkerson-Gross, as in maximalCliquesChordal: C_v = later(v) + {v} is
+  // non-maximal iff a child u of v has |later(u)| == |later(v)| + 1.
+  std::vector<char> &Absorbed = WS->acquire(WS->Chordal.Flags, N, char(0));
+  size_t NumMembers = 0;
+  unsigned NumCliques = 0;
+  for (VertexId U = 0; U < N; ++U)
+    if (Parent[U] != ~0u &&
+        LaterOf(U).size() == LaterOf(Parent[U]).size() + 1)
+      Absorbed[Parent[U]] = 1;
+  for (VertexId V = 0; V < N; ++V)
+    if (!Absorbed[V]) {
+      ++NumCliques;
+      NumMembers += LaterOf(V).size() + 1;
+    }
+  std::vector<uint32_t> Offsets;
+  Offsets.reserve(NumCliques + 1);
+  Offsets.push_back(0);
+  std::vector<VertexId> Members;
+  Members.reserve(NumMembers);
+  for (VertexId V : Order.Order) {
+    if (Absorbed[V])
+      continue;
+    NeighborRange Clique = LaterOf(V);
+    Members.insert(Members.end(), Clique.begin(), Clique.end());
+    Members.push_back(V);
+    Offsets.push_back(static_cast<uint32_t>(Members.size()));
+  }
+  Out = CliqueCover(N, std::move(Offsets), std::move(Members));
+  return true;
 }
 
 namespace {
@@ -277,10 +409,10 @@ CliqueTree layra::buildCliqueTree(const Graph &G, const CliqueCover &Cover) {
   Tree.Separator.resize(K);
 
   // Weight of the clique-intersection edge (i, j) = |K_i intersect K_j|.
-  // Only pairs sharing a vertex matter; enumerate them via CliquesOf.
+  // Only pairs sharing a vertex matter; enumerate them via cliquesOf().
   std::unordered_map<uint64_t, unsigned> Shared;
   for (VertexId V = 0; V < G.numVertices(); ++V) {
-    const std::vector<unsigned> &In = Cover.CliquesOf[V];
+    CliqueIndexRange In = Cover.cliquesOf(V);
     for (size_t A = 0; A < In.size(); ++A)
       for (size_t B = A + 1; B < In.size(); ++B) {
         unsigned I = std::min(In[A], In[B]), J = std::max(In[A], In[B]);
@@ -342,12 +474,12 @@ CliqueTree layra::buildCliqueTree(const Graph &G, const CliqueCover &Cover) {
     unsigned P = Tree.Parent[C];
     if (P == ~0u)
       continue;
-    for (VertexId V : Cover.Cliques[P])
+    for (VertexId V : Cover.clique(P))
       Mark[V] = 1;
-    for (VertexId V : Cover.Cliques[C])
+    for (VertexId V : Cover.clique(C))
       if (Mark[V])
         Tree.Separator[C].push_back(V);
-    for (VertexId V : Cover.Cliques[P])
+    for (VertexId V : Cover.clique(P))
       Mark[V] = 0;
   }
   return Tree;
@@ -359,15 +491,15 @@ bool layra::isValidCliqueTree(const Graph &G, const CliqueCover &Cover,
   if (Tree.Parent.size() != K || Tree.Separator.size() != K)
     return false;
   // Induced-subtree property: for each vertex v the number of tree edges
-  // with both endpoints containing v must be |CliquesOf(v)| - 1.
+  // with both endpoints containing v must be |cliquesOf(v)| - 1.
   std::vector<unsigned> EdgesContaining(G.numVertices(), 0);
   for (unsigned C = 0; C < K; ++C)
     for (VertexId V : Tree.Separator[C])
       ++EdgesContaining[V];
   for (VertexId V = 0; V < G.numVertices(); ++V) {
-    if (Cover.CliquesOf[V].empty())
+    if (Cover.cliquesOf(V).empty())
       return false; // Every vertex lies in at least one maximal clique.
-    if (EdgesContaining[V] != Cover.CliquesOf[V].size() - 1)
+    if (EdgesContaining[V] != Cover.cliquesOf(V).size() - 1)
       return false;
   }
   return true;

@@ -20,6 +20,8 @@
 
 #include "graph/Graph.h"
 
+#include <cassert>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -57,29 +59,78 @@ bool isPerfectEliminationOrder(const Graph &G, const EliminationOrder &Order,
 /// Returns true if \p G is chordal (every cycle of length >= 4 has a chord).
 bool isChordal(const Graph &G);
 
-/// The maximal cliques of a chordal graph, plus bookkeeping used by the
-/// fixed-point layered allocator (paper Algorithm 4) and the step-k dynamic
-/// program.
-struct CliqueCover {
-  /// Each maximal clique as a vertex list (unordered).
-  std::vector<std::vector<VertexId>> Cliques;
-  /// CliquesOf[v] lists the indices of the maximal cliques containing v.
-  std::vector<std::vector<unsigned>> CliquesOf;
+/// A read-only span of clique indices.  Clique indices and vertex ids share
+/// one representation, so this is the neighbor-list view under another
+/// name.
+using CliqueIndexRange = NeighborRange;
+
+/// The maximal cliques of a chordal graph, plus the inverse index used by
+/// the fixed-point layered allocator (paper Algorithm 4), the step-k
+/// dynamic program and the clique tree.  Both lists are stored in CSR
+/// form -- offsets + one packed array each -- so a cover costs four
+/// allocations however many cliques it holds.
+class CliqueCover {
+public:
+  CliqueCover() = default;
+
+  /// Builds the cover of a graph with \p NumVertices vertices whose clique
+  /// K is Members[Offsets[K] .. Offsets[K+1]); Offsets starts at 0 and has
+  /// one entry more than there are cliques.  Derives cliquesOf().
+  CliqueCover(unsigned NumVertices, std::vector<uint32_t> Offsets,
+              std::vector<VertexId> Members);
 
   unsigned numCliques() const {
-    return static_cast<unsigned>(Cliques.size());
+    return CliqueStart.empty() ? 0
+                               : static_cast<unsigned>(CliqueStart.size() - 1);
+  }
+
+  /// Members of clique \p K (unordered).
+  NeighborRange clique(unsigned K) const {
+    assert(K < numCliques() && "clique index out of range");
+    return {Members.data() + CliqueStart[K],
+            Members.data() + CliqueStart[K + 1]};
+  }
+
+  /// Indices of the maximal cliques containing \p V, ascending.
+  CliqueIndexRange cliquesOf(VertexId V) const {
+    assert(V + 1 < OfStart.size() && "vertex out of range");
+    return {OfClique.data() + OfStart[V], OfClique.data() + OfStart[V + 1]};
   }
 
   /// Size of the largest clique; equals the chromatic number for chordal
   /// graphs and MaxLive for SSA interference graphs.
   unsigned maxCliqueSize() const;
+
+  friend bool operator==(const CliqueCover &A, const CliqueCover &B) {
+    return A.CliqueStart == B.CliqueStart && A.Members == B.Members &&
+           A.OfStart == B.OfStart && A.OfClique == B.OfClique;
+  }
+  friend bool operator!=(const CliqueCover &A, const CliqueCover &B) {
+    return !(A == B);
+  }
+
+private:
+  std::vector<uint32_t> CliqueStart;
+  std::vector<VertexId> Members;
+  std::vector<uint32_t> OfStart;
+  std::vector<unsigned> OfClique;
 };
 
-/// Enumerates all maximal cliques of chordal \p G given a PEO.
-/// Runs in O(V + E) time plus output size.
+/// Enumerates all maximal cliques of chordal \p G given a PEO
+/// (Fulkerson-Gross).  Runs in O(V + E) time plus output size.  Together
+/// with isPerfectEliminationOrder() this is the reference that
+/// maximalCliquesIfPeo() must reproduce.
 /// \pre \p Peo is a perfect elimination order of \p G.
 CliqueCover maximalCliquesChordal(const Graph &G, const EliminationOrder &Peo,
                                   SolverWorkspace *WS = nullptr);
+
+/// isPerfectEliminationOrder() and maximalCliquesChordal() fused into one
+/// pass: each vertex's later neighbors and parent are collected once, the
+/// Rose-Tarjan-Lueker check runs over them, and the cover is emitted from
+/// them.  Returns false, leaving \p Out untouched, when \p Order is not a
+/// PEO of \p G; otherwise \p Out equals maximalCliquesChordal(G, Order).
+bool maximalCliquesIfPeo(const Graph &G, const EliminationOrder &Order,
+                         CliqueCover &Out, SolverWorkspace *WS = nullptr);
 
 /// A clique tree of a chordal graph: a tree on the maximal cliques such that
 /// for every vertex the cliques containing it induce a subtree.  Built as a

@@ -11,6 +11,44 @@
 
 using namespace layra;
 
+Graph::Graph(std::vector<Weight> VertexWeights,
+             const std::vector<GraphEdge> &Edges,
+             std::vector<std::string> VertexNames)
+    : Weights(std::move(VertexWeights)), Names(std::move(VertexNames)),
+      EdgeCount(Edges.size()), MatrixEnabled(false), Compressed(true) {
+  unsigned N = numVertices();
+  assert((Names.empty() || Names.size() == N) && "one name per vertex");
+  assert(2 * EdgeCount <= UINT32_MAX && "edge count overflows CSR offsets");
+  // Degrees into CsrOffsets[V + 1], prefix-summed into start offsets.
+  CsrOffsets.assign(N + 1, 0);
+  for (const GraphEdge &E : Edges) {
+    assert(E.U < N && E.V < N && "vertex out of range");
+    assert(E.U != E.V && "self-loops are not interference edges");
+    ++CsrOffsets[E.U + 1];
+    ++CsrOffsets[E.V + 1];
+  }
+  for (VertexId V = 0; V < N; ++V)
+    CsrOffsets[V + 1] += CsrOffsets[V];
+  // Fill in list order, using CsrOffsets[V] as V's cursor; afterwards each
+  // cursor sits on the next vertex's start, so shift them back by one.
+  CsrNeighbors.resize(2 * EdgeCount);
+  for (const GraphEdge &E : Edges) {
+    CsrNeighbors[CsrOffsets[E.U]++] = E.V;
+    CsrNeighbors[CsrOffsets[E.V]++] = E.U;
+  }
+  for (VertexId V = N; V > 0; --V)
+    CsrOffsets[V] = CsrOffsets[V - 1];
+  CsrOffsets[0] = 0;
+#ifndef NDEBUG
+  std::vector<VertexId> Seen(N, ~0u);
+  for (VertexId V = 0; V < N; ++V)
+    for (VertexId U : neighbors(V)) {
+      assert(Seen[U] != V && "duplicate edge in the edge list");
+      Seen[U] = V;
+    }
+#endif
+}
+
 VertexId Graph::addVertex(Weight W, std::string Name) {
   assert(W >= 0 && "spill costs are non-negative");
   assert(!Compressed && "addVertex on a compressed graph");
@@ -94,8 +132,12 @@ void Graph::compress() {
     Offset += static_cast<uint32_t>(Adjacency[V].size());
   }
   CsrOffsets[N] = Offset;
-  // Release the per-vertex list storage; the CSR is the view from now on.
+  // Release the per-vertex lists and the bit matrix; the CSR is the view
+  // from now on, and hasEdge() scans it.
   std::vector<std::vector<VertexId>>().swap(Adjacency);
+  std::vector<uint64_t>().swap(Matrix);
+  MatrixStride = 0;
+  MatrixEnabled = false;
   Compressed = true;
 }
 

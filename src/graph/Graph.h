@@ -11,17 +11,24 @@
 /// interpreted as its estimated spill cost (paper §3: "A spill cost
 /// represents the access frequency of a variable").
 ///
-/// Storage is layered for the solver hot paths:
-///  - Mutable phase: per-vertex adjacency lists in *insertion order* (the
-///    order is load-bearing -- MCS bucket tie-breaking and with it every
-///    PEO, clique cover and DP result depends on it), plus a dense bit
-///    matrix making hasEdge()/addEdge() duplicate detection O(1) for
-///    graphs up to kMaxDenseVertices.
-///  - Frozen phase: compress() flattens the lists into a CSR view (offsets
-///    + one packed neighbor array) so every neighbor walk in MCS, Frank's
-///    algorithm and the clique-tree DP streams one contiguous array
-///    instead of chasing per-vertex heap blocks.  compress() preserves
-///    iteration order exactly; results are bit-identical either way.
+/// Storage has two lifecycles, and both end in the same frozen CSR view
+/// (offsets + one packed neighbor array) that every neighbor walk in MCS,
+/// Frank's algorithm and the clique-tree DP streams:
+///  - Bulk build (solver hot path): ir/Interference appends edges in
+///    discovery order to a flat list, deduplicates it once -- stably, the
+///    first occurrence wins -- and hands it to the edge-list constructor,
+///    which lays out the CSR directly.  No per-vertex lists and no bit
+///    matrix are ever allocated, so the build has no vertex-count cap.
+///  - Incremental build (hand-built graphs, inducedSubgraph): per-vertex
+///    adjacency lists plus a dense bit matrix for O(1) duplicate detection
+///    in addEdge() (up to kMaxDenseVertices).  compress() flattens the
+///    lists into the CSR and releases both the lists and the matrix, so a
+///    frozen graph costs O(N + E) bytes whatever its history.
+/// Neighbor order is load-bearing -- MCS bucket tie-breaking and with it
+/// every PEO, clique cover and DP result depends on it -- and it is the
+/// same either way: a vertex's neighbors appear in the order of the first
+/// occurrences of its edges.  addEdge() in list order followed by
+/// compress() and the edge-list constructor give identical graphs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,18 +85,26 @@ private:
   const VertexId *End_ = nullptr;
 };
 
+/// One undirected edge of an edge list (Graph's bulk constructor).
+struct GraphEdge {
+  VertexId U;
+  VertexId V;
+};
+
 /// An undirected graph with per-vertex weights and optional vertex names.
 ///
-/// Edges are deduplicated on insertion; self-loops are rejected.  Adjacency
-/// is kept in insertion order -- algorithms that need determinism across
-/// runs get it because the whole library is deterministic (no pointer
-/// ordering anywhere).
+/// addEdge() deduplicates edges and rejects self-loops; the edge-list
+/// constructor requires a list free of both.  Adjacency is kept in
+/// insertion order -- algorithms that need determinism across runs get it
+/// because the whole library is deterministic (no pointer ordering
+/// anywhere).
 class Graph {
 public:
-  /// Largest vertex count for which the dense adjacency bit matrix is
-  /// maintained.  One row is numVertices() bits, so the matrix costs
-  /// ~N^2/8 bytes (2 MiB at the cap); beyond it hasEdge falls back to the
-  /// list scan.  Suite-derived interference graphs sit far below the cap.
+  /// Largest vertex count for which the incremental build maintains the
+  /// dense adjacency bit matrix.  One row is numVertices() bits, so the
+  /// matrix costs ~N^2/8 bytes (2 MiB at the cap); beyond it addEdge and
+  /// hasEdge fall back to the list scan.  The edge-list build never
+  /// allocates a matrix and has no cap.
   static constexpr unsigned kMaxDenseVertices = 4096;
 
   Graph() = default;
@@ -105,6 +120,15 @@ public:
     }
   }
 
+  /// Builds a frozen graph with one vertex per entry of \p VertexWeights
+  /// straight into the CSR view from \p Edges, which must be free of
+  /// duplicates and self-loops.  Each vertex's neighbors come out in the
+  /// order its edges appear in \p Edges: exactly the graph that addEdge()
+  /// over \p Edges in order followed by compress() would give.
+  /// \p VertexNames is empty or holds one (possibly empty) name per vertex.
+  Graph(std::vector<Weight> VertexWeights, const std::vector<GraphEdge> &Edges,
+        std::vector<std::string> VertexNames = {});
+
   /// Adds a vertex with weight \p W and returns its id.
   /// \pre the graph is not compressed.
   VertexId addVertex(Weight W = 0, std::string Name = {});
@@ -116,8 +140,9 @@ public:
   bool addEdge(VertexId U, VertexId V);
 
   /// Returns true if the undirected edge {U, V} exists.  O(1) while the
-  /// dense bit matrix is live (numVertices() <= kMaxDenseVertices);
-  /// otherwise a scan of the smaller neighbor list.
+  /// dense bit matrix is live (a mutable graph with numVertices() <=
+  /// kMaxDenseVertices); otherwise, frozen graphs included, a scan of the
+  /// smaller neighbor list.
   bool hasEdge(VertexId U, VertexId V) const {
     assert(U < numVertices() && V < numVertices() && "vertex out of range");
     if (MatrixStride)
@@ -136,9 +161,11 @@ public:
   /// Freezes the edge set and flattens adjacency into a CSR (offsets +
   /// packed neighbor array) so neighbor walks stream contiguous memory.
   /// Iteration order -- and with it every downstream result -- is
-  /// unchanged.  Idempotent; addVertex/addEdge are no longer allowed.
-  /// Called at problem-construction freeze points
-  /// (AllocationProblem::fromChordalGraph / fromGeneralGraph).
+  /// unchanged.  Releases the adjacency lists and the bit matrix.
+  /// Idempotent; addVertex/addEdge are no longer allowed.  Called at
+  /// problem-construction freeze points (AllocationProblem::
+  /// fromChordalGraph / fromGeneralGraph); graphs from the edge-list
+  /// constructor are born frozen.
   void compress();
 
   /// True once compress() ran.
@@ -210,10 +237,10 @@ private:
   std::vector<std::string> Names;
   size_t EdgeCount = 0;
 
-  /// Dense adjacency bit matrix, row-major with MatrixStride 64-bit words
-  /// per row.  Membership only -- iteration always uses the ordered lists /
-  /// CSR.  Dropped permanently once numVertices() exceeds
-  /// kMaxDenseVertices.
+  /// Dense adjacency bit matrix of the incremental build, row-major with
+  /// MatrixStride 64-bit words per row.  Membership only -- iteration
+  /// always uses the ordered lists / CSR.  Dropped permanently once
+  /// numVertices() exceeds kMaxDenseVertices, and by compress().
   std::vector<uint64_t> Matrix;
   unsigned MatrixStride = 0;
   bool MatrixEnabled = true;

@@ -53,20 +53,67 @@ struct LiveSetHash {
     return static_cast<size_t>(H);
   }
 };
+
+/// Drops every repeat of an undirected edge from \p Edges in place, keeping
+/// each edge's first occurrence and the order of the survivors.  A stable
+/// counting sort buckets the edge indices by lower endpoint; walking one
+/// bucket in list order, an upper endpoint already stamped with the
+/// bucket's vertex marks a repeat.  O(N + E): no bit matrix, no cap on N.
+void removeRepeatedEdges(std::vector<GraphEdge> &Edges, unsigned N,
+                         SolverWorkspace &WS) {
+  std::vector<uint32_t> &End = WS.acquire(WS.Interference.BucketEnd, N, 0u);
+  for (const GraphEdge &E : Edges)
+    ++End[std::min(E.U, E.V)];
+  uint32_t Sum = 0;
+  for (VertexId L = 0; L < N; ++L) {
+    Sum += End[L];
+    End[L] = Sum - End[L]; // Bucket start for now; the fill ends it.
+  }
+  std::vector<uint32_t> &Bucket =
+      WS.acquire(WS.Interference.Bucket, Edges.size(), 0u);
+  for (uint32_t I = 0; I < Edges.size(); ++I)
+    Bucket[End[std::min(Edges[I].U, Edges[I].V)]++] = I;
+
+  std::vector<VertexId> &Stamp =
+      WS.acquire(WS.Interference.Stamp, N, VertexId(~0u));
+  bool Repeats = false;
+  uint32_t Begin = 0;
+  for (VertexId L = 0; L < N; ++L) {
+    for (uint32_t I = Begin; I < End[L]; ++I) {
+      GraphEdge &E = Edges[Bucket[I]];
+      VertexId Upper = std::max(E.U, E.V);
+      if (Stamp[Upper] == L) {
+        E.V = E.U; // A self-loop marks the repeat for removal below.
+        Repeats = true;
+      } else {
+        Stamp[Upper] = L;
+      }
+    }
+    Begin = End[L];
+  }
+  if (Repeats)
+    Edges.erase(std::remove_if(Edges.begin(), Edges.end(),
+                               [](const GraphEdge &E) { return E.U == E.V; }),
+                Edges.end());
+}
 } // namespace
 
 InterferenceInfo layra::buildInterference(const Function &F,
                                           const Liveness &Live,
                                           const std::vector<Weight> &Costs,
                                           SolverWorkspace *WS,
-                                          bool CollectPointSets) {
+                                          bool CollectPointSets,
+                                          std::vector<GraphEdge> *Discovered) {
   assert(Costs.size() == F.numValues() && "one cost per value required");
   PhaseSpan InterferenceSpan(Phase::Interference);
   WorkspaceOrLocal LocalScope(WS);
   WS = LocalScope.get();
   InterferenceInfo Info;
-  for (ValueId V = 0; V < F.numValues(); ++V)
-    Info.G.addVertex(Costs[V], F.valueName(V));
+  // Edges are appended in discovery order, repeats included; one stable
+  // dedup and the edge-list Graph constructor turn them into the frozen
+  // CSR graph (graph/Graph.h).
+  std::vector<GraphEdge> &Edges = WS->acquireCleared(WS->Interference.Edges);
+  auto AddEdge = [&](VertexId A, VertexId B) { Edges.push_back({A, B}); };
 
   // Register classes partition the values: only same-class values compete
   // for registers, so cross-class pairs never interfere and pressure is
@@ -119,7 +166,7 @@ InterferenceInfo layra::buildInterference(const Function &F,
       for (ValueId D : I.Defs)
         for (VertexId X : EntrySet)
           if (X != D && SameClass(D, X))
-            Info.G.addEdge(D, X);
+            AddEdge(D, X);
     }
     RecordPoint(EntrySet);
 
@@ -134,10 +181,10 @@ InterferenceInfo layra::buildInterference(const Function &F,
       for (ValueId D : Instr.Defs) {
         for (VertexId X : Point)
           if (X != D && SameClass(D, X))
-            Info.G.addEdge(D, X);
+            AddEdge(D, X);
         for (ValueId D2 : Instr.Defs)
           if (D2 != D && SameClass(D, D2))
-            Info.G.addEdge(D, D2);
+            AddEdge(D, D2);
         // A dead def still occupies a register at its definition point.
         if (!LiveAfter.test(D))
           Point.push_back(D);
@@ -149,6 +196,14 @@ InterferenceInfo layra::buildInterference(const Function &F,
       Info.MinRegisters = std::max(Info.MinRegisters, Operands);
     });
   }
+  if (Discovered)
+    *Discovered = Edges;
+  removeRepeatedEdges(Edges, F.numValues(), *WS);
+  std::vector<std::string> Names(F.numValues());
+  for (ValueId V = 0; V < F.numValues(); ++V)
+    Names[V] = F.valueName(V);
+  Info.G = Graph(Costs, Edges, std::move(Names));
+
   if (!MultiClass)
     Info.MaxLiveByClass[0] = Info.MaxLive;
   else

@@ -60,17 +60,24 @@ std::vector<Weight> computeSpillCosts(const Function &F,
                                       const TargetDesc &Target);
 
 /// Builds the interference graph of \p F with \p Costs as vertex weights.
-/// Vertex names are taken from value names.
+/// Vertex names are taken from value names.  The backward walk appends
+/// edges in discovery order to a flat list; one stable dedup (the first
+/// occurrence of each edge wins) and Graph's edge-list constructor then
+/// lay out the frozen CSR graph, with neighbor order identical to adding
+/// the edges one by one through Graph::addEdge.
 ///
-/// \p WS optionally supplies the per-point scratch of the backward walk.
+/// \p WS optionally supplies the walk's scratch and the edge list.
 /// \p CollectPointSets controls whether PointLiveSets is filled: chordal
 /// (SSA) consumers derive the constraints from the maximal cliques instead
 /// and can skip the per-point sort/dedup entirely -- G, MaxLive and
-/// MinRegisters are computed either way.
-InterferenceInfo buildInterference(const Function &F, const Liveness &Live,
-                                   const std::vector<Weight> &Costs,
-                                   SolverWorkspace *WS = nullptr,
-                                   bool CollectPointSets = true);
+/// MinRegisters are computed either way.  \p Discovered, when non-null,
+/// receives the edge list as discovered, repeats included (the input of
+/// the reference construction in fuzz/BuildReference.h).
+InterferenceInfo
+buildInterference(const Function &F, const Liveness &Live,
+                  const std::vector<Weight> &Costs,
+                  SolverWorkspace *WS = nullptr, bool CollectPointSets = true,
+                  std::vector<GraphEdge> *Discovered = nullptr);
 
 } // namespace layra
 

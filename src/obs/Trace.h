@@ -55,7 +55,7 @@ enum class Phase : unsigned {
   Liveness,     ///< Dataflow liveness solve.
   SpillCosts,   ///< Use-frequency spill cost computation.
   Interference, ///< Interference graph construction.
-  McsPeo,       ///< Maximum cardinality search / PEO machinery.
+  McsPeo,       ///< MCS, the PEO check and maximal-clique extraction.
   CliqueTreeDp, ///< Clique-tree construction and bounded-layer DP.
   StableSet,    ///< Maximum weighted stable set on chordal graphs.
   Allocate,     ///< Whole allocateProblem dispatch.

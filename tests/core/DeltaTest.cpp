@@ -183,6 +183,71 @@ TEST(DeltaTest, PipelineWarmStartIsByteIdenticalToFullRun) {
   (void)BaseRun;
 }
 
+TEST(DeltaTest, IntervalsFollowTheConsumingAllocatorOnEveryBranch) {
+  // Pipeline builds carry live intervals only for allocators that read
+  // them, so a base captured under bfpl has none.  Each delta branch --
+  // identical resubmission, budget-only change, cost change -- must yield
+  // exactly the fresh build under the same interval rule.
+  Function BaseF = makeSsa();
+  DeltaBase Base;
+  Base.Ssa = BaseF;
+  ProblemBuildArtifacts Art;
+  Base.Problem = buildSsaProblem(BaseF, ST231, {4}, nullptr, &Art,
+                                 /*WithIntervals=*/false);
+  ASSERT_FALSE(Base.Problem.Intervals);
+  Base.Live = std::move(Art.Live);
+  Base.Costs = std::move(Art.Costs);
+
+  for (bool WithIntervals : {false, true})
+    for (auto [Bump, Regs] : {std::pair{0u, 4u}, {0u, 6u}, {9u, 4u}}) {
+      Function New = BaseF;
+      New.block(0).Frequency += Bump;
+      AllocationProblem Out;
+      bool ExactRound0 = false;
+      ASSERT_TRUE(buildDeltaProblem(Base, New, ST231, {Regs}, Out,
+                                    ExactRound0, WithIntervals));
+      EXPECT_EQ(Out.Intervals.has_value(), WithIntervals);
+      EXPECT_EQ(hashProblem(Out),
+                hashProblem(buildSsaProblem(New, ST231, {Regs}, nullptr,
+                                            nullptr, WithIntervals)))
+          << "bump=" << Bump << " regs=" << Regs
+          << " intervals=" << WithIntervals;
+    }
+}
+
+TEST(DeltaTest, BaseCapturedUnderBfplServesLinearScanDeltas) {
+  // End to end: the bfpl base lacks intervals, yet `ls` deltas against it
+  // must solve (not abort the shard) and report byte-equal to fresh ls
+  // solves on every delta branch.
+  Function BaseF = makeSsa();
+  const uint64_t Key = 0x5eed;
+  Suite BaseS = singleFunctionSuite(BaseF);
+  std::vector<BatchJob> BaseJobs = singleJob(BaseS);
+  BaseJobs[0].RetainKey = Key;
+  BatchDriver Warm(1);
+  Warm.run(BaseJobs);
+  ASSERT_TRUE(Warm.hasBase(Key));
+
+  unsigned Deltas = 0;
+  for (auto [Bump, Regs] : {std::pair{0u, 4u}, {0u, 6u}, {9u, 4u}}) {
+    Function New = BaseF;
+    New.block(0).Frequency += Bump;
+    Suite NewS = singleFunctionSuite(New);
+    std::vector<BatchJob> Jobs = singleJob(NewS);
+    Jobs[0].NumRegisters = Regs;
+    Jobs[0].Options.AllocatorName = "ls";
+    std::vector<BatchJob> DeltaJobs = Jobs;
+    DeltaJobs[0].BaseKey = Key;
+    std::string DeltaBytes =
+        reportBytes(Warm.run(DeltaJobs, /*CacheTransparent=*/true));
+    EXPECT_EQ(Warm.deltaCounters().Hits, ++Deltas);
+    BatchDriver Fresh(1);
+    EXPECT_EQ(DeltaBytes, reportBytes(Fresh.run(Jobs)))
+        << "bump=" << Bump << " regs=" << Regs;
+  }
+  EXPECT_EQ(Warm.deltaCounters().Fallbacks, 0u);
+}
+
 TEST(DeltaTest, DriverCountsHitsAndFallbacksAndReportsStayByteEqual) {
   Function BaseF = makeSsa();
   const uint64_t Key = 0x1234;

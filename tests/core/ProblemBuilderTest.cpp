@@ -25,7 +25,7 @@ TEST(ProblemBuilderTest, SsaProblemIsChordalWithCliqueConstraints) {
   SsaConversion Conv = convertToSsa(F);
   AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 4);
   EXPECT_TRUE(P.Chordal);
-  EXPECT_EQ(P.Constraints.size(), P.Cliques.Cliques.size());
+  EXPECT_EQ(P.Constraints.size(), P.Cliques.numCliques());
   EXPECT_TRUE(isPerfectEliminationOrder(P.graph(), P.Peo));
   EXPECT_TRUE(P.Intervals.has_value());
   EXPECT_EQ(P.uniformBudget(), 4u);

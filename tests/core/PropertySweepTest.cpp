@@ -226,9 +226,9 @@ TEST_P(StepSweep, BoundedLayerRespectsBoundAndGrowsWithIt) {
 
     std::vector<VertexId> Layer = optimalBoundedLayer(P, Mask, W, Step);
     // Every maximal clique gains at most Step vertices.
-    for (const auto &K : P.Cliques.Cliques) {
+    for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
       unsigned Hit = 0;
-      for (VertexId V : K)
+      for (VertexId V : P.Cliques.clique(K))
         Hit += std::count(Layer.begin(), Layer.end(), V) ? 1 : 0;
       EXPECT_LE(Hit, Step) << "step=" << Step << " round=" << Round;
     }

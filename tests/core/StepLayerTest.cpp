@@ -126,7 +126,7 @@ TEST(StepLayerTest, EstimateSaturatesOnHugeCliquesInsteadOfOverflowing) {
   std::vector<VertexId> Huge(20000);
   for (VertexId V = 0; V < Huge.size(); ++V)
     Huge[V] = V;
-  P.Cliques.Cliques.push_back(Huge);
+  P.Cliques = CliqueCover(20000, {0, 20000}, Huge);
 
   double Estimate = estimateBoundedLayerStates(P, /*Mask=*/{}, /*Bound=*/8);
   EXPECT_EQ(Estimate, 1e18);
@@ -142,8 +142,13 @@ TEST(StepLayerTest, EstimateSaturatesOnHugeCliquesInsteadOfOverflowing) {
   for (VertexId V = 0; V < Mid.size(); ++V)
     Mid[V] = V;
   // C(400, 8) ~ 1.6e16 per clique; 100 cliques push the sum over 1e18.
-  for (int K = 0; K < 100; ++K)
-    Many.Cliques.Cliques.push_back(Mid);
+  std::vector<uint32_t> Offsets{0};
+  std::vector<VertexId> Members;
+  for (int K = 0; K < 100; ++K) {
+    Members.insert(Members.end(), Mid.begin(), Mid.end());
+    Offsets.push_back(static_cast<uint32_t>(Members.size()));
+  }
+  Many.Cliques = CliqueCover(400, std::move(Offsets), std::move(Members));
   EXPECT_EQ(estimateBoundedLayerStates(Many, {}, 8), 1e18);
 
   // A respected mask keeps the same clique affordable.

@@ -175,10 +175,46 @@ TEST(ChordalTest, MaximalCliquesMatchBronKerboschOnRandomChordalGraphs) {
     std::vector<std::set<VertexId>> Reference = referenceMaximalCliques(G);
     std::set<std::set<VertexId>> RefSet(Reference.begin(), Reference.end());
     std::set<std::set<VertexId>> Got;
-    for (const auto &K : Cover.Cliques)
-      Got.insert(std::set<VertexId>(K.begin(), K.end()));
+    for (unsigned K = 0; K < Cover.numCliques(); ++K)
+      Got.insert(std::set<VertexId>(Cover.clique(K).begin(),
+                                    Cover.clique(K).end()));
     EXPECT_EQ(Got, RefSet) << "round " << Round;
   }
+}
+
+TEST(ChordalTest, FusedPassAgreesWithTheSeparateCheckAndExtraction) {
+  // maximalCliquesIfPeo must accept exactly the orders
+  // isPerfectEliminationOrder accepts, and then emit maximalCliquesChordal's
+  // cover: the same clique lists, in the same order, and the same
+  // cliquesOf index.
+  Rng R(909);
+  unsigned Accepted = 0, Rejected = 0;
+  for (int Round = 0; Round < 60; ++Round) {
+    ChordalGenOptions Opt;
+    Opt.NumVertices = 4 + static_cast<unsigned>(R.nextBelow(40));
+    Graph G = Round % 3 == 0 ? randomGraph(R, 12, 0.3, 10)
+                             : randomChordalGraph(R, Opt);
+    EliminationOrder Mcs = maximumCardinalitySearch(G);
+    std::vector<VertexId> Shuffled = Mcs.Order;
+    R.shuffle(Shuffled);
+    for (const EliminationOrder &Order :
+         {Mcs, EliminationOrder::fromOrder(Shuffled)}) {
+      CliqueCover Fused;
+      bool Ok = maximalCliquesIfPeo(G, Order, Fused);
+      ASSERT_EQ(Ok, isPerfectEliminationOrder(G, Order)) << "round " << Round;
+      if (Ok) {
+        EXPECT_EQ(Fused, maximalCliquesChordal(G, Order)) << "round " << Round;
+      }
+      ++(Ok ? Accepted : Rejected);
+    }
+  }
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+
+  CliqueCover Untouched;
+  EliminationOrder Bad = EliminationOrder::fromOrder({3, 0, 5, 4, 1, 6, 2});
+  EXPECT_FALSE(maximalCliquesIfPeo(figure5Graph(), Bad, Untouched));
+  EXPECT_EQ(Untouched.numCliques(), 0u);
 }
 
 TEST(ChordalTest, CliquesOfIndexIsConsistent) {
@@ -188,9 +224,9 @@ TEST(ChordalTest, CliquesOfIndexIsConsistent) {
   Graph G = randomChordalGraph(R, Opt);
   CliqueCover Cover = maximalCliquesChordal(G, maximumCardinalitySearch(G));
   for (VertexId V = 0; V < G.numVertices(); ++V) {
-    EXPECT_FALSE(Cover.CliquesOf[V].empty());
-    for (unsigned K : Cover.CliquesOf[V]) {
-      const auto &Clique = Cover.Cliques[K];
+    EXPECT_FALSE(Cover.cliquesOf(V).empty());
+    for (unsigned K : Cover.cliquesOf(V)) {
+      NeighborRange Clique = Cover.clique(K);
       EXPECT_NE(std::find(Clique.begin(), Clique.end(), V), Clique.end());
     }
   }
@@ -202,10 +238,12 @@ TEST(ChordalTest, CliquesAreActuallyCliques) {
   Opt.NumVertices = 40;
   Graph G = randomChordalGraph(R, Opt);
   CliqueCover Cover = maximalCliquesChordal(G, maximumCardinalitySearch(G));
-  for (const auto &K : Cover.Cliques)
+  for (unsigned C = 0; C < Cover.numCliques(); ++C) {
+    NeighborRange K = Cover.clique(C);
     for (size_t A = 0; A < K.size(); ++A)
       for (size_t B = A + 1; B < K.size(); ++B)
         EXPECT_TRUE(G.hasEdge(K[A], K[B]));
+  }
 }
 
 TEST(ChordalTest, CliqueTreeIsValidOnRandomChordalGraphs) {

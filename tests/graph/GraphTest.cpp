@@ -133,6 +133,39 @@ TEST(GraphTest, CompressPreservesNeighborOrderDegreesAndEdges) {
   EXPECT_EQ(G.numEdges(), 4u);
 }
 
+TEST(GraphTest, EdgeListConstructorEqualsAddEdgeThenCompress) {
+  // Past the dense cap too: the edge-list build has no matrix and no cap.
+  for (unsigned N : {7u, Graph::kMaxDenseVertices + 3}) {
+    std::vector<GraphEdge> Edges;
+    for (VertexId V = 1; V < N; ++V)
+      for (VertexId U = V % 3; U < V; U += 1 + V / 4)
+        Edges.push_back(V % 2 ? GraphEdge{U, V} : GraphEdge{V, U});
+    std::vector<Weight> Weights(N);
+    std::vector<std::string> Names(N);
+    Graph Incremental;
+    for (VertexId V = 0; V < N; ++V) {
+      Weights[V] = V % 13;
+      Names[V] = V % 3 ? "v" + std::to_string(V) : "";
+      Incremental.addVertex(Weights[V], Names[V]);
+    }
+    for (const GraphEdge &E : Edges)
+      ASSERT_TRUE(Incremental.addEdge(E.U, E.V));
+    Incremental.compress();
+
+    Graph Bulk(Weights, Edges, Names);
+    ASSERT_TRUE(Bulk.compressed());
+    ASSERT_EQ(Bulk.numVertices(), N);
+    EXPECT_EQ(Bulk.numEdges(), Edges.size());
+    for (VertexId V = 0; V < N; ++V) {
+      EXPECT_EQ(Bulk.neighbors(V), Incremental.neighbors(V)) << V;
+      EXPECT_EQ(Bulk.weight(V), Incremental.weight(V)) << V;
+      EXPECT_EQ(Bulk.name(V), Incremental.name(V)) << V;
+    }
+    EXPECT_TRUE(Bulk.hasEdge(Edges.back().V, Edges.back().U));
+    EXPECT_EQ(Bulk.hasEdge(0, N - 1), Incremental.hasEdge(0, N - 1));
+  }
+}
+
 TEST(GraphTest, CompressedGraphYieldsMutableInducedSubgraph) {
   Graph G(4);
   G.addEdge(0, 1);

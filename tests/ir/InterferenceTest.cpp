@@ -133,7 +133,9 @@ TEST(InterferenceTest, MaximalCliquesAppearAmongPointLiveSets) {
                                               Info.PointLiveSets.end());
     CliqueCover Cover =
         maximalCliquesChordal(Info.G, maximumCardinalitySearch(Info.G));
-    for (auto Clique : Cover.Cliques) {
+    for (unsigned K = 0; K < Cover.numCliques(); ++K) {
+      std::vector<VertexId> Clique(Cover.clique(K).begin(),
+                                   Cover.clique(K).end());
       std::sort(Clique.begin(), Clique.end());
       EXPECT_TRUE(PointSets.count(Clique))
           << "round " << Round << ": maximal clique not a live set";
