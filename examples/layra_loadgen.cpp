@@ -29,7 +29,7 @@
 ///                 [--clients=N] [--requests=M | --duration=SECS]
 ///                 [--rps=N] [--suite=NAME[,NAME...]]
 ///                 [--regs=LO..HI|--regs=A,B,C] [--allocator=NAME]
-///                 [--target=NAME] [--edit-heavy] [--details] [--timing]
+///                 [--target=NAME] [--details] [--timing]
 ///                 [--stats] [--trace-sample=K] [--json=FILE] [--quiet]
 ///
 ///   --clients     concurrent connections (default 4)
@@ -40,17 +40,6 @@
 ///   --rps         open-loop request release rate, requests per second
 ///                 across all clients (default 0 = closed loop: each idle
 ///                 client sends immediately)
-///   --edit-heavy  JIT resubmission scenario (docs/PROTOCOL.md delta
-///                 mode): each client first submits its own generated
-///                 function (registering a warm-start base), then
-///                 alternates frequency-edited resubmissions *with* the
-///                 `base` key (delta arm) and *without* it (scratch
-///                 arm).  Every edit is unique, so neither arm can hit
-///                 the content-hash response cache; the report carries
-///                 separate p50/p95 for the two arms -- the delta
-///                 speedup is the figure of merit.  Byte-identity
-///                 checking is off (every response answers a different
-///                 edit); suites are ignored
 ///   --suite       suites named in each request (default eembc)
 ///   --regs        register counts per request (default 4..8)
 ///   --stats       fetch and print the server's stats payload at the end,
@@ -115,8 +104,6 @@ struct LoadOptions {
   bool Timing = false;
   bool FetchStats = false;
   bool Quiet = false;
-  /// JIT resubmission scenario: delta vs from-scratch arms.
-  bool EditHeavy = false;
   /// Trace every K-th request per client; 0 = tracing off.
   unsigned TraceSample = 0;
   std::string JsonPath;
@@ -131,7 +118,7 @@ struct LoadOptions {
       "          [--clients=N] [--requests=M | --duration=SECS]\n"
       "          [--rps=N] [--suite=NAME[,NAME...]]\n"
       "          [--regs=LO..HI|--regs=A,B,C] [--allocator=NAME]\n"
-      "          [--target=NAME] [--edit-heavy] [--details] [--timing]\n"
+      "          [--target=NAME] [--details] [--timing]\n"
       "          [--stats] [--trace-sample=K] [--json=FILE] [--quiet]\n",
       Argv0);
   std::exit(2);
@@ -194,8 +181,6 @@ LoadOptions parseArgs(int Argc, char **Argv) {
       if (!*V)
         usage(Argv[0], "--json needs a file path (or '-' for stdout)");
       Opt.JsonPath = V;
-    } else if (Arg == "--edit-heavy") {
-      Opt.EditHeavy = true;
     } else if (Arg == "--details") {
       Opt.Details = true;
     } else if (Arg == "--timing") {
@@ -216,8 +201,6 @@ LoadOptions parseArgs(int Argc, char **Argv) {
     usage(Argv[0], "pass only one of --unix / --tcp");
   if (Opt.DurationSecs > 0 && Opt.RequestsSet)
     usage(Argv[0], "pass only one of --requests / --duration");
-  if (Opt.EditHeavy && Opt.TraceSample > 0)
-    usage(Argv[0], "--edit-heavy and --trace-sample are mutually exclusive");
   return Opt;
 }
 
@@ -225,40 +208,6 @@ Client connect(const LoadOptions &Opt, std::string *Error) {
   if (Opt.UseTcp)
     return Client::connectToTcp(Opt.Host, Opt.Port, Error);
   return Client::connectToUnix(Opt.UnixPath, Error);
-}
-
-/// The edit-heavy scenario's "hot method": one high-pressure loop whose
-/// header frequency is the parameter a JIT's profile feedback would keep
-/// nudging.  Every client gets its own function name (its own warm-start
-/// base), and every edit a distinct \p Freq -- frequency is exactly the
-/// kind of change the server's delta mode can absorb without rebuilding
-/// the interference structure, and a distinct edit is what keeps both
-/// measurement arms honest (no response-cache hits).
-std::string makeEditHeavyIr(unsigned ClientIndex, uint64_t Freq) {
-  // Big enough that building the interference structure dominates the
-  // request: the delta arm's whole advantage is skipping that build, and
-  // on a toy-sized method fixed request overhead would bury it.
-  constexpr unsigned NumSeeds = 48;
-  std::string Ir =
-      "function jitfn_" + std::to_string(ClientIndex) + " {\n";
-  Ir += "entry:  ; depth=0 freq=1\n";
-  for (unsigned I = 0; I < NumSeeds; ++I)
-    Ir += "  %e" + std::to_string(I) + " = op\n";
-  Ir += "  br %e0\n  ; succs=loop\n";
-  Ir += "loop:  ; depth=1 freq=" + std::to_string(Freq) +
-        " preds=entry,loop\n";
-  Ir += "  %i = phi %e0, %inext\n";
-  // Each loop value mixes the counter with one entry seed, so every seed
-  // stays live across the whole loop: MaxLive ~ NumSeeds + loop chain.
-  for (unsigned I = 0; I < NumSeeds; ++I)
-    Ir += "  %l" + std::to_string(I) + " = op %i, %e" +
-          std::to_string(I) + "\n";
-  Ir += "  %inext = op %l" + std::to_string(NumSeeds - 1) + "\n";
-  Ir += "  br %inext\n  ; succs=loop,exit\n";
-  Ir += "exit:  ; depth=0 freq=1 preds=loop\n";
-  Ir += "  ret %l0, %l" + std::to_string(NumSeeds / 2) + ", %inext\n";
-  Ir += "}\n";
-  return Ir;
 }
 
 /// One multiplexed connection's state machine.  A connection is either
@@ -279,11 +228,6 @@ struct Conn {
   bool Traced = false;   ///< The in-flight request asked for a trace.
   std::string TraceId;
   std::chrono::steady_clock::time_point SendTime;
-  /// Edit-heavy mode: which measurement arm the in-flight request
-  /// belongs to (0 = base registration, unmeasured; 1 = delta; 2 =
-  /// scratch), and the client's base key for the delta arm.
-  unsigned Arm = 0;
-  std::string BaseKey;
 };
 
 double msBetween(std::chrono::steady_clock::time_point A,
@@ -308,29 +252,6 @@ int main(int Argc, char **Argv) {
   Req.Details = Opt.Details;
   const std::string PlainFrame = encodeFrame(Client::makeAllocateRequest(Req));
 
-  // Edit-heavy mode: per-client base IR and its wire base key, computed
-  // once (the edits re-render the IR with a new loop frequency).
-  auto submitFrame = [&](const std::string &Ir, const std::string &Base) {
-    ServiceRequest S;
-    S.K = ServiceRequest::Kind::SubmitIr;
-    S.IrText = Ir;
-    S.Regs = Opt.Regs;
-    S.TargetName = Opt.Target;
-    S.Options.AllocatorName = Opt.Allocator;
-    S.Timing = Opt.Timing;
-    S.Details = Opt.Details;
-    S.Base = Base;
-    return encodeFrame(Client::makeSubmitIrRequest(S));
-  };
-  // Each client edits in its own frequency band and each edit k adds k,
-  // so every request body across all clients is unique: the solver's
-  // content-hash cache ignores the function *name*, so same-structure
-  // functions with equal frequencies would otherwise cross-hit between
-  // clients and fake out both measurement arms.
-  auto editFreq = [](unsigned ClientIndex, unsigned Edit) {
-    return 100 + uint64_t(ClientIndex) * 1000000 + Edit;
-  };
-
   uint64_t Completed = 0, Failed = 0, Mismatched = 0;
   std::string ReferenceResponse; // First response; all others must match.
   // Per-span accumulation over traced responses (name -> {sum ms, count}),
@@ -340,9 +261,6 @@ int main(int Argc, char **Argv) {
   double TracedClientMs = 0;
   uint64_t TracedCount = 0;
   Histogram Latency;
-  // Edit-heavy arms: client-observed latency of delta resubmissions vs
-  // identical-shape from-scratch resubmissions.
-  Histogram DeltaLat, ScratchLat;
 
   // One fd per client plus headroom; ask before connecting so 2000
   // clients do not die at the default soft limit of 1024.
@@ -351,9 +269,6 @@ int main(int Argc, char **Argv) {
   std::vector<Conn> Conns(Opt.Clients);
   for (unsigned C = 0; C < Opt.Clients; ++C) {
     Conns[C].Index = C;
-    if (Opt.EditHeavy)
-      Conns[C].BaseKey =
-          formatBaseKey(submitIrBaseKey(makeEditHeavyIr(C, editFreq(C, 0))));
     std::string Error;
     SocketFd Fd = Opt.UseTcp ? connectTcp(Opt.Host, Opt.Port, &Error)
                              : connectUnix(Opt.UnixPath, &Error);
@@ -391,24 +306,7 @@ int main(int Argc, char **Argv) {
   auto startRequest = [&](Conn &C) {
     C.Busy = true;
     C.Traced = Opt.TraceSample > 0 && C.Sent % Opt.TraceSample == 0;
-    if (Opt.EditHeavy) {
-      // Request 0 submits the base itself (registering it server-side);
-      // after that, odd edits resubmit with the base key (delta arm) and
-      // even edits resubmit without it (scratch arm).  The two arms use
-      // disjoint edits, so comparing them never compares a solve against
-      // a cache hit of the same edit.
-      unsigned Edit = unsigned(C.Sent);
-      if (Edit == 0) {
-        C.Arm = 0;
-        C.Out =
-            submitFrame(makeEditHeavyIr(C.Index, editFreq(C.Index, 0)), "");
-      } else {
-        C.Arm = Edit % 2 == 1 ? 1 : 2;
-        C.Out =
-            submitFrame(makeEditHeavyIr(C.Index, editFreq(C.Index, Edit)),
-                        C.Arm == 1 ? C.BaseKey : "");
-      }
-    } else if (C.Traced) {
+    if (C.Traced) {
       // A unique id per sampled request proves the echo is really
       // per-request, not a cached or crossed response.
       ServiceRequest TReq = Req;
@@ -472,16 +370,6 @@ int main(int Argc, char **Argv) {
     }
     ++Completed;
     Latency.record(Ms);
-    if (Opt.EditHeavy) {
-      // Each response answers a different edit, so byte-identity across
-      // requests is meaningless here; the arms' histograms are the
-      // deliverable instead.
-      if (C.Arm == 1)
-        DeltaLat.record(Ms);
-      else if (C.Arm == 2)
-        ScratchLat.record(Ms);
-      return;
-    }
     // Deterministic protocol: when timing is off, every response to the
     // identical request must be byte-identical across clients.
     if (!Opt.Timing) {
@@ -668,21 +556,6 @@ int main(int Argc, char **Argv) {
       std::printf("rate: requested %.1f req/s, achieved %.1f req/s\n",
                   Opt.Rps,
                   Completed > 0 ? 1000.0 * Completed / TotalMs : 0.0);
-    if (Opt.EditHeavy) {
-      HistogramSnapshot D = DeltaLat.snapshot();
-      HistogramSnapshot Sc = ScratchLat.snapshot();
-      std::printf("edit-heavy: delta   p50 %.3f ms  p95 %.3f ms "
-                  "(%llu resubmits)\n",
-                  D.percentile(0.50), D.percentile(0.95),
-                  static_cast<unsigned long long>(D.Count));
-      std::printf("            scratch p50 %.3f ms  p95 %.3f ms "
-                  "(%llu resubmits)\n",
-                  Sc.percentile(0.50), Sc.percentile(0.95),
-                  static_cast<unsigned long long>(Sc.Count));
-      if (D.Count > 0 && Sc.Count > 0 && D.percentile(0.50) > 0)
-        std::printf("            delta speedup at p50: %.2fx\n",
-                    Sc.percentile(0.50) / D.percentile(0.50));
-    }
     if (Mismatched > 0)
       std::printf("DETERMINISM VIOLATION: %llu responses differed\n",
                   static_cast<unsigned long long>(Mismatched));
@@ -741,22 +614,6 @@ int main(int Argc, char **Argv) {
       Rate.set("achieved_rps",
                Completed > 0 ? 1000.0 * Completed / TotalMs : 0.0);
       Doc.set("rate", std::move(Rate));
-    }
-    if (Opt.EditHeavy) {
-      HistogramSnapshot D = DeltaLat.snapshot();
-      HistogramSnapshot Sc = ScratchLat.snapshot();
-      JsonValue EH = JsonValue::object();
-      JsonValue DJ = JsonValue::object();
-      DJ.set("p50_ms", D.percentile(0.50));
-      DJ.set("p95_ms", D.percentile(0.95));
-      DJ.set("samples", D.Count);
-      EH.set("delta", std::move(DJ));
-      JsonValue SJ = JsonValue::object();
-      SJ.set("p50_ms", Sc.percentile(0.50));
-      SJ.set("p95_ms", Sc.percentile(0.95));
-      SJ.set("samples", Sc.Count);
-      EH.set("scratch", std::move(SJ));
-      Doc.set("edit_heavy", std::move(EH));
     }
     std::string Text = Doc.dump(2) + "\n";
     if (Opt.JsonPath == "-") {

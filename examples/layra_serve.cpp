@@ -15,8 +15,7 @@
 /// Usage:
 ///   layra-serve [--unix=PATH] [--tcp=PORT] [--host=ADDR] [--threads=N]
 ///               [--shards=N] [--list-targets]
-///               [--cache-cap=N] [--base-capacity=N] [--queue-cap=N]
-///               [--in-flight=N]
+///               [--cache-cap=N] [--queue-cap=N] [--in-flight=N]
 ///               [--disk-cache=DIR] [--disk-cache-cap=BYTES]
 ///               [--max-conns=N]
 ///               [--max-frame=BYTES] [--metrics-dump=FILE]
@@ -37,12 +36,6 @@
 ///                 shards (default 65536).  0 removes the bound entirely --
 ///                 the caches then grow for the life of the server, so
 ///                 reserve it for short-lived test instances
-///   --base-capacity=N
-///                 bound on retained delta bases (submit_ir resubmission
-///                 warm-starts, docs/PROTOCOL.md), split across the
-///                 shards with LRU eviction (default 256).  Bases hold a
-///                 function plus its interference problem, so they are
-///                 much heavier than cached outcomes; 0 removes the bound
 ///   --queue-cap   per-shard request-queue depth; a request routed to a
 ///                 full shard queue is rejected with an error response
 ///                 (default 64)
@@ -115,7 +108,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [--unix=PATH] [--tcp=PORT] [--host=ADDR]\n"
                "          [--threads=N] [--shards=N] [--cache-cap=N]\n"
-               "          [--base-capacity=N] [--queue-cap=N] [--in-flight=N]\n"
+               "          [--queue-cap=N] [--in-flight=N]\n"
                "          [--disk-cache=DIR] [--disk-cache-cap=BYTES]\n"
                "          [--max-conns=N] [--max-frame=BYTES]\n"
                "          [--metrics-dump=FILE] [--event-log=FILE]\n"
@@ -264,13 +257,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "layra-serve: warning: --cache-cap=0 removes "
                              "the cache bound; memory will grow with the "
                              "number of distinct instances served\n");
-    } else if (const char *V = Value("--base-capacity=")) {
-      if (!parseBoundedUnsigned(V, 1u << 20, Parsed))
-        usage(Argv[0],
-              "--base-capacity must be an integer in [0, 2^20] (0 = "
-              "unbounded; bases are heavier than cached outcomes, keep a "
-              "bound on a long-lived server)");
-      Opt.BaseRegistryCapacity = Parsed;
     } else if (const char *V = Value("--queue-cap=")) {
       if (!parseBoundedUnsigned(V, 1u << 20, Parsed) || Parsed == 0)
         usage(Argv[0], "--queue-cap must be an integer in [1, 2^20]");

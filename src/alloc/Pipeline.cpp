@@ -8,10 +8,8 @@
 #include "alloc/Pipeline.h"
 
 #include "core/Coalescing.h"
-#include "core/Delta.h"
 #include "core/ProblemBuilder.h"
 #include "core/SolverWorkspace.h"
-#include "ir/Liveness.h"
 #include "ir/OperandFolding.h"
 #include "obs/Trace.h"
 #include "support/Compiler.h"
@@ -33,7 +31,7 @@ PipelineResult layra::runAllocationPipeline(const Function &F,
 PipelineResult layra::runAllocationPipeline(
     const Function &F, const TargetDesc &Target,
     const std::vector<unsigned> &Budgets, const PipelineOptions &Options,
-    SolverWorkspace *WS, PipelineDeltaContext *Delta) {
+    SolverWorkspace *WS) {
   assert(verifyFunction(F, /*ExpectSsa=*/true) &&
          "pipeline requires strict SSA input");
   PhaseSpan PipelineSpan(Phase::Pipeline);
@@ -47,15 +45,6 @@ PipelineResult layra::runAllocationPipeline(
   // linear-scan family); every other round skips computeLiveIntervals.
   const bool WithIntervals = Alloc->requiresIntervals();
 
-  const DeltaBase *Base = Delta ? Delta->Base : nullptr;
-  DeltaBase *Capture = Delta ? Delta->Capture : nullptr;
-  assert(!(Base && Capture) && "a run either consumes a base or becomes one");
-  if (Capture) {
-    Capture->Ssa = F;
-    Capture->AllocatorName = Options.AllocatorName;
-  }
-  bool ExactRound0 = false;
-
   PipelineResult Out;
   Out.Rewritten = F;
 
@@ -66,53 +55,13 @@ PipelineResult layra::runAllocationPipeline(
   // most of them), with identical results: the rebuild would run on the
   // exact same function.
   std::optional<AllocationProblem> Current;
-  bool CurrentIsRound0 = false;
 
-  // Round-0 problem: the only build the delta machinery touches.  A
-  // compatible base sidesteps liveness/interference/MCS wholesale; a
-  // capture run exports those artifacts for future deltas.  Both produce
-  // the same problem a plain build would.
-  auto buildRound0 = [&]() -> AllocationProblem {
-    if (Base) {
-      AllocationProblem P;
-      if (buildDeltaProblem(*Base, F, Target, Budgets, P, ExactRound0,
-                            WithIntervals)) {
-        Delta->UsedDelta = true;
-        return P;
-      }
-    }
-    if (Capture) {
-      ProblemBuildArtifacts Artifacts;
-      AllocationProblem P =
-          buildSsaProblem(F, Target, Budgets, WS, &Artifacts, WithIntervals);
-      Capture->Live = std::move(Artifacts.Live);
-      Capture->Costs = std::move(Artifacts.Costs);
-      return P;
-    }
-    return buildSsaProblem(F, Target, Budgets, WS, nullptr, WithIntervals);
+  auto build = [&] {
+    return buildSsaProblem(Out.Rewritten, Target, Budgets, WS, WithIntervals);
   };
-
-  // Allocates \p P, warm-starting from the base when the round-0 problem
-  // is provably identical to the base's (allocateProblem is a pure
-  // function of the problem, so reusing its retained result is exact).
-  // A capture run retains the first allocation of the round-0 problem.
-  auto allocateCurrent = [&](const AllocationProblem &P,
-                             bool IsRound0) -> AllocationResult {
-    if (IsRound0 && Delta && Delta->UsedDelta && ExactRound0 &&
-        Base->HasRound0 && Base->AllocatorName == Options.AllocatorName) {
-      Delta->WarmStarted = true;
-      return Base->Round0;
-    }
-    AllocationResult Result = [&] {
-      PhaseSpan AllocSpan(Phase::Allocate);
-      return Alloc->allocateProblem(P, WS);
-    }();
-    if (IsRound0 && Capture && !Capture->HasRound0) {
-      Capture->Problem = P;
-      Capture->Round0 = Result;
-      Capture->HasRound0 = true;
-    }
-    return Result;
+  auto allocate = [&](const AllocationProblem &P) {
+    PhaseSpan AllocSpan(Phase::Allocate);
+    return Alloc->allocateProblem(P, WS);
   };
 
   // Values spilled in an earlier round live only from def to the adjacent
@@ -124,18 +73,14 @@ PipelineResult layra::runAllocationPipeline(
     PhaseSpan RoundSpan(Phase::SpillRound);
     ++Out.Rounds;
     obs::addSpillRound();
-    Current.emplace(Round == 0 ? buildRound0()
-                               : buildSsaProblem(Out.Rewritten, Target,
-                                                 Budgets, WS, nullptr,
-                                                 WithIntervals));
-    CurrentIsRound0 = (Round == 0);
+    Current.emplace(build());
     AllocationProblem &P = *Current;
     if (P.fitsBudgets())
       break; // Every class fits already; nothing to spill this round.
 
     // allocateProblem decomposes multi-class instances per register class;
     // single-class instances take the historical direct path.
-    AllocationResult Result = allocateCurrent(P, CurrentIsRound0);
+    AllocationResult Result = allocate(P);
     // Pin-aware spill set: never re-spill a pinned value.
     std::vector<char> &Spilled =
         WS->acquire(WS->Pipeline.Spilled, Out.Rewritten.numValues(), char(0));
@@ -170,17 +115,13 @@ PipelineResult layra::runAllocationPipeline(
       if (Spilled[V])
         Pinned[V] = 1;
     Current.reset(); // Rewritten changed; the problem no longer matches.
-    CurrentIsRound0 = false;
   }
 
   // Final assignment over whatever still lives in registers.
-  if (!Current) {
-    Current.emplace(buildSsaProblem(Out.Rewritten, Target, Budgets, WS,
-                                    nullptr, WithIntervals));
-    CurrentIsRound0 = false;
-  }
+  if (!Current)
+    Current.emplace(build());
   AllocationProblem &P = *Current;
-  AllocationResult Final = allocateCurrent(P, CurrentIsRound0);
+  AllocationResult Final = allocate(P);
   Out.FinalMaxLive = P.maxLive();
   bool FinalFits = P.fitsBudgets();
 

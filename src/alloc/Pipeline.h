@@ -30,7 +30,6 @@
 namespace layra {
 
 class SolverWorkspace;
-struct PipelineDeltaContext;
 
 /// Configuration of one pipeline run.
 struct PipelineOptions {
@@ -92,18 +91,11 @@ PipelineResult runAllocationPipeline(const Function &F,
 /// allocator decomposes multi-class instances per class -- and rewrites
 /// all spills at once; spill temporaries inherit their value's class, so
 /// reload pressure stays within the file that caused it.
-///
-/// \p Delta optionally connects the run to the delta machinery
-/// (core/Delta.h): a retained base warm-starts round 0, or the run's own
-/// round-0 artifacts are captured for future deltas.  Results are
-/// byte-identical with and without a delta context -- warm starts reuse
-/// only values a from-scratch run would recompute identically.
 PipelineResult runAllocationPipeline(const Function &F,
                                      const TargetDesc &Target,
                                      const std::vector<unsigned> &Budgets,
                                      const PipelineOptions &Options = {},
-                                     SolverWorkspace *WS = nullptr,
-                                     PipelineDeltaContext *Delta = nullptr);
+                                     SolverWorkspace *WS = nullptr);
 
 } // namespace layra
 

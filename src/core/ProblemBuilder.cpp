@@ -48,7 +48,6 @@ AllocationProblem layra::buildSsaProblem(const Function &F,
                                          const TargetDesc &Target,
                                          const std::vector<unsigned> &Budgets,
                                          SolverWorkspace *WS,
-                                         ProblemBuildArtifacts *Artifacts,
                                          bool WithIntervals) {
   assert(verifyFunction(F, /*ExpectSsa=*/true) &&
          "buildSsaProblem requires a strict SSA function");
@@ -66,10 +65,6 @@ AllocationProblem layra::buildSsaProblem(const Function &F,
       std::move(Info.G), std::move(UsedBudgets), std::move(ClassOf), WS);
   if (WithIntervals)
     P.Intervals = computeLiveIntervals(F, Live, Costs);
-  if (Artifacts) {
-    Artifacts->Costs = Costs;
-    Artifacts->Live.emplace(std::move(Live));
-  }
   return P;
 }
 

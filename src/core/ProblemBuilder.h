@@ -23,24 +23,14 @@
 #define LAYRA_CORE_PROBLEMBUILDER_H
 
 #include "core/AllocationProblem.h"
-#include "ir/Liveness.h"
 #include "ir/Program.h"
 #include "ir/Target.h"
 
-#include <optional>
 #include <vector>
 
 namespace layra {
 
 class SolverWorkspace;
-
-/// Intermediate artifacts of one buildSsaProblem() run, exported on
-/// request so delta-solving (core/Delta.h) can retain them with the
-/// problem instead of recomputing liveness for the base later.
-struct ProblemBuildArtifacts {
-  std::optional<Liveness> Live;
-  std::vector<Weight> Costs;
-};
 
 /// Builds a *chordal* instance from a strict-SSA function: the interference
 /// graph of SSA code is chordal and its maximal cliques are the maximal
@@ -51,15 +41,12 @@ AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
                                   SolverWorkspace *WS = nullptr);
 
 /// Vector-budget form: \p Budgets holds one register count per target
-/// class (resolveClassBudgets in ir/Target.h).  \p Artifacts, when
-/// non-null, receives the liveness and spill costs the build computed
-/// (delta-base capture); exporting them changes nothing about the built
-/// problem.  \p WithIntervals false leaves AllocationProblem::Intervals
-/// empty, for consumers whose allocator never reads them.
+/// class (resolveClassBudgets in ir/Target.h).  \p WithIntervals false
+/// leaves AllocationProblem::Intervals empty, for consumers whose
+/// allocator never reads them.
 AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
                                   const std::vector<unsigned> &Budgets,
                                   SolverWorkspace *WS = nullptr,
-                                  ProblemBuildArtifacts *Artifacts = nullptr,
                                   bool WithIntervals = true);
 
 /// Builds a *general* instance from any function (typically non-SSA, as in

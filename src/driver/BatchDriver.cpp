@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -39,6 +40,13 @@ uint64_t mixString(uint64_t H, const std::string &S) {
   for (unsigned char C : S)
     H = mix(H, C);
   return H;
+}
+
+bool hasPhis(const Function &F) {
+  for (const BasicBlock &B : F.blocks())
+    if (!B.Instrs.empty() && B.Instrs.front().isPhi())
+      return true;
+  return false;
 }
 
 double toMs(std::chrono::steady_clock::duration D) {
@@ -234,23 +242,6 @@ DriverCacheCounters BatchDriver::problemCacheCounters() const {
   return C;
 }
 
-void BatchDriver::setBaseRegistryCapacity(size_t MaxBases) {
-  BaseRegistry.setCapacity(MaxBases);
-}
-
-bool BatchDriver::hasBase(uint64_t Key) const {
-  return BaseRegistry.peek(Key) != nullptr;
-}
-
-DriverDeltaCounters BatchDriver::deltaCounters() const {
-  DriverDeltaCounters C;
-  C.Hits = DeltaHits;
-  C.Fallbacks = DeltaFallbacks;
-  C.Bases = BaseRegistry.size();
-  C.Capacity = BaseRegistry.capacity();
-  return C;
-}
-
 DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
                               bool CacheTransparent,
                               std::vector<PhaseTotals> *PhaseSink) {
@@ -298,25 +289,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // phase 4 in load order, so eviction order stays deterministic.
   std::unordered_map<uint64_t, TaskOutcome> StoreLoaded;
   std::vector<uint64_t> StoreLoadOrder;
-
-  // Delta bookkeeping, all decided in this serial phase.  Bases and
-  // captures attach to *unique solves* (first occurrence of a key): the
-  // solve is byte-equal to a plain one, so batch twins and cached tasks
-  // share its outcome unchanged.  A retained-but-cached instance still
-  // needs a capture-only solve (below) so "request accepted => base
-  // registered" survives warm restarts whose outcomes come from disk.
-  std::vector<std::shared_ptr<const DeltaBase>> JobBases(Jobs.size());
-  std::unordered_set<uint64_t> RetainSeen;
-  std::vector<const DeltaBase *> UniqueBase;
-  std::vector<char> UniqueWantBase;
-  std::vector<std::shared_ptr<DeltaBase>> UniqueCapture;
-  std::vector<uint64_t> UniqueCaptureKey;
-  struct CaptureSolve {
-    size_t PendingIndex;
-    std::shared_ptr<DeltaBase> Capture;
-    uint64_t Key;
-  };
-  std::vector<CaptureSolve> CaptureSolves;
 
   // Function pointers are stable for the duration of run() (suites live in
   // GeneratedSuites or in the caller's SuiteData), so each function's IR is
@@ -368,27 +340,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
       layraFatalError("invalid class-regs override (front ends validate "
                       "before building jobs)");
     Report.Jobs[JI].Job.Budgets = JobBudgets[JI];
-    assert(!(Job.BaseKey && Job.RetainKey) &&
-           "a job either consumes a base or becomes one");
-    // Resolve this job's base now (serial find, so registry recency and
-    // with it LRU eviction order stay deterministic).  The shared_ptr
-    // copy keeps the base alive even if this run's own phase-4 inserts
-    // evict it from the registry.
-    const DeltaBase *JobBase = nullptr;
-    if (Job.BaseKey)
-      if (const std::shared_ptr<const DeltaBase> *E =
-              BaseRegistry.find(Job.BaseKey)) {
-        JobBases[JI] = *E;
-        JobBase = JobBases[JI].get();
-      }
-    // Retain at most one capture per key per run; an already-registered
-    // key just has its recency refreshed.
-    bool WantCapture = false;
-    if (Job.RetainKey && !RetainSeen.count(Job.RetainKey) &&
-        BaseRegistry.find(Job.RetainKey) == nullptr) {
-      WantCapture = true;
-      RetainSeen.insert(Job.RetainKey);
-    }
     for (const SuiteProgram &Prog : S.Programs)
       for (const Function &F : Prog.Functions) {
         PendingTask T;
@@ -421,28 +372,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
             T.UniqueIndex = UniqueOf.size();
             UniqueOf.emplace(T.Key, T.UniqueIndex);
             UniqueToPending.push_back(Pending.size());
-            UniqueBase.push_back(JobBase);
-            UniqueWantBase.push_back(Job.BaseKey != 0);
-            UniqueCapture.push_back(nullptr);
-            UniqueCaptureKey.push_back(0);
-          }
-        }
-        if (WantCapture) {
-          WantCapture = false; // The job's first task becomes the base.
-          auto Slot = UniqueOf.find(T.Key);
-          if (Slot != UniqueOf.end() && !UniqueCapture[Slot->second]) {
-            // The instance is solved this run anyway; capture rides along
-            // on that solve for free.
-            UniqueCapture[Slot->second] = std::make_shared<DeltaBase>();
-            UniqueCaptureKey[Slot->second] = Job.RetainKey;
-          } else {
-            // Cached instance (or its solve already captures another
-            // key): schedule a dedicated capture-only solve.  The report
-            // still uses the cached outcome -- identical bytes, since the
-            // outcome is a pure function of the instance.
-            CaptureSolves.push_back(
-                {Pending.size(), std::make_shared<DeltaBase>(),
-                 Job.RetainKey});
           }
         }
         if (T.PersistentHit || T.BatchDup)
@@ -463,7 +392,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   const bool CollectPhases = WasAccounting || WantSink;
   std::vector<PhaseTotals> TaskPhases(CollectPhases ? UniqueToPending.size()
                                                     : 0);
-  std::vector<char> UniqueUsedDelta(UniqueToPending.size(), 0);
   Pool.parallelForWorker(UniqueToPending.size(), [&](size_t I,
                                                      unsigned Slot) {
     const PendingTask &T = Pending[UniqueToPending[I]];
@@ -474,14 +402,15 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     if (CollectPhases)
       Before = obs::threadPhaseTotals();
     auto Start = std::chrono::steady_clock::now();
-    SsaConversion Ssa = convertToSsa(*T.F);
-    PipelineDeltaContext Delta;
-    Delta.Base = UniqueBase[I];
-    Delta.Capture = UniqueCapture[I].get();
-    PipelineResult R =
-        runAllocationPipeline(Ssa.Ssa, Job.Target, JobBudgets[T.JobIndex],
-                              Job.Options, Workspaces[Slot].get(), &Delta);
-    UniqueUsedDelta[I] = Delta.UsedDelta ? 1 : 0;
+    // A function that already has phis is SSA (submit_ir input, which the
+    // server checks is strict) and is solved as it is; only phi-free
+    // input goes through SSA construction.
+    std::optional<SsaConversion> Ssa;
+    if (!hasPhis(*T.F))
+      Ssa.emplace(convertToSsa(*T.F));
+    PipelineResult R = runAllocationPipeline(
+        Ssa ? Ssa->Ssa : *T.F, Job.Target, JobBudgets[T.JobIndex],
+        Job.Options, Workspaces[Slot].get());
     if (CollectPhases) {
       const PhaseTotals &After = obs::threadPhaseTotals();
       for (unsigned P = 0; P < kNumPhases; ++P) {
@@ -499,21 +428,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     Out.Fits = R.Fits;
     SolveMs[I] = toMs(std::chrono::steady_clock::now() - Start);
   });
-  // Capture-only solves for retained instances whose outcome was already
-  // cached: nothing of these runs enters the report (outcomes are pure
-  // functions of the instance, so re-solving adds no information), they
-  // only populate the base registry.
-  if (!CaptureSolves.empty())
-    Pool.parallelForWorker(CaptureSolves.size(), [&](size_t I,
-                                                     unsigned Slot) {
-      const PendingTask &T = Pending[CaptureSolves[I].PendingIndex];
-      const BatchJob &Job = Jobs[T.JobIndex];
-      SsaConversion Ssa = convertToSsa(*T.F);
-      PipelineDeltaContext Delta;
-      Delta.Capture = CaptureSolves[I].Capture.get();
-      runAllocationPipeline(Ssa.Ssa, Job.Target, JobBudgets[T.JobIndex],
-                            Job.Options, Workspaces[Slot].get(), &Delta);
-    });
   // All spans are closed once the pool drains; restore the global flip
   // before anything else can observe it.
   if (WantSink && !WasAccounting)
@@ -535,22 +449,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     if (OutcomeStore)
       OutcomeStore->store(Pending[UniqueToPending[I]].Key, Outcomes[I]);
   }
-
-  // Delta commit (serial): tally hits/fallbacks over this run's solved
-  // tasks and register captured bases in expansion order, so registry
-  // contents and LRU eviction order are thread-count independent.
-  // Incomplete captures (no liveness: the pipeline never reached a
-  // round-0 build, e.g. MaxRounds quirks) are dropped rather than
-  // registered as unusable bases.
-  for (size_t I = 0; I < UniqueToPending.size(); ++I) {
-    if (UniqueWantBase[I])
-      ++(UniqueUsedDelta[I] ? DeltaHits : DeltaFallbacks);
-    if (UniqueCapture[I] && UniqueCapture[I]->Live)
-      BaseRegistry.insert(UniqueCaptureKey[I], std::move(UniqueCapture[I]));
-  }
-  for (CaptureSolve &C : CaptureSolves)
-    if (C.Capture->Live)
-      BaseRegistry.insert(C.Key, std::move(C.Capture));
 
   std::vector<std::vector<double>> JobSolveMs(Jobs.size());
   std::vector<PhaseTotals> JobPhases(CollectPhases ? Jobs.size() : 0);

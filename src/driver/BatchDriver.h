@@ -33,7 +33,6 @@
 
 #include "alloc/Pipeline.h"
 #include "core/AllocationProblem.h"
-#include "core/Delta.h"
 #include "core/SolverWorkspace.h"
 #include "ir/Target.h"
 #include "obs/Trace.h"
@@ -72,17 +71,6 @@ struct BatchJob {
   std::vector<unsigned> Budgets;
   /// Pipeline configuration (allocator, rounds, folding, ...).
   PipelineOptions Options;
-  /// Delta channel (core/Delta.h).  BaseKey != 0: warm-start this job's
-  /// solved tasks from the base retained under that key; a task that
-  /// solves without managing it (incompatible structure, or no such base)
-  /// counts as a delta fallback.  RetainKey != 0: retain the round-0
-  /// artifacts of this job's first task under that key for future deltas.
-  /// At most one of the two may be set; both are designed for the
-  /// single-function jobs the JIT/server resubmission path builds.
-  /// Neither enters the task content hash -- delta solves are byte-equal
-  /// to full solves, so cached outcomes stay shared either way.
-  uint64_t BaseKey = 0;
-  uint64_t RetainKey = 0;
 };
 
 /// Deterministic outcome of one function's pipeline run.  This is the unit
@@ -157,19 +145,6 @@ struct DriverCacheCounters {
   uint64_t Evictions = 0; ///< Entries dropped by the capacity bound.
   uint64_t Entries = 0;   ///< Entries currently held.
   uint64_t Capacity = 0;  ///< Configured bound; 0 = unbounded.
-};
-
-/// Lifetime counters of one BatchDriver's delta machinery.  Hits count
-/// solved tasks whose round-0 problem came from a retained base (liveness
-/// /interference/MCS skipped); fallbacks count tasks that asked for a
-/// base but solved from scratch (structurally incompatible edit, or the
-/// base was never registered/already evicted).  Cache hits of delta
-/// requests count as neither -- no solve happened at all.
-struct DriverDeltaCounters {
-  uint64_t Hits = 0;
-  uint64_t Fallbacks = 0;
-  uint64_t Bases = 0;    ///< Bases currently retained.
-  uint64_t Capacity = 0; ///< Registry bound; 0 = unbounded.
 };
 
 /// Persistence hook underneath the in-memory pipeline cache.  When a
@@ -306,17 +281,6 @@ public:
   /// Lifetime hit/miss/eviction counters of the problem-result cache.
   DriverCacheCounters problemCacheCounters() const;
 
-  /// Bounds the base-function registry to \p MaxBases retained bases
-  /// (LRU eviction; 0 removes the bound).  Bases are O(function + graph)
-  /// bytes each -- far heavier than cached outcomes -- so a long-lived
-  /// process must set a bound.
-  void setBaseRegistryCapacity(size_t MaxBases);
-  /// True when a base is currently retained under \p Key (no recency
-  /// update; the server's base-not-found check).
-  bool hasBase(uint64_t Key) const;
-  /// Lifetime delta hit/fallback counters and registry occupancy.
-  DriverDeltaCounters deltaCounters() const;
-
   /// Aggregated buffer-checkout accounting over every per-worker
   /// workspace, cumulative across run()/solveProblems() calls.  Feeds
   /// `layra-bench --workspace-stats`.  NOT part of the determinism
@@ -342,16 +306,9 @@ private:
   LruCache<uint64_t, AllocationResult> ProblemCache;
   /// Optional persistence layer under PipelineCache (not owned).
   TaskOutcomeStore *OutcomeStore = nullptr;
-  /// Base-function registry: RetainKey -> retained round-0 artifacts.
-  /// shared_ptr so an in-flight run's base survives an eviction the same
-  /// run's phase-4 inserts trigger.  Touched only from the serial
-  /// expansion/commit phases, so recency and eviction order -- and with
-  /// them which deltas hit -- are deterministic across thread counts.
-  LruCache<uint64_t, std::shared_ptr<const DeltaBase>> BaseRegistry;
   /// Lifetime hit/miss tallies (the caches themselves track evictions).
   uint64_t PipelineHits = 0, PipelineMisses = 0;
   uint64_t ProblemHits = 0, ProblemMisses = 0;
-  uint64_t DeltaHits = 0, DeltaFallbacks = 0;
 };
 
 } // namespace layra

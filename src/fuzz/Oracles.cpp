@@ -266,90 +266,6 @@ OracleOutcome checkCacheTransparent(const OracleContext &Ctx) {
   return {};
 }
 
-/// Delta mode must be report-transparent: a resubmission solved against a
-/// retained base (driver/BatchDriver.h BaseKey/RetainKey, the engine under
-/// the server's submit_ir `base` field) yields report bytes identical to a
-/// fresh driver's full solve of the same edited function.  Two edits per
-/// case: a frequency bump, which tier-A compatibility must absorb through
-/// the delta path (counted as a hit), and a structural use-list edit,
-/// which it must reject into a counted full-solve fallback -- silent
-/// wrong-path answers are exactly what the counters exist to rule out.
-OracleOutcome checkDeltaVsFull(const OracleContext &Ctx) {
-  const std::vector<unsigned> &Budgets = Ctx.Case->Budgets;
-  // Any nonzero key works: the registry is keyed by the caller, not by
-  // content, and this driver pair is private to the oracle.
-  const uint64_t BaseKey = hashFunction(*Ctx.Ssa) | 1;
-
-  Suite BaseS = singleFunctionSuite(*Ctx.Ssa, "fuzz");
-  std::vector<BatchJob> BaseJobs = singleJob(BaseS, *Ctx.Target, Budgets);
-  BaseJobs[0].RetainKey = BaseKey;
-
-  auto deltaVsFull = [&](const Function &Edited, bool ExpectHit,
-                         std::string &Failure) {
-    Suite EditS = singleFunctionSuite(Edited, "fuzz");
-
-    BatchDriver Warm(1);
-    Warm.run(BaseJobs); // Solve + retain the base.
-    if (!Warm.hasBase(BaseKey)) {
-      Failure = "driver did not retain the base under its RetainKey";
-      return false;
-    }
-    std::vector<BatchJob> DeltaJobs = singleJob(EditS, *Ctx.Target, Budgets);
-    DeltaJobs[0].BaseKey = BaseKey;
-    std::string DeltaJson =
-        driverReportToJson(Warm.run(DeltaJobs, /*CacheTransparent=*/true),
-                           /*IncludeTiming=*/false, /*IncludeTasks=*/true)
-            .dump(2);
-
-    BatchDriver Fresh(1);
-    std::string FullJson =
-        driverReportToJson(Fresh.run(singleJob(EditS, *Ctx.Target, Budgets)),
-                           /*IncludeTiming=*/false, /*IncludeTasks=*/true)
-            .dump(2);
-    if (DeltaJson != FullJson) {
-      Failure = "delta-solved report differs from a fresh full solve";
-      return false;
-    }
-    DriverDeltaCounters DC = Warm.deltaCounters();
-    if (ExpectHit && (DC.Hits != 1 || DC.Fallbacks != 0)) {
-      Failure = "frequency edit did not take the delta path (hits=" +
-                std::to_string(DC.Hits) +
-                ", fallbacks=" + std::to_string(DC.Fallbacks) + ")";
-      return false;
-    }
-    if (!ExpectHit && DC.Fallbacks == 0) {
-      Failure = "structural edit was not counted as a delta fallback";
-      return false;
-    }
-    return true;
-  };
-
-  std::string Failure;
-
-  // Edit 1: profile drift.  Same structure, different block frequency --
-  // the delta warm-start must engage and stay byte-transparent.
-  Function Bumped = *Ctx.Ssa;
-  Bumped.block(0).Frequency += 9;
-  if (!deltaVsFull(Bumped, /*ExpectHit=*/true, Failure))
-    return fail(Failure);
-
-  // Edit 2: a structural change -- the entry terminator gains a use of a
-  // value defined earlier in the block.  Compatibility must refuse the
-  // base and fall back to a counted full solve.
-  Function Edited = *Ctx.Ssa;
-  BasicBlock &Entry = Edited.block(0);
-  ValueId Reused = kNoValue;
-  for (size_t I = 0; I + 1 < Entry.Instrs.size() && Reused == kNoValue; ++I)
-    for (ValueId D : Entry.Instrs[I].Defs)
-      Reused = D;
-  if (Reused != kNoValue && !Entry.Instrs.empty()) {
-    Entry.Instrs.back().Uses.push_back(Reused);
-    if (!deltaVsFull(Edited, /*ExpectHit=*/false, Failure))
-      return fail(Failure);
-  }
-  return {};
-}
-
 /// Observability must be free of observable effect: running the pipeline
 /// with tracing and phase accounting fully enabled yields a timing-free
 /// report byte-identical to a quiet run.  Guards the zero-cost-when-
@@ -472,9 +388,6 @@ const std::vector<Oracle> &layra::oracleRegistry() {
       {"cache-transparent",
        "warm BatchDriver cache-transparent reports equal fresh reports",
        checkCacheTransparent, false},
-      {"delta-vs-full",
-       "delta warm-start reports equal fresh full solves; edits hit/fall back",
-       checkDeltaVsFull, false},
       {"metrics-quiet",
        "tracing/phase accounting on vs off yields byte-identical reports",
        checkMetricsQuiet, false},

@@ -74,7 +74,7 @@ struct Oracle {
 /// All oracles, in a stable order:
 ///   heuristic-vs-exact, assignment-valid, baseline-backends,
 ///   workspace-pure, build-vs-reference, parse-roundtrip,
-///   cache-transparent, delta-vs-full, metrics-quiet, serve-direct.
+///   cache-transparent, metrics-quiet, serve-direct.
 const std::vector<Oracle> &oracleRegistry();
 
 /// Lookup by name; nullptr when unknown.

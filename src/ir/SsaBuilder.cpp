@@ -75,7 +75,11 @@ static void renameBlock(RenameState &S, BlockId B) {
     Instruction NewInstr;
     NewInstr.Op = OldInstr.Op;
     NewInstr.SpillSlot = OldInstr.SpillSlot;
-    assert(!OldInstr.isPhi() && "input to SSA construction already has phis");
+    // Renaming an input phi would look up each operand at the phi's own
+    // block, where a back-edge or branch-arm def does not reach: the
+    // operand would silently become undefined.
+    if (OldInstr.isPhi())
+      layraFatalError("input to SSA construction already has phis");
     for (ValueId V : OldInstr.Uses) {
       ValueId Def = S.reachingDef(V);
       assert(Def != kNoValue && "use before any def; generator bug?");

@@ -33,7 +33,8 @@ struct SsaConversion {
   unsigned NumPhis = 0;
 };
 
-/// Converts \p F (any verified function) to pruned SSA form.
+/// Converts \p F (any verified, phi-free function) to pruned SSA form.
+/// Input that already has phis is a fatal error: it is SSA already.
 ///
 /// Block structure and edges are preserved (same BlockIds, same order);
 /// every value is renamed.  Uses reached by no definition become kNoValue

@@ -150,14 +150,14 @@ void Histogram::reset() {
 // MetricsSnapshot
 //===----------------------------------------------------------------------===//
 
-const uint64_t *MetricsSnapshot::counter(const std::string &Name) const {
+const uint64_t *MetricsSnapshot::counter(const std::string &Name) const & {
   for (const auto &C : Counters)
     if (C.first == Name)
       return &C.second;
   return nullptr;
 }
 
-const double *MetricsSnapshot::gauge(const std::string &Name) const {
+const double *MetricsSnapshot::gauge(const std::string &Name) const & {
   for (const auto &G : Gauges)
     if (G.first == Name)
       return &G.second;
@@ -165,7 +165,7 @@ const double *MetricsSnapshot::gauge(const std::string &Name) const {
 }
 
 const HistogramSnapshot *
-MetricsSnapshot::histogram(const std::string &Name) const {
+MetricsSnapshot::histogram(const std::string &Name) const & {
   for (const auto &H : Histograms)
     if (H.Name == Name)
       return &H;

@@ -117,9 +117,15 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, double>> Gauges;
   std::vector<HistogramSnapshot> Histograms;
 
-  const uint64_t *counter(const std::string &Name) const;
-  const double *gauge(const std::string &Name) const;
-  const HistogramSnapshot *histogram(const std::string &Name) const;
+  /// Lookups by name; null when absent.  The pointer points into this
+  /// snapshot, so a lookup on a temporary snapshot does not compile: its
+  /// pointer would dangle at the end of the statement.
+  const uint64_t *counter(const std::string &Name) const &;
+  const double *gauge(const std::string &Name) const &;
+  const HistogramSnapshot *histogram(const std::string &Name) const &;
+  const uint64_t *counter(const std::string &Name) const && = delete;
+  const double *gauge(const std::string &Name) const && = delete;
+  const HistogramSnapshot *histogram(const std::string &Name) const && = delete;
 
   /// Prometheus text exposition format (metric names sanitized to
   /// [a-zA-Z0-9_:]; histograms emit cumulative _bucket/_sum/_count series).

@@ -154,13 +154,10 @@ std::string Client::makeSubmitIrRequest(const ServiceRequest &Req) {
   Doc.set("ir", Req.IrText);
   if (!Req.Name.empty())
     Doc.set("name", Req.Name);
-  // Delta mode: name the retained base this IR is an edit of.  The raw
-  // string is preferred when the caller carried one through a parse;
-  // otherwise the parsed key is re-rendered.
+  // The optional hint naming an earlier submission; the server validates
+  // and ignores it.
   if (!Req.Base.empty())
     Doc.set("base", Req.Base);
-  else if (Req.BaseKey)
-    Doc.set("base", formatBaseKey(Req.BaseKey));
   appendCommon(Doc, Req);
   return Doc.dump(0);
 }

@@ -308,10 +308,10 @@ bool layra::parseServiceRequest(std::string_view Payload,
     if (!readString(Doc, "name", Out.Name, Error))
       return false;
     if (const JsonValue *Base = Doc.find("base")) {
-      if (!Base->isString() ||
-          !parseBaseKey(Base->stringValue(), Out.BaseKey)) {
+      uint64_t Key = 0;
+      if (!Base->isString() || !parseBaseKey(Base->stringValue(), Key)) {
         Error = "'base' must be a base key: exactly 16 lowercase hex "
-                "digits (see docs/PROTOCOL.md, submit_ir delta mode)";
+                "digits (see docs/PROTOCOL.md, submit_ir)";
         return false;
       }
       Out.Base = Base->stringValue();
@@ -358,13 +358,12 @@ uint64_t routeMixString(uint64_t H, const std::string &S) {
 
 uint64_t layra::submitIrBaseKey(const std::string &IrText) {
   // Documented, client-computable fold of the IR text (docs/PROTOCOL.md
-  // spells out the mixer): the key under which a plain submit_ir
-  // registers its base, and the routing key of every delta against it.
+  // spells out the mixer).
   uint64_t H = 0x6c79726162617365ULL; // "lyrabase"
   H = routeMix(H, IrText.size());
   for (unsigned char C : IrText)
     H = routeMix(H, C);
-  // 0 is the driver's "no base" sentinel; remap the (2^-64) collision.
+  // 0 is not a valid key (parseBaseKey); remap the (2^-64) collision.
   return H ? H : 0x6c79726162617365ULL;
 }
 
@@ -398,12 +397,6 @@ bool layra::parseBaseKey(const std::string &Text, uint64_t &Key) {
 uint64_t layra::routeRequestHash(const ServiceRequest &Req) {
   uint64_t H = 0x6c617972612d7368ULL; // "layra-sh"
   H = routeMix(H, static_cast<uint64_t>(Req.K));
-  // submit_ir routes purely by effective base key: a base and all its
-  // deltas must share a shard (the base registry is per-shard state), no
-  // matter what register counts or options each resubmission carries.
-  if (Req.K == ServiceRequest::Kind::SubmitIr)
-    return routeMix(H, Req.BaseKey ? Req.BaseKey
-                                   : submitIrBaseKey(Req.IrText));
   for (const std::string &Suite : Req.Suites)
     H = routeMixString(H, Suite);
   for (unsigned R : Req.Regs)

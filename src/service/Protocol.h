@@ -17,15 +17,10 @@
 ///
 /// The payload is UTF-8 JSON.  Requests carry a "type" field (ping, stats,
 /// allocate, submit_ir); responses identify themselves by "schema"
-/// ("layra-serve-pong/v1", "layra-serve-stats/v4", "layra-serve-error/v1",
+/// ("layra-serve-pong/v1", "layra-serve-stats/v5", "layra-serve-error/v1",
 /// or -- for allocation responses -- a verbatim "layra-driver-report/v1"
 /// document, byte-identical to what driver/ReportIO.h would write for a
-/// direct BatchDriver run of the same jobs).  Stats schemas are strict
-/// supersets of their predecessors: v2 added latency percentile p99, the
-/// full service-time histogram, and dispatcher utilization over v1; v3
-/// added the rejected-request counter, the per-shard breakdown of the
-/// sharded serving core, and disk-cache counters; v4 adds the delta
-/// (warm-start) counters and disk_cache.touch_failures (docs/PROTOCOL.md).
+/// direct BatchDriver run of the same jobs).
 ///
 /// This header carries the pieces both sides share: frame encode/decode
 /// over fds and buffers, the parsed request representation, and the small
@@ -54,16 +49,14 @@ inline constexpr const char *kServeProtocolVersion = "layra-serve/v1";
 /// Response schema names.  Allocation responses instead carry the driver
 /// report schema ("layra-driver-report/v1", see driver/ReportIO.h).
 inline constexpr const char *kErrorSchema = "layra-serve-error/v1";
-/// Current stats schema.  v4 is a strict superset of v3 (itself a strict
-/// superset of v2/v1): clients keyed on v3 field names keep working, they
-/// just see a different schema string plus the new members (the "delta"
-/// object and disk_cache.touch_failures).
-inline constexpr const char *kStatsSchema = "layra-serve-stats/v4";
-/// Historical stats schema names, kept so compatibility notes and tests
-/// can refer to them; the server no longer emits any of these.
-inline constexpr const char *kStatsSchemaV1 = "layra-serve-stats/v1";
-inline constexpr const char *kStatsSchemaV2 = "layra-serve-stats/v2";
-inline constexpr const char *kStatsSchemaV3 = "layra-serve-stats/v3";
+/// Current stats schema.  History: v2 added the p99 latency percentile,
+/// the service-time histogram and dispatcher utilization over v1; v3
+/// added requests.rejected, the per-shard `shards` array and the
+/// `disk_cache` object; v4 added disk_cache.touch_failures and `delta`
+/// warm-start counters (top level and per shard).  v5 is v4 without the
+/// `delta` objects, so every v3 field keeps its name and meaning
+/// (docs/PROTOCOL.md).
+inline constexpr const char *kStatsSchema = "layra-serve-stats/v5";
 inline constexpr const char *kPongSchema = "layra-serve-pong/v1";
 
 /// Frame geometry.
@@ -145,14 +138,11 @@ struct ServiceRequest {
   std::string IrText;
   /// SubmitIr: suite label in the report; default "submitted".
   std::string Name;
-  /// SubmitIr: optional "base" field -- the base key (16 lowercase hex
-  /// digits, formatBaseKey) of a previously submitted function this IR is
-  /// a small edit of.  The server warm-starts the solve from the retained
-  /// base; the response stays byte-identical to a from-scratch submit.
-  /// Empty = plain submission (which itself registers a base).
+  /// SubmitIr: optional "base" field -- a base key (16 lowercase hex
+  /// digits, formatBaseKey) naming an earlier submission this IR edits.
+  /// Validated at parse time and otherwise ignored: the response is the
+  /// same bytes with or without it.  Empty = absent.
   std::string Base;
-  /// Parsed form of Base; 0 when absent.
-  uint64_t BaseKey = 0;
 };
 
 /// Parses \p Payload into \p Out.  On failure returns false and fills
@@ -166,9 +156,9 @@ bool parseServiceRequest(std::string_view Payload, ServiceRequest &Out,
 
 /// The base key of a submitted function: a SplitMix64-style fold of the
 /// IR text bytes (exact algorithm in docs/PROTOCOL.md, so clients can
-/// compute it without a round trip).  Never returns 0 -- 0 is the
-/// driver's "no base" sentinel.  This key names the base a plain
-/// submit_ir registers and the "base" field of a delta resubmission.
+/// compute it without a round trip).  Never returns 0, which
+/// parseBaseKey rejects.  A client names an earlier submission in the
+/// "base" field of a submit_ir with this key.
 uint64_t submitIrBaseKey(const std::string &IrText);
 
 /// Renders \p Key as the wire form: exactly 16 lowercase hex digits.
@@ -184,13 +174,8 @@ bool parseBaseKey(const std::string &Text, uint64_t &Key);
 /// the same SplitMix64 mixer the solver caches use, so requests for the
 /// same work deterministically land on the same shard -- and therefore
 /// the same per-shard cache -- across connections and restarts.  Trace
-/// fields are deliberately excluded: tracing must not change routing.
-///
-/// submit_ir requests route purely by their effective base key (the
-/// "base" field when present, else submitIrBaseKey of the IR text): a
-/// base and every delta against it must land on the same shard, because
-/// the base registry is per-shard state.  Register counts and options
-/// deliberately do not spread a function's resubmissions across shards.
+/// fields and the ignored submit_ir "base" hint are deliberately
+/// excluded: neither changes the response bytes.
 uint64_t routeRequestHash(const ServiceRequest &Req);
 
 /// Builds the payload of an error response.  A non-empty \p TraceId adds

@@ -283,7 +283,6 @@ struct Shard {
   uint64_t Requests = 0;       ///< StatMutex.
   double BusyMs = 0;           ///< StatMutex.
   DriverCacheCounters Cache;   ///< StatMutex.
-  DriverDeltaCounters Delta;   ///< StatMutex.
 };
 
 } // namespace
@@ -375,11 +374,6 @@ std::string layra::makeStatsResponse(const ServerStats &S,
     SQ.set("capacity", E.QueueCapacity);
     Sh.set("queue", std::move(SQ));
     Sh.set("busy_ms", E.BusyMs);
-    JsonValue SD = JsonValue::object();
-    SD.set("hits", E.DeltaHits);
-    SD.set("fallbacks", E.DeltaFallbacks);
-    SD.set("bases", E.DeltaBases);
-    Sh.set("delta", std::move(SD));
     ShardsArr.push(std::move(Sh));
   }
   Doc.set("shards", std::move(ShardsArr));
@@ -391,16 +385,10 @@ std::string layra::makeStatsResponse(const ServerStats &S,
   Disk.set("misses", S.DiskMisses);
   Disk.set("writes", S.DiskWrites);
   Disk.set("evictions", S.DiskEvictions);
-  // v4: touch_failures lands after every v3 disk_cache member, and the
-  // delta object after the whole v3 document, so a v3 consumer reading by
-  // name sees exactly what it always saw.
+  // touch_failures (v4) lands after every v3 disk_cache member, so a v3
+  // consumer reading by name sees exactly what it always saw.
   Disk.set("touch_failures", S.DiskTouchFailures);
   Doc.set("disk_cache", std::move(Disk));
-  JsonValue DeltaDoc = JsonValue::object();
-  DeltaDoc.set("hits", S.DeltaHits);
-  DeltaDoc.set("fallbacks", S.DeltaFallbacks);
-  DeltaDoc.set("bases", S.DeltaBases);
-  Doc.set("delta", std::move(DeltaDoc));
   // The trace echo, like everywhere else, lands after every existing
   // member so untraced stats responses keep their exact bytes.
   if (!TraceId.empty()) {
@@ -428,8 +416,6 @@ std::string layra::makeMetricsExposition(const ServerStats &S) {
       {"layra.serve.cache.hits", S.CacheHits},
       {"layra.serve.cache.misses", S.CacheMisses},
       {"layra.serve.cache.evictions", S.CacheEvictions},
-      {"layra.serve.delta.hits", S.DeltaHits},
-      {"layra.serve.delta.fallbacks", S.DeltaFallbacks},
   };
   double Classified = double(S.CacheHits + S.CacheMisses);
   Snap.Gauges = {
@@ -445,7 +431,6 @@ std::string layra::makeMetricsExposition(const ServerStats &S) {
       {"layra.serve.queue.capacity", double(S.QueueCapacity)},
       {"layra.serve.dispatcher.busy_ms", S.DispatcherBusyMs},
       {"layra.serve.dispatcher.utilization", S.DispatcherUtilization},
-      {"layra.serve.delta.bases", double(S.DeltaBases)},
   };
   for (size_t I = 0; I < S.PerShard.size(); ++I) {
     const ShardStats &E = S.PerShard[I];
@@ -492,18 +477,12 @@ struct Server::Impl {
         Opt.CacheCapacity
             ? std::max<size_t>(1, Opt.CacheCapacity / NumShards)
             : 0;
-    size_t PerShardBases =
-        Opt.BaseRegistryCapacity
-            ? std::max<size_t>(1, Opt.BaseRegistryCapacity / NumShards)
-            : 0;
     for (unsigned I = 0; I < NumShards; ++I) {
       auto Sh = std::make_unique<Shard>(I, Opt.Threads);
       Sh->Driver.setCacheCapacity(PerShardCap);
-      Sh->Driver.setBaseRegistryCapacity(PerShardBases);
       if (Disk && Disk->valid())
         Sh->Driver.setOutcomeStore(Disk.get());
       Sh->Cache = Sh->Driver.pipelineCacheCounters();
-      Sh->Delta = Sh->Driver.deltaCounters();
       ShardList.push_back(std::move(Sh));
     }
   }
@@ -1400,7 +1379,6 @@ std::string Server::Impl::runJobs(Shard &Sh,
   {
     std::lock_guard<std::mutex> L(Sh.StatMutex);
     Sh.Cache = Sh.Driver.pipelineCacheCounters();
-    Sh.Delta = Sh.Driver.deltaCounters();
   }
   return Response;
 }
@@ -1472,28 +1450,8 @@ std::string Server::Impl::handleSubmitIr(Shard &Sh,
   Prog.Functions.push_back(std::move(Parsed.F));
   S.Programs.push_back(std::move(Prog));
 
-  // Delta mode: a "base" key must name a base this shard has retained.
-  // Routing already sent every submission of a function (and every delta
-  // against it) to the same shard, so absence here means the client named
-  // a base the server never solved -- or one evicted from the bounded
-  // registry -- and a silent full solve would hide that; the contract is
-  // an explicit error the client answers by resubmitting without "base".
-  // A plain submission instead *retains* a base under the IR's content
-  // key so later edits can warm-start against it.  The driver asserts a
-  // job never carries both keys.
-  uint64_t BaseKey = 0, RetainKey = 0;
-  if (Req.BaseKey) {
-    if (!Sh.Driver.hasBase(Req.BaseKey))
-      return failRequest("base not found: '" + Req.Base +
-                             "' (submit the function without 'base' first; "
-                             "bases are retained per shard and may have "
-                             "been evicted)",
-                         Trace);
-    BaseKey = Req.BaseKey;
-  } else {
-    RetainKey = submitIrBaseKey(Req.IrText);
-  }
-
+  // A "base" key was validated at parse time and is ignored here: the
+  // response is the same bytes with or without it (docs/PROTOCOL.md).
   std::vector<BatchJob> Jobs;
   for (unsigned Regs : Req.Regs) {
     BatchJob Job;
@@ -1503,8 +1461,6 @@ std::string Server::Impl::handleSubmitIr(Shard &Sh,
     Job.NumRegisters = Regs;
     Job.ClassRegs = Req.ClassRegs;
     Job.Options = Req.Options;
-    Job.BaseKey = BaseKey;
-    Job.RetainKey = RetainKey;
     Jobs.push_back(std::move(Job));
   }
   return runJobs(Sh, Jobs, Req, &ServerStats::RequestsSubmitIr, Trace);
@@ -1528,13 +1484,11 @@ ServerStats Server::Impl::snapshotStats() {
     Shard &Sh = *ShPtr;
     ShardStats E;
     DriverCacheCounters CC;
-    DriverDeltaCounters DC;
     {
       std::lock_guard<std::mutex> L(Sh.StatMutex);
       E.Requests = Sh.Requests;
       E.BusyMs = Sh.BusyMs;
       CC = Sh.Cache;
-      DC = Sh.Delta;
     }
     {
       std::lock_guard<std::mutex> L(Sh.QMutex);
@@ -1547,12 +1501,6 @@ ServerStats Server::Impl::snapshotStats() {
     E.CacheHits = CC.Hits;
     E.CacheMisses = CC.Misses;
     E.CacheEvictions = CC.Evictions;
-    E.DeltaHits = DC.Hits;
-    E.DeltaFallbacks = DC.Fallbacks;
-    E.DeltaBases = DC.Bases;
-    S.DeltaHits += E.DeltaHits;
-    S.DeltaFallbacks += E.DeltaFallbacks;
-    S.DeltaBases += E.DeltaBases;
     S.CacheEntries += E.CacheEntries;
     S.CacheCapacity += E.CacheCapacity;
     S.CacheHits += E.CacheHits;

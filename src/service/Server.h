@@ -123,13 +123,6 @@ struct ServerOptions {
   /// Salt for server-generated trace ids; 0 (the default) salts from
   /// the clock at start().  Tests pin it for reproducible ids.
   uint64_t TraceIdSalt = 0;
-  /// Total bound across all shard base registries (retained warm-start
-  /// bases for submit_ir delta mode), in entries; each shard gets
-  /// BaseRegistryCapacity / Shards (at least 1).  A retained base holds
-  /// its SSA function, liveness, and round-0 problem/assignment, so the
-  /// default is deliberately far below CacheCapacity.  0 = unbounded
-  /// (tests only).
-  size_t BaseRegistryCapacity = 256;
 };
 
 /// Per-shard slice of a statistics snapshot (the stats-v3 `shards` array).
@@ -146,13 +139,6 @@ struct ShardStats {
   uint64_t QueueMaxDepth = 0;
   uint64_t QueueCapacity = 0;
   double BusyMs = 0; ///< Wall time this shard's worker spent executing.
-  /// Delta (warm-start) counters from this shard's private driver:
-  /// resubmissions solved against a retained base, resubmissions that
-  /// asked for a base but fell back to a full solve, and bases currently
-  /// retained.
-  uint64_t DeltaHits = 0;
-  uint64_t DeltaFallbacks = 0;
-  uint64_t DeltaBases = 0;
 };
 
 /// A point-in-time statistics snapshot (the `stats` request serializes
@@ -211,19 +197,12 @@ struct ServerStats {
   /// Loads whose recency touch (utimensat) failed; the entry was still
   /// served, but LRU eviction order is degraded for it.
   uint64_t DiskTouchFailures = 0;
-  /// Delta (warm-start) counters summed over every shard's private
-  /// driver; DeltaBases counts bases currently retained across shards.
-  uint64_t DeltaHits = 0;
-  uint64_t DeltaFallbacks = 0;
-  uint64_t DeltaBases = 0;
 };
 
-/// Serializes \p Stats as a "layra-serve-stats/v4" response payload.  Each
-/// schema is a strict superset of its predecessor: v3 added
-/// requests.rejected, the per-shard `shards` array, and the `disk_cache`
-/// object over v2; v4 adds disk_cache.touch_failures and the `delta`
-/// object (warm-start counters).  A non-empty \p TraceId appends the
-/// {"trace": {"id": ...}} echo for traced requests.
+/// Serializes \p Stats as a "layra-serve-stats/v5" response payload (see
+/// kStatsSchema in service/Protocol.h for the schema history).  A
+/// non-empty \p TraceId appends the {"trace": {"id": ...}} echo for
+/// traced requests.
 std::string makeStatsResponse(const ServerStats &Stats,
                               const std::string &TraceId = std::string());
 

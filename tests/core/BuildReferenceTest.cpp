@@ -48,7 +48,7 @@ unsigned checkEveryBuild(const Function &F, const TargetDesc &Target,
   auto Build = [&] {
     ++Builds;
     AllocationProblem P = buildSsaProblem(Rewritten, Target, Budgets, &WS,
-                                          nullptr, /*WithIntervals=*/false);
+                                          /*WithIntervals=*/false);
     EXPECT_EQ(diffAgainstReference(
                   P, referenceInterferenceGraph(Rewritten, Target)),
               "")

@@ -13,7 +13,9 @@
 #include "graph/Graph.h"
 #include "ir/Dominators.h"
 #include "ir/LoopInfo.h"
+#include "ir/Parser.h"
 #include "ir/ProgramGen.h"
+#include "ir/SsaBuilder.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -129,6 +131,56 @@ TEST(BatchDriverTest, DuplicateJobHitsCacheWithoutChangingTotals) {
   EXPECT_EQ(First.TotalRounds, Second.TotalRounds);
   // Only the unique instances were solved and memoized.
   EXPECT_EQ(Driver.pipelineCacheSize(), 6u);
+}
+
+TEST(BatchDriverTest, SolvesFunctionsThatAlreadyHavePhisAsTheyAre) {
+  // Submitted IR is already SSA.  Running SSA construction on it again
+  // would look up each phi operand at the phi's own block, where a
+  // back-edge or branch-arm def does not reach, and solve a different
+  // program.  Build such input as the server does -- SSA text printed and
+  // parsed back -- and require the driver to match the pipeline run on
+  // exactly that function.
+  Suite S;
+  S.Name = "submitted";
+  SuiteProgram Prog;
+  Prog.Name = "prog";
+  Rng R(0x7373615f696eULL);
+  unsigned Phis = 0;
+  for (unsigned I = 0; I < 8; ++I) {
+    ProgramGenOptions Opt;
+    Opt.NumVars = 16;
+    Opt.MaxBlocks = 24;
+    Opt.LoopProb = 0.4;
+    Function F = generateFunction(R, Opt, "f" + std::to_string(I));
+    DominatorTree Dom(F);
+    LoopInfo Loops(F, Dom);
+    Loops.annotate(F);
+    SsaConversion Ssa = convertToSsa(F);
+    Phis += Ssa.NumPhis;
+    ParsedFunction Parsed = parseFunction(Ssa.Ssa.toString());
+    ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+    Prog.Functions.push_back(std::move(Parsed.F));
+  }
+  ASSERT_GT(Phis, 0u);
+  S.Programs.push_back(std::move(Prog));
+
+  BatchJob Job;
+  Job.SuiteName = S.Name;
+  Job.SuiteData = &S;
+  Job.NumRegisters = 4;
+  BatchDriver Driver(2);
+  DriverReport Report = Driver.run({Job});
+  const std::vector<Function> &Fns = S.Programs[0].Functions;
+  ASSERT_EQ(Report.Jobs.size(), 1u);
+  ASSERT_EQ(Report.Jobs[0].Tasks.size(), Fns.size());
+  for (size_t I = 0; I < Fns.size(); ++I) {
+    PipelineResult Want = runAllocationPipeline(Fns[I], ST231, 4);
+    const TaskOutcome &Got = Report.Jobs[0].Tasks[I].Out;
+    EXPECT_EQ(Got.SpillCost, Want.TotalSpillCost) << Fns[I].name();
+    EXPECT_EQ(Got.NumLoads, Want.Spills.NumLoads) << Fns[I].name();
+    EXPECT_EQ(Got.NumStores, Want.Spills.NumStores) << Fns[I].name();
+    EXPECT_EQ(Got.Rounds, Want.Rounds) << Fns[I].name();
+  }
 }
 
 TEST(BatchDriverTest, CachePersistsAcrossRuns) {

@@ -75,7 +75,7 @@ OracleOutcome runOn(const FuzzCase &Case, const std::string &OracleName,
 
 TEST(OracleTest, RegistryNamesAreStableAndLookupsWork) {
   const std::vector<Oracle> &Registry = oracleRegistry();
-  ASSERT_EQ(Registry.size(), 10u);
+  ASSERT_EQ(Registry.size(), 9u);
   for (const Oracle &O : Registry) {
     EXPECT_EQ(findOracle(O.Name), &O);
     EXPECT_NE(O.Description[0], '\0');

@@ -194,7 +194,8 @@ TEST(MetricsRegistryTest, CounterOverflowWrapsWithoutTrapping) {
   CounterId C = R.counter("wrap.counter");
   R.add(C, UINT64_MAX); // One tick short of wrapping.
   R.add(C, 3);          // Modulo 2^64: lands on 2.
-  const uint64_t *V = R.snapshot().counter("wrap.counter");
+  MetricsSnapshot Snap = R.snapshot();
+  const uint64_t *V = Snap.counter("wrap.counter");
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(*V, 2u);
 }
@@ -204,7 +205,8 @@ TEST(MetricsRegistryTest, GaugesKeepLastValue) {
   GaugeId G = R.gauge("test.gauge");
   R.set(G, 1.5);
   R.set(G, -2.25);
-  const double *V = R.snapshot().gauge("test.gauge");
+  MetricsSnapshot Snap = R.snapshot();
+  const double *V = Snap.gauge("test.gauge");
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(*V, -2.25);
 }
@@ -214,10 +216,14 @@ TEST(MetricsRegistryTest, ResetZeroesCachedWriters) {
   CounterId C = R.counter("reset.counter");
   R.add(C, 7);
   R.reset();
-  EXPECT_EQ(*R.snapshot().counter("reset.counter"), 0u);
+  MetricsSnapshot AfterReset = R.snapshot();
+  ASSERT_NE(AfterReset.counter("reset.counter"), nullptr);
+  EXPECT_EQ(*AfterReset.counter("reset.counter"), 0u);
   // The thread's cached shard pointer must still be valid for new writes.
   R.add(C, 2);
-  EXPECT_EQ(*R.snapshot().counter("reset.counter"), 2u);
+  MetricsSnapshot AfterAdd = R.snapshot();
+  ASSERT_NE(AfterAdd.counter("reset.counter"), nullptr);
+  EXPECT_EQ(*AfterAdd.counter("reset.counter"), 2u);
 }
 
 //===----------------------------------------------------------------------===//

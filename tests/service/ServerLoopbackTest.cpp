@@ -17,6 +17,7 @@
 
 #include "service/Server.h"
 
+#include "alloc/Pipeline.h"
 #include "driver/BatchDriver.h"
 #include "driver/ReportIO.h"
 #include "ir/Parser.h"
@@ -91,6 +92,32 @@ std::string directReport(const ServiceRequest &Req) {
   BatchDriver Driver(kServerThreads);
   DriverReport Report = Driver.run(Jobs);
   return driverReportToJson(Report, Req.Timing, Req.Details).dump(2) + "\n";
+}
+
+/// The same for a submit_ir request: the server turns the IR into a
+/// one-function suite "submitted" whose program is named after the
+/// function.
+std::string directSubmitReport(const ServiceRequest &Req) {
+  ParsedFunction Parsed = parseFunction(Req.IrText);
+  EXPECT_TRUE(Parsed.Ok) << Parsed.Error;
+  Suite Sub;
+  Sub.Name = "submitted";
+  SuiteProgram Prog;
+  Prog.Name = Parsed.F.name();
+  Prog.Functions.push_back(std::move(Parsed.F));
+  Sub.Programs.push_back(std::move(Prog));
+  std::vector<BatchJob> Jobs;
+  for (unsigned Regs : Req.Regs) {
+    BatchJob Job;
+    Job.SuiteName = Sub.Name;
+    Job.SuiteData = &Sub;
+    Job.NumRegisters = Regs;
+    Jobs.push_back(Job);
+  }
+  BatchDriver Driver(kServerThreads);
+  return driverReportToJson(Driver.run(Jobs), Req.Timing, Req.Details)
+             .dump(2) +
+         "\n";
 }
 
 /// Asserts that a connection the server tore down reads as "gone".
@@ -383,32 +410,7 @@ TEST(ServerLoopbackTest, SubmitIrMatchesDirectDriverAndRejectsBadIr) {
   ASSERT_TRUE(
       Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
       << Error;
-
-  // Reference: a direct driver run over the exact suite shape the server
-  // builds for a submission (suite "submitted", program = function name).
-  ParsedFunction Parsed = parseFunction(Ir);
-  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
-  Suite Sub;
-  Sub.Name = "submitted";
-  SuiteProgram Prog;
-  Prog.Name = Parsed.F.name();
-  Prog.Functions.push_back(std::move(Parsed.F));
-  Sub.Programs.push_back(std::move(Prog));
-  std::vector<BatchJob> Jobs;
-  for (unsigned Regs : Req.Regs) {
-    BatchJob Job;
-    Job.SuiteName = Sub.Name;
-    Job.SuiteData = &Sub;
-    Job.NumRegisters = Regs;
-    Jobs.push_back(Job);
-  }
-  BatchDriver Driver(kServerThreads);
-  std::string Expected =
-      driverReportToJson(Driver.run(Jobs), /*IncludeTiming=*/false,
-                         /*IncludeTasks=*/true)
-          .dump(2) +
-      "\n";
-  EXPECT_EQ(Response, Expected);
+  EXPECT_EQ(Response, directSubmitReport(Req));
 
   // Unparseable IR and non-SSA IR produce error responses, not a dead
   // server.
@@ -434,124 +436,106 @@ TEST(ServerLoopbackTest, SubmitIrMatchesDirectDriverAndRejectsBadIr) {
   EXPECT_TRUE(Conn.ping(&Error)) << Error;
 }
 
-TEST(ServerLoopbackTest, SubmitIrDeltaWarmStartMatchesFreshSolveByteForByte) {
-  // The JIT resubmission path end to end, across shards: a plain submit
-  // registers a base on its home shard, a "base"-carrying resubmission
-  // warm-starts from it (counted in delta.hits), and the response bytes
-  // equal what a FRESH server answers for the same edited IR submitted
-  // from scratch.  (Resubmitting to the same server would trivially pass
-  // via the outcome cache; the fresh server is the honest reference.)
-  const char *BaseIr = "function jitted {\n"
-                       "entry:  ; depth=0 freq=1\n"
-                       "  %a = op\n"
-                       "  %b = op\n"
-                       "  br %b\n"
-                       "  ; succs=loop\n"
-                       "loop:  ; depth=1 freq=10 preds=entry,loop\n"
-                       "  %p = phi %a, %q\n"
-                       "  %q = op %p, %b\n"
-                       "  br %q\n"
-                       "  ; succs=loop,exit\n"
-                       "exit:  ; depth=0 freq=1 preds=loop\n"
-                       "  ret %p, %q\n"
-                       "}\n";
-  // Profile drift: the loop got hotter.  Structure is unchanged.
-  std::string EditedIr = BaseIr;
-  size_t Freq = EditedIr.find("freq=10");
-  ASSERT_NE(Freq, std::string::npos);
-  EditedIr.replace(Freq, 7, "freq=90");
+TEST(ServerLoopbackTest, SubmitIrBaseIsAValidatedIgnoredHint) {
+  // `base` stays on the wire, validated and then ignored: a submit naming
+  // its own key, one naming a key the server never saw and one without
+  // `base` each get the bytes of a fresh direct driver run.  The loop phi
+  // takes its second operand over the back edge; the driver solves such
+  // input as it is, so each task also equals runAllocationPipeline.
+  const std::string Ir = "function jitted {\n"
+                         "entry:  ; depth=0 freq=1\n"
+                         "  %a = op\n"
+                         "  %b = op\n"
+                         "  %c = op\n"
+                         "  br %b\n"
+                         "  ; succs=loop\n"
+                         "loop:  ; depth=1 freq=FREQ preds=entry,loop\n"
+                         "  %p = phi %a, %q\n"
+                         "  %q = op %p, %b\n"
+                         "  %r = op %q, %c\n"
+                         "  br %r\n"
+                         "  ; succs=loop,exit\n"
+                         "exit:  ; depth=0 freq=1 preds=loop\n"
+                         "  ret %p, %q, %r, %b, %c\n"
+                         "}\n";
+  auto withFreq = [&](const char *Freq) {
+    std::string Out = Ir;
+    Out.replace(Out.find("FREQ"), 4, Freq);
+    return Out;
+  };
 
   TempDir Dir;
   ServerOptions Opt;
-  Opt.UnixPath = Dir.socketPath("delta.sock");
+  Opt.UnixPath = Dir.socketPath("base.sock");
   Opt.Threads = kServerThreads;
-  Opt.Shards = 4; // Base and delta must co-reside on one shard.
+  Opt.Shards = 4;
   Server S(Opt);
   std::string Error;
   ASSERT_TRUE(S.start(&Error)) << Error;
-
   Client Conn = Client::connectToUnix(Opt.UnixPath, &Error);
   ASSERT_TRUE(Conn.valid()) << Error;
 
-  ServiceRequest Req;
-  Req.K = ServiceRequest::Kind::SubmitIr;
-  Req.IrText = BaseIr;
-  Req.Regs = {3};
-  Req.Details = true;
+  // Distinct frequencies keep each submit a fresh solve, not a cache hit.
+  const std::string OwnIr = withFreq("10");
+  struct Submit {
+    std::string Ir, Base;
+  } Submits[] = {
+      {OwnIr, formatBaseKey(submitIrBaseKey(OwnIr))},
+      {withFreq("20"), formatBaseKey(0xdeadbeefdeadbeefULL)},
+      {withFreq("30"), ""},
+  };
+  for (const Submit &Sub : Submits) {
+    ServiceRequest Req;
+    Req.K = ServiceRequest::Kind::SubmitIr;
+    Req.IrText = Sub.Ir;
+    Req.Regs = {2};
+    Req.Details = true;
+    Req.Base = Sub.Base;
+    ServiceRequest Plain = Req;
+    Plain.Base.clear();
+    // The hint steers neither the bytes nor the shard.
+    EXPECT_EQ(routeRequestHash(Req), routeRequestHash(Plain));
+    std::string Response;
+    ASSERT_TRUE(Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
+        << Error;
+    ASSERT_FALSE(Client::isErrorResponse(Response)) << Response;
+    EXPECT_EQ(Response, directSubmitReport(Plain)) << "base '" << Sub.Base
+                                                   << "'";
+
+    ParsedFunction Parsed = parseFunction(Sub.Ir);
+    ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+    PipelineResult Want = runAllocationPipeline(Parsed.F, ST231, 2);
+    ASSERT_GT(Want.Spills.NumLoads, 0u);
+    JsonParseResult Doc = parseJson(Response);
+    ASSERT_TRUE(Doc.Ok) << Doc.Error;
+    const JsonValue &Task = Doc.Value.find("jobs")->at(0).find("tasks")->at(0);
+    EXPECT_EQ(Task.find("spill_cost")->intValue(), Want.TotalSpillCost);
+    EXPECT_EQ(Task.find("loads")->intValue(),
+              static_cast<long long>(Want.Spills.NumLoads));
+    EXPECT_EQ(Task.find("stores")->intValue(),
+              static_cast<long long>(Want.Spills.NumStores));
+    EXPECT_EQ(Task.find("rounds")->intValue(),
+              static_cast<long long>(Want.Rounds));
+  }
+
+  // A malformed key is still a parse error.
+  ServiceRequest Bad;
+  Bad.K = ServiceRequest::Kind::SubmitIr;
+  Bad.IrText = OwnIr;
+  Bad.Regs = {2};
+  Bad.Base = "not-a-key";
   std::string Response;
-  ASSERT_TRUE(Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
-      << Error;
-  EXPECT_FALSE(Client::isErrorResponse(Response));
-  EXPECT_EQ(S.stats().DeltaBases, 1u);
-
-  Req.IrText = EditedIr;
-  Req.Base = formatBaseKey(submitIrBaseKey(BaseIr));
-  std::string DeltaResponse;
-  ASSERT_TRUE(
-      Conn.call(Client::makeSubmitIrRequest(Req), DeltaResponse, &Error))
-      << Error;
-  EXPECT_FALSE(Client::isErrorResponse(DeltaResponse));
-  EXPECT_EQ(S.stats().DeltaHits, 1u);
-  EXPECT_EQ(S.stats().DeltaFallbacks, 0u);
-
-  // Reference: the same edited IR, submitted plain to a fresh server.
-  ServerOptions FreshOpt;
-  FreshOpt.UnixPath = Dir.socketPath("delta-fresh.sock");
-  FreshOpt.Threads = kServerThreads;
-  FreshOpt.Shards = 4;
-  Server Fresh(FreshOpt);
-  ASSERT_TRUE(Fresh.start(&Error)) << Error;
-  Client FreshConn = Client::connectToUnix(FreshOpt.UnixPath, &Error);
-  ASSERT_TRUE(FreshConn.valid()) << Error;
-  ServiceRequest FreshReq = Req;
-  FreshReq.Base.clear();
-  FreshReq.BaseKey = 0;
-  std::string FreshResponse;
-  ASSERT_TRUE(Conn.valid());
-  ASSERT_TRUE(FreshConn.call(Client::makeSubmitIrRequest(FreshReq),
-                             FreshResponse, &Error))
-      << Error;
-  EXPECT_EQ(DeltaResponse, FreshResponse);
-
-  // A structural edit under the same base falls back to a full solve --
-  // counted, answered, byte-equal to a fresh solve.
-  std::string Structural = EditedIr;
-  size_t Ret = Structural.find("  ret %p, %q");
-  ASSERT_NE(Ret, std::string::npos);
-  Structural.insert(Ret, "  %r = op %q\n");
-  Structural.replace(Structural.find("ret %p, %q"), 10, "ret %p, %r");
-  Req.IrText = Structural;
-  ASSERT_TRUE(
-      Conn.call(Client::makeSubmitIrRequest(Req), DeltaResponse, &Error))
-      << Error;
-  EXPECT_FALSE(Client::isErrorResponse(DeltaResponse));
-  EXPECT_EQ(S.stats().DeltaFallbacks, 1u);
-  FreshReq.IrText = Structural;
-  ASSERT_TRUE(FreshConn.call(Client::makeSubmitIrRequest(FreshReq),
-                             FreshResponse, &Error))
-      << Error;
-  EXPECT_EQ(DeltaResponse, FreshResponse);
-
-  // An unregistered base is a request error, not a silent full solve.
-  Req.Base = formatBaseKey(0xdeadbeefdeadbeefULL);
-  ASSERT_TRUE(
-      Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
+  ASSERT_TRUE(Conn.call(Client::makeSubmitIrRequest(Bad), Response, &Error))
       << Error;
   EXPECT_TRUE(Client::isErrorResponse(Response));
-  EXPECT_NE(Response.find("base not found"), std::string::npos);
-  // ...and a malformed base key is rejected at parse time.
-  Req.Base = "not-a-key";
-  ASSERT_TRUE(
-      Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
-      << Error;
-  EXPECT_TRUE(Client::isErrorResponse(Response));
+  EXPECT_NE(Response.find("'base' must be a base key"), std::string::npos)
+      << Response;
 
-  // The v4 stats surface carries the delta counters.
+  // Stats v5 carries no delta counters, at top level or per shard.
   std::string Payload;
   ASSERT_TRUE(Conn.stats(Payload, &Error)) << Error;
-  EXPECT_NE(Payload.find("layra-serve-stats/v4"), std::string::npos);
-  EXPECT_NE(Payload.find("\"delta\""), std::string::npos);
-  EXPECT_NE(Payload.find("\"fallbacks\""), std::string::npos);
+  EXPECT_NE(Payload.find("\"layra-serve-stats/v5\""), std::string::npos);
+  EXPECT_EQ(Payload.find("\"delta\""), std::string::npos) << Payload;
   EXPECT_NE(Payload.find("\"touch_failures\""), std::string::npos);
 }
 
