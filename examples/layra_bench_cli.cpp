@@ -320,6 +320,24 @@ void runGraphSuite(BatchDriver &Driver, const CliOptions &Opt) {
     T.print(stdout);
 }
 
+/// Publishes \p Driver's workspace-arena and pipeline-cache accounting as
+/// gauges in the global metrics registry, where --workspace-stats and
+/// --metrics read them back from a snapshot.
+void publishDriverGauges(const BatchDriver &Driver) {
+  WorkspaceStats WS = Driver.workspaceStats();
+  DriverCacheCounters Cache = Driver.pipelineCacheCounters();
+  MetricsRegistry &M = MetricsRegistry::global();
+  M.set(M.gauge("layra.workspace.bytes_reused"), double(WS.BytesReused));
+  M.set(M.gauge("layra.workspace.bytes_allocated"), double(WS.BytesAllocated));
+  M.set(M.gauge("layra.workspace.acquires"), double(WS.Acquires));
+  M.set(M.gauge("layra.workspace.reuse_fraction"), WS.reuseFraction());
+  M.set(M.gauge("layra.driver.cache.hits"), double(Cache.Hits));
+  M.set(M.gauge("layra.driver.cache.misses"), double(Cache.Misses));
+  M.set(M.gauge("layra.driver.cache.evictions"), double(Cache.Evictions));
+  M.set(M.gauge("layra.driver.cache.entries"), double(Cache.Entries));
+  M.set(M.gauge("layra.driver.cache.capacity"), double(Cache.Capacity));
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -450,6 +468,8 @@ int main(int Argc, char **Argv) {
   // warm start possible even in a fresh process).  Timed reports keep
   // the honest warm-cache view.
   DriverReport Report = Driver.run(Jobs, /*CacheTransparent=*/!Opt.Timing);
+  if (Opt.WorkspaceStats || Opt.Metrics)
+    publishDriverGauges(Driver);
 
   if (!Opt.TracePath.empty()) {
     TraceCollector &TC = TraceCollector::global();

@@ -30,7 +30,7 @@
 ///                 [--rps=N] [--suite=NAME[,NAME...]]
 ///                 [--regs=LO..HI|--regs=A,B,C] [--allocator=NAME]
 ///                 [--target=NAME] [--details] [--timing]
-///                 [--stats] [--trace-sample=K] [--json=FILE] [--quiet]
+///                 [--stats] [--trace-sample=K] [--quiet]
 ///
 ///   --clients     concurrent connections (default 4)
 ///   --requests    requests per client (default 8)
@@ -55,9 +55,6 @@
 ///                 failed request.  Traced responses are excluded from
 ///                 the byte-identity check (they differ by exactly the
 ///                 trace object)
-///   --json=FILE   write a machine-readable run summary ("-" = stdout);
-///                 scripts/perf_gate.py checks its deterministic fields
-///                 in CI
 ///
 /// Example:
 ///   layra-loadgen --unix=/tmp/layra.sock --clients=8 --requests=32
@@ -106,7 +103,6 @@ struct LoadOptions {
   bool Quiet = false;
   /// Trace every K-th request per client; 0 = tracing off.
   unsigned TraceSample = 0;
-  std::string JsonPath;
 };
 
 [[noreturn]] void usage(const char *Argv0, const char *Error = nullptr) {
@@ -119,7 +115,7 @@ struct LoadOptions {
       "          [--rps=N] [--suite=NAME[,NAME...]]\n"
       "          [--regs=LO..HI|--regs=A,B,C] [--allocator=NAME]\n"
       "          [--target=NAME] [--details] [--timing]\n"
-      "          [--stats] [--trace-sample=K] [--json=FILE] [--quiet]\n",
+      "          [--stats] [--trace-sample=K] [--quiet]\n",
       Argv0);
   std::exit(2);
 }
@@ -177,10 +173,6 @@ LoadOptions parseArgs(int Argc, char **Argv) {
       if (!parseBoundedUnsigned(V, 1u << 20, Opt.TraceSample) ||
           Opt.TraceSample == 0)
         usage(Argv[0], "--trace-sample must be an integer in [1, 2^20]");
-    } else if (const char *V = Value("--json=")) {
-      if (!*V)
-        usage(Argv[0], "--json needs a file path (or '-' for stdout)");
-      Opt.JsonPath = V;
     } else if (Arg == "--details") {
       Opt.Details = true;
     } else if (Arg == "--timing") {
@@ -581,52 +573,6 @@ int main(int Argc, char **Argv) {
       std::printf("  %-12s %9.3f\n", "flush+net",
                   Residual > 0 ? Residual : 0.0);
       std::printf("  %-12s %9.3f\n", "client total", ClientMean);
-    }
-  }
-
-  if (!Opt.JsonPath.empty()) {
-    // The deterministic fields (clients, requests, completed, failed,
-    // mismatched) are what scripts/perf_gate.py locks down; the latency
-    // block is informational.
-    JsonValue Doc = JsonValue::object();
-    Doc.set("schema", "layra-loadgen-bench/v1");
-    Doc.set("clients", static_cast<uint64_t>(Opt.Clients));
-    if (Opt.DurationSecs <= 0)
-      Doc.set("requests_per_client", static_cast<uint64_t>(Opt.Requests));
-    Doc.set("completed", Completed);
-    Doc.set("failed", Failed);
-    Doc.set("mismatched", Mismatched);
-    JsonValue Lat = JsonValue::object();
-    Lat.set("p50_ms", Snap.percentile(0.50));
-    Lat.set("p95_ms", Snap.percentile(0.95));
-    Lat.set("p99_ms", Snap.percentile(0.99));
-    Lat.set("mean_ms", Snap.Count > 0 ? Snap.meanMs() : 0.0);
-    Lat.set("samples", Snap.Count);
-    Doc.set("latency", std::move(Lat));
-    Doc.set("wall_ms", TotalMs);
-    Doc.set("req_per_s", Completed > 0 ? 1000.0 * Completed / TotalMs : 0.0);
-    if (Opt.Rps > 0) {
-      // Open-loop honesty: what rate was asked for vs what was actually
-      // released+completed, so a generator that cannot keep up is
-      // visible in the artifact rather than silently under-driving.
-      JsonValue Rate = JsonValue::object();
-      Rate.set("requested_rps", Opt.Rps);
-      Rate.set("achieved_rps",
-               Completed > 0 ? 1000.0 * Completed / TotalMs : 0.0);
-      Doc.set("rate", std::move(Rate));
-    }
-    std::string Text = Doc.dump(2) + "\n";
-    if (Opt.JsonPath == "-") {
-      std::fputs(Text.c_str(), stdout);
-    } else {
-      std::FILE *Out = std::fopen(Opt.JsonPath.c_str(), "w");
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     Opt.JsonPath.c_str());
-        return 1;
-      }
-      std::fwrite(Text.data(), 1, Text.size(), Out);
-      std::fclose(Out);
     }
   }
 

@@ -19,21 +19,14 @@ The fresh timed report is written to --out for artifact upload, in the
 exact format of BENCH_driver.json: to accept an intended slowdown or
 record a speedup, copy it over the baseline.
 
-The serving stack has its own committed baseline, BENCH_serve.json (a
-layra-loadgen --json report).  With --serve-baseline/--serve-report the
-gate checks the deterministic fields of a fresh loadgen run -- schema,
-clients, requests_per_client, completed, failed, mismatched -- against
-that baseline: every request must complete, none may fail or diverge
-byte-wise, and the workload shape must match what the baseline recorded.
-Latency numbers are reported but never gated (CI wall clocks are far too
-noisy for tail percentiles); to change the canonical serve workload,
-regenerate BENCH_serve.json in the same commit.
+The serving stack is measured by `perfbench serve` (BENCHMARK.json), and
+layra-loadgen itself exits nonzero on any request that does not
+complete, fails or diverges byte-wise, so this gate covers the driver
+only.
 
 Usage:
   scripts/perf_gate.py --bench build/layra-bench \
       --baseline BENCH_driver.json --out fresh.json [--threshold 0.15]
-  scripts/perf_gate.py --serve-baseline BENCH_serve.json \
-      --serve-report fresh_serve.json
 """
 
 import argparse
@@ -68,78 +61,17 @@ def scrub_timing(doc):
     return doc
 
 
-SERVE_SCHEMA = "layra-loadgen-bench/v1"
-SERVE_DETERMINISTIC = ("schema", "clients", "requests_per_client",
-                       "completed", "failed", "mismatched")
-
-
-def serve_gate(baseline_path, report_path):
-    """Returns 0 when the fresh serve report's deterministic fields are
-    sound and match the committed baseline."""
-    base = json.load(open(baseline_path))
-    fresh = json.load(open(report_path))
-    failures = []
-    if fresh.get("schema") != SERVE_SCHEMA:
-        failures.append(f"unexpected schema {fresh.get('schema')!r}")
-    for key in SERVE_DETERMINISTIC:
-        if base.get(key) != fresh.get(key):
-            failures.append(f"field {key!r} drifted: baseline "
-                            f"{base.get(key)!r} vs fresh {fresh.get(key)!r}")
-    expected = fresh.get("clients", 0) * fresh.get("requests_per_client", 0)
-    if fresh.get("completed") != expected:
-        failures.append(f"completed {fresh.get('completed')!r} != "
-                        f"clients * requests_per_client ({expected})")
-    if fresh.get("failed"):
-        failures.append(f"{fresh['failed']} request(s) failed")
-    if fresh.get("mismatched"):
-        failures.append(f"{fresh['mismatched']} response(s) diverged "
-                        "byte-wise from the reference")
-    lat = fresh.get("latency", {})
-    p50, p95, p99 = (lat.get("p50_ms"), lat.get("p95_ms"), lat.get("p99_ms"))
-    if not (isinstance(p50, (int, float)) and isinstance(p95, (int, float))
-            and isinstance(p99, (int, float)) and 0 <= p50 <= p95 <= p99):
-        failures.append(f"latency percentiles unordered: p50={p50} "
-                        f"p95={p95} p99={p99}")
-    if failures:
-        for msg in failures:
-            print(f"FAIL: serve: {msg}", file=sys.stderr)
-        print(f"FAIL: serve report {report_path} does not pass the gate "
-              f"against {baseline_path}; if the workload change is "
-              "intended, regenerate the baseline in the same commit",
-              file=sys.stderr)
-        return 1
-    print(f"ok: serve deterministic fields match ({fresh['completed']} "
-          f"completed, 0 failed, 0 mismatched)")
-    print(f"info: serve latency p50={p50:.2f} ms p95={p95:.2f} ms "
-          f"p99={p99:.2f} ms, {fresh.get('req_per_s', 0):.0f} req/s "
-          "(not gated)")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--bench", help="layra-bench binary")
-    ap.add_argument("--baseline", help="committed BENCH_driver.json")
-    ap.add_argument("--out", help="where to write the fresh timed report")
+    ap.add_argument("--bench", required=True, help="layra-bench binary")
+    ap.add_argument("--baseline", required=True,
+                    help="committed BENCH_driver.json")
+    ap.add_argument("--out", required=True,
+                    help="where to write the fresh timed report")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="allowed fractional slowdown (default 0.15)")
     ap.add_argument("--runs", type=int, default=3, help="timed runs (best-of)")
-    ap.add_argument("--serve-baseline", help="committed BENCH_serve.json")
-    ap.add_argument("--serve-report",
-                    help="fresh layra-loadgen --json report to gate")
     args = ap.parse_args()
-
-    if bool(args.serve_baseline) != bool(args.serve_report):
-        ap.error("--serve-baseline and --serve-report go together")
-    if args.serve_baseline:
-        rc = serve_gate(args.serve_baseline, args.serve_report)
-        if rc or not args.bench:
-            return rc
-    elif not args.bench:
-        ap.error("nothing to do: pass --bench/--baseline/--out and/or "
-                 "--serve-baseline/--serve-report")
-    if not (args.baseline and args.out):
-        ap.error("--bench requires --baseline and --out")
 
     baseline = json.load(open(args.baseline))
 

@@ -19,14 +19,15 @@ AllocationResult BruteForceAllocator::allocate(const AllocationProblem &P) {
   // Budgets are per constraint (multi-class instances carry one budget per
   // class; single-class instances one uniform R).
   std::vector<std::pair<uint32_t, unsigned>> ConstraintMask;
-  ConstraintMask.reserve(P.Constraints.size());
-  for (const PressureConstraint &K : P.Constraints) {
-    if (K.Members.size() <= K.Budget)
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
+    NeighborRange Members = P.Cliques.clique(K);
+    unsigned Budget = P.constraintBudget(K);
+    if (Members.size() <= Budget)
       continue; // Never binding.
     uint32_t Mask = 0;
-    for (VertexId V : K.Members)
+    for (VertexId V : Members)
       Mask |= uint32_t(1) << V;
-    ConstraintMask.push_back({Mask, K.Budget});
+    ConstraintMask.push_back({Mask, Budget});
   }
 
   uint32_t BestSet = 0;

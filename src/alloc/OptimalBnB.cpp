@@ -253,14 +253,17 @@ AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P,
     unsigned Budget = 0;
   };
   std::vector<BindingConstraint> Binding;
-  for (const PressureConstraint &K : P.Constraints)
-    if (K.Members.size() > K.Budget) {
-      BindingConstraint B;
-      B.Members = K.Members;
-      B.Budget = K.Budget;
-      std::sort(B.Members.begin(), B.Members.end());
-      Binding.push_back(std::move(B));
-    }
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
+    NeighborRange Members = P.Cliques.clique(K);
+    unsigned Budget = P.constraintBudget(K);
+    if (Members.size() <= Budget)
+      continue; // Never binding.
+    BindingConstraint B;
+    B.Members.assign(Members.begin(), Members.end());
+    B.Budget = Budget;
+    std::sort(B.Members.begin(), B.Members.end());
+    Binding.push_back(std::move(B));
+  }
   std::sort(Binding.begin(), Binding.end(),
             [](const BindingConstraint &A, const BindingConstraint &B) {
               return A.Members.size() > B.Members.size();
@@ -345,9 +348,9 @@ AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P,
   if (P.Chordal && P.Peo.Position.size() == N) {
     Locality = P.Peo.Position;
   } else {
-    for (unsigned K = 0; K < P.Constraints.size(); ++K)
-      for (VertexId V : P.Constraints[K].Members)
-        Locality[V] = std::min(Locality[V], K);
+    for (VertexId V = 0; V < N; ++V)
+      if (!P.Cliques.cliquesOf(V).empty())
+        Locality[V] = P.Cliques.cliquesOf(V)[0]; // Ascending: the lowest.
   }
 
   // Every constraint of a component shares one register class (constraints

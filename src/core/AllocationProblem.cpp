@@ -42,24 +42,15 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
   P.Peo = maximumCardinalitySearch(G, WS);
   if (!maximalCliquesIfPeo(G, P.Peo, P.Cliques, WS))
     layraFatalError("fromChordalGraph called with a non-chordal graph");
-  P.Constraints.reserve(P.Cliques.numCliques());
-  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
-    NeighborRange Clique = P.Cliques.clique(K);
-    PressureConstraint C;
-    C.Members.assign(Clique.begin(), Clique.end());
-    // Cross-class vertices are never adjacent, so a clique lies wholly in
-    // one class: its first member names it.
-    C.Class = Clique.empty() ? 0 : P.ClassOf[Clique[0]];
-    assert(C.Class < P.Budgets.size() && "vertex class without a budget");
 #ifndef NDEBUG
-    for (VertexId V : Clique)
-      assert(P.ClassOf[V] == C.Class &&
+  // Cross-class vertices are never adjacent, so a clique lies wholly in
+  // one class -- the one constraintClass() reads off its first member.
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K)
+    for (VertexId V : P.Cliques.clique(K))
+      assert(P.ClassOf[V] == P.constraintClass(K) &&
              "clique spans register classes; interference construction "
              "must not add cross-class edges");
 #endif
-    C.Budget = P.Budgets[C.Class];
-    P.Constraints.push_back(std::move(C));
-  }
   P.Chordal = true;
   P.G = std::make_shared<Graph>(std::move(G));
   return P;
@@ -84,13 +75,17 @@ AllocationProblem AllocationProblem::fromGeneralGraph(
   P.ClassOf.resize(G.numVertices(), 0);
   P.Chordal = false;
 
+  // The constraints in CSR form: constraint K is Members[Offsets[K] ..
+  // Offsets[K+1]).
+  std::vector<uint32_t> Offsets{0};
+  std::vector<VertexId> Members;
+  auto AddConstraint = [&](const std::vector<VertexId> &Set) {
+    Members.insert(Members.end(), Set.begin(), Set.end());
+    Offsets.push_back(static_cast<uint32_t>(Members.size()));
+  };
   if (!P.multiClass()) {
-    for (std::vector<VertexId> &Set : PointLiveSets) {
-      PressureConstraint C;
-      C.Members = std::move(Set);
-      C.Budget = P.Budgets[0];
-      P.Constraints.push_back(std::move(C));
-    }
+    for (const std::vector<VertexId> &Set : PointLiveSets)
+      AddConstraint(Set);
   } else {
     // Split each point set per class -- values of different files never
     // pressure each other -- and deduplicate the per-class pieces (two
@@ -110,13 +105,8 @@ AllocationProblem AllocationProblem::fromGeneralGraph(
         for (VertexId V : Set)
           if (P.ClassOf[V] == Class)
             Slice.push_back(V);
-        if (Slice.empty() || !Seen.insert(Slice).second)
-          continue;
-        PressureConstraint C;
-        C.Members = std::move(Slice);
-        C.Class = Class;
-        C.Budget = P.Budgets[Class];
-        P.Constraints.push_back(std::move(C));
+        if (!Slice.empty() && Seen.insert(Slice).second)
+          AddConstraint(Slice);
       }
     }
   }
@@ -124,35 +114,23 @@ AllocationProblem AllocationProblem::fromGeneralGraph(
   // Give uncovered vertices a singleton constraint so that "appears in some
   // constraint" holds for every vertex (solvers rely on it).
   std::vector<char> Covered(G.numVertices(), 0);
-  for (const PressureConstraint &C : P.Constraints)
-    for (VertexId V : C.Members) {
-      assert(V < G.numVertices() && "constraint mentions unknown vertex");
-      Covered[V] = 1;
-    }
+  for (VertexId V : Members) {
+    assert(V < G.numVertices() && "constraint mentions unknown vertex");
+    Covered[V] = 1;
+  }
   for (VertexId V = 0; V < G.numVertices(); ++V)
-    if (!Covered[V]) {
-      PressureConstraint C;
-      C.Members = {V};
-      C.Class = P.ClassOf[V];
-      assert(C.Class < P.Budgets.size() && "vertex class without a budget");
-      C.Budget = P.Budgets[C.Class];
-      P.Constraints.push_back(std::move(C));
-    }
+    if (!Covered[V])
+      AddConstraint({V});
+  P.Cliques =
+      CliqueCover(G.numVertices(), std::move(Offsets), std::move(Members));
 
   P.G = std::make_shared<Graph>(std::move(G));
   return P;
 }
 
-unsigned AllocationProblem::maxLive() const {
-  size_t Max = 0;
-  for (const PressureConstraint &C : Constraints)
-    Max = std::max(Max, C.Members.size());
-  return static_cast<unsigned>(Max);
-}
-
 bool AllocationProblem::fitsBudgets() const {
-  for (const PressureConstraint &C : Constraints)
-    if (C.Members.size() > C.Budget)
+  for (unsigned K = 0; K < Cliques.numCliques(); ++K)
+    if (Cliques.clique(K).size() > constraintBudget(K))
       return false;
   return true;
 }
@@ -163,8 +141,6 @@ AllocationProblem::withBudgets(std::vector<unsigned> NewBudgets) const {
          "withBudgets must keep the class structure");
   AllocationProblem Copy = *this; // Graph is shared, not copied.
   Copy.Budgets = std::move(NewBudgets);
-  for (PressureConstraint &C : Copy.Constraints)
-    C.Budget = Copy.Budgets[C.Class];
   return Copy;
 }
 
@@ -189,12 +165,11 @@ AllocationProblem::projectClass(RegClassId Class,
     P = fromChordalGraph(std::move(Sub), budgetOf(Class), WS);
   } else {
     std::vector<std::vector<VertexId>> Sets;
-    for (const PressureConstraint &C : Constraints) {
-      if (C.Class != Class)
+    for (unsigned K = 0; K < Cliques.numCliques(); ++K) {
+      if (constraintClass(K) != Class)
         continue;
       std::vector<VertexId> Local;
-      Local.reserve(C.Members.size());
-      for (VertexId V : C.Members)
+      for (VertexId V : Cliques.clique(K))
         Local.push_back(LocalOf[V]);
       Sets.push_back(std::move(Local));
     }
@@ -256,11 +231,11 @@ bool layra::isFeasibleAllocation(const AllocationProblem &P,
                                  const std::vector<char> &Allocated) {
   assert(Allocated.size() == P.graph().numVertices() &&
          "flag vector size mismatch");
-  for (const PressureConstraint &C : P.Constraints) {
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
     unsigned Kept = 0;
-    for (VertexId V : C.Members)
+    for (VertexId V : P.Cliques.clique(K))
       Kept += Allocated[V] ? 1 : 0;
-    if (Kept > C.Budget)
+    if (Kept > P.constraintBudget(K))
       return false;
   }
   return true;

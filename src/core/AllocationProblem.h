@@ -11,12 +11,15 @@
 /// budgets, choose the maximum-weight set of variables to *keep in
 /// registers* such that no more than the class budget of them are
 /// simultaneously live anywhere.  "Simultaneously live" is captured by
-/// pressure constraints -- (class, budget, members) triples: the maximal
+/// pressure constraints, all held in one CSR CliqueCover: the maximal
 /// cliques for chordal (SSA) instances, the per-program-point live sets for
-/// general instances.  Values of different register classes never share a
-/// constraint (they cannot compete for a register), which is what makes the
-/// multi-class problem decompose exactly into independent per-class
-/// subproblems (Bouchez et al.: the structure is per pressure constraint).
+/// general instances.  A constraint stores only its members; its class is
+/// the class of its first member and its budget that class's entry of
+/// Budgets, so re-budgeting swaps one small vector.  Values of different
+/// register classes never share a constraint (they cannot compete for a
+/// register), which is what makes the multi-class problem decompose
+/// exactly into independent per-class subproblems (Bouchez et al.: the
+/// structure is per pressure constraint).
 ///
 /// Single-class instances -- everything the paper evaluates -- are the
 /// special case Budgets == {R} with every constraint owned by class 0; all
@@ -40,22 +43,6 @@ namespace layra {
 
 class SolverWorkspace;
 
-/// One pressure constraint: at most \p Budget of \p Members may stay in
-/// registers (all members belong to register class \p Class).
-struct PressureConstraint {
-  std::vector<VertexId> Members;
-  RegClassId Class = 0;
-  unsigned Budget = 0;
-
-  bool operator==(const PressureConstraint &Other) const {
-    return Class == Other.Class && Budget == Other.Budget &&
-           Members == Other.Members;
-  }
-  bool operator!=(const PressureConstraint &Other) const {
-    return !(*this == Other);
-  }
-};
-
 /// One spill-everywhere instance.
 struct AllocationProblem {
   /// Interference graph; vertex weights are spill costs.  Shared and
@@ -69,17 +56,15 @@ struct AllocationProblem {
   /// Register class of each vertex (sized numVertices; all 0 on
   /// single-class instances).
   std::vector<RegClassId> ClassOf;
-  /// Pressure constraints; every vertex appears in at least one.  For
-  /// chordal instances the Members lists are exactly the maximal cliques
-  /// of G (mirrored in Cliques, same order).
-  std::vector<PressureConstraint> Constraints;
   /// True when G is chordal and the constraints are its maximal cliques.
   bool Chordal = false;
   /// Perfect elimination order (chordal instances only).
   EliminationOrder Peo;
-  /// Clique bookkeeping (chordal instances only): Cliques.clique(i) mirrors
-  /// Constraints[i].Members; cliquesOf() supports the fixed-point
-  /// allocator.
+  /// The pressure constraints: constraint K keeps at most
+  /// constraintBudget(K) of Cliques.clique(K) in registers.  Every vertex
+  /// appears in at least one.  On chordal instances these are the maximal
+  /// cliques of G, and cliquesOf() serves the fixed-point allocator; on
+  /// general instances they are the point live sets.
   CliqueCover Cliques;
   /// Flattened live intervals (instances derived from a function); linear
   /// scan allocators require these.  The allocation pipeline builds them
@@ -102,6 +87,18 @@ struct AllocationProblem {
   unsigned budgetOf(RegClassId C) const {
     assert(C < Budgets.size() && "class id out of range");
     return Budgets[C];
+  }
+
+  /// Register class of constraint \p K: its first member's (a constraint
+  /// never spans classes), 0 for an empty constraint.
+  RegClassId constraintClass(unsigned K) const {
+    NeighborRange Members = Cliques.clique(K);
+    return Members.empty() ? 0 : classOf(Members[0]);
+  }
+
+  /// Budget of constraint \p K: the budget of its class.
+  unsigned constraintBudget(unsigned K) const {
+    return budgetOf(constraintClass(K));
   }
 
   /// The single budget of a single-class instance.  Solvers built around
@@ -148,17 +145,16 @@ struct AllocationProblem {
 
   /// MaxLive of the instance: the size of the largest constraint (largest
   /// per-class pressure on multi-class instances).
-  unsigned maxLive() const;
+  unsigned maxLive() const { return Cliques.maxCliqueSize(); }
 
   /// True when every constraint fits its budget -- the "no spilling
   /// needed" test, per class.
   bool fitsBudgets() const;
 
   /// Returns a copy of this problem with different per-class budgets.
-  /// The graph is *shared*, not copied: constraint structure is
-  /// budget-independent, so a register sweep re-budgets one immutable
-  /// instance (the historical withRegisters copied the full graph per
-  /// sweep point).
+  /// The graph is *shared*, not copied, and the constraints carry no
+  /// budget of their own, so a register sweep re-budgets one immutable
+  /// instance by swapping Budgets.
   AllocationProblem withBudgets(std::vector<unsigned> NewBudgets) const;
 
   /// Extracts the independent single-class subproblem of class \p C.

@@ -128,25 +128,33 @@ layra::coalesceConservative(const Graph &G,
     Out.BenefitRealized += Aff.Benefit;
   }
 
-  // Build the coalesced graph over representatives.
+  // Build the coalesced graph over representatives.  Merged nodes can
+  // repeat an edge; the stable dedup keeps each one's first occurrence.
   Out.CoalescedIndex.assign(N, ~0u);
+  std::vector<Weight> Weights;
+  std::vector<std::string> Names;
   for (VertexId V = 0; V < N; ++V) {
     VertexId Rep = Find(V);
-    if (Out.CoalescedIndex[Rep] == ~0u)
-      Out.CoalescedIndex[Rep] = Out.Coalesced.addVertex(0, G.name(Rep));
+    if (Out.CoalescedIndex[Rep] == ~0u) {
+      Out.CoalescedIndex[Rep] = static_cast<VertexId>(Weights.size());
+      Weights.push_back(0);
+      Names.push_back(G.name(Rep));
+    }
   }
   for (VertexId V = 0; V < N; ++V) {
-    VertexId Rep = Find(V);
-    VertexId Id = Out.CoalescedIndex[Rep];
-    Out.Coalesced.setWeight(Id, Out.Coalesced.weight(Id) + G.weight(V));
+    VertexId Id = Out.CoalescedIndex[Find(V)];
+    Weights[Id] += G.weight(V);
     Out.CoalescedIndex[V] = Id; // Every vertex maps to its merged node.
   }
+  std::vector<GraphEdge> Edges;
   for (VertexId V = 0; V < N; ++V)
     for (VertexId U : G.neighbors(V)) {
       VertexId A = Out.CoalescedIndex[V], B = Out.CoalescedIndex[U];
       if (A != B && V < U)
-        Out.Coalesced.addEdge(A, B);
+        Edges.push_back({A, B});
     }
+  removeRepeatedEdges(Edges, static_cast<unsigned>(Weights.size()));
+  Out.Coalesced = Graph(std::move(Weights), Edges, std::move(Names));
   // Flatten representatives for the caller.
   for (VertexId V = 0; V < N; ++V)
     Out.Representative[V] = Find(V);

@@ -70,9 +70,10 @@ void SolverWorkspace::releaseMemory() {
   release(Interference.Point);
   release(Interference.Entry);
   release(Interference.Edges);
-  release(Interference.BucketEnd);
-  release(Interference.Bucket);
-  release(Interference.Stamp);
+
+  release(EdgeDedup.BucketEnd);
+  release(EdgeDedup.Bucket);
+  release(EdgeDedup.Stamp);
 
   release(ClassSplit.ToGlobal);
   release(ClassSplit.MergedFlags);

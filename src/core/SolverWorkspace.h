@@ -10,11 +10,11 @@
 /// path would otherwise reallocate per layer and per task: candidate masks
 /// and weight vectors (core/Layered), Frank's-algorithm residuals
 /// (graph/StableSet), MCS buckets and later-neighbor buffers
-/// (graph/Chordal), the interference edge list (ir/Interference),
-/// clique-tree DP tables (core/StepLayer), shortest-path state of the
-/// residual network (flow/MinCostFlow), the simplex tableau
-/// (lp/Simplex), cluster buffers (core/LayeredHeuristic) and the pipeline's
-/// pin/spill flags (alloc/Pipeline).
+/// (graph/Chordal), the edge-list dedup (graph/Graph), the interference
+/// edge list (ir/Interference), clique-tree DP tables (core/StepLayer),
+/// shortest-path state of the residual network (flow/MinCostFlow), the
+/// simplex tableau (lp/Simplex), cluster buffers (core/LayeredHeuristic)
+/// and the pipeline's pin/spill flags (alloc/Pipeline).
 ///
 /// The layered allocator is polynomial precisely because it re-solves a
 /// bounded subproblem per layer; without reuse, each of those R solves --
@@ -254,16 +254,21 @@ public:
   } Pipeline;
 
   /// Interference-graph construction (ir/Interference.cpp): the per-point
-  /// live-index buffers the backward walk re-fills per instruction, the
-  /// discovered edge list, and the stable-dedup buckets and stamps.
+  /// live-index buffers the backward walk re-fills per instruction and the
+  /// discovered edge list.
   struct InterferenceScratch {
     std::vector<VertexId> Point;
     std::vector<VertexId> Entry;
     std::vector<GraphEdge> Edges;
+  } Interference;
+
+  /// Stable edge-list dedup (removeRepeatedEdges, graph/Graph.cpp): the
+  /// lower-endpoint buckets and the upper-endpoint stamps.
+  struct EdgeDedupScratch {
     std::vector<uint32_t> BucketEnd;
     std::vector<uint32_t> Bucket;
     std::vector<VertexId> Stamp;
-  } Interference;
+  } EdgeDedup;
 
   /// Per-class decomposition of multi-class instances
   /// (Allocator::allocateProblem): the local->global vertex map of the

@@ -9,7 +9,6 @@
 
 #include "alloc/OptimalBnB.h"
 #include "ir/SsaBuilder.h"
-#include "obs/Metrics.h"
 #include "support/Compiler.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
@@ -53,23 +52,6 @@ double toMs(std::chrono::steady_clock::duration D) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              D)
       .count();
-}
-
-/// Publishes the driver's workspace-arena and pipeline-cache accounting as
-/// gauges in the global metrics registry; `layra-bench --workspace-stats`
-/// and `layra-serve --metrics-dump` read them back from a snapshot.
-void publishDriverGauges(const WorkspaceStats &WS,
-                         const DriverCacheCounters &Cache) {
-  MetricsRegistry &M = MetricsRegistry::global();
-  M.set(M.gauge("layra.workspace.bytes_reused"), double(WS.BytesReused));
-  M.set(M.gauge("layra.workspace.bytes_allocated"), double(WS.BytesAllocated));
-  M.set(M.gauge("layra.workspace.acquires"), double(WS.Acquires));
-  M.set(M.gauge("layra.workspace.reuse_fraction"), WS.reuseFraction());
-  M.set(M.gauge("layra.driver.cache.hits"), double(Cache.Hits));
-  M.set(M.gauge("layra.driver.cache.misses"), double(Cache.Misses));
-  M.set(M.gauge("layra.driver.cache.evictions"), double(Cache.Evictions));
-  M.set(M.gauge("layra.driver.cache.entries"), double(Cache.Entries));
-  M.set(M.gauge("layra.driver.cache.capacity"), double(Cache.Capacity));
 }
 
 } // namespace
@@ -177,10 +159,11 @@ uint64_t layra::hashProblem(const AllocationProblem &P) {
     for (VertexId N : Neighbors)
       H = mix(H, N);
   }
-  H = mix(H, P.Constraints.size());
-  for (const PressureConstraint &K : P.Constraints) {
-    H = mix(H, K.Members.size());
-    for (VertexId V : K.Members)
+  H = mix(H, P.Cliques.numCliques());
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
+    NeighborRange Members = P.Cliques.clique(K);
+    H = mix(H, Members.size());
+    for (VertexId V : Members)
       H = mix(H, V);
   }
   // Linear-scan allocators consume the interval layout, which is not
@@ -247,14 +230,12 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
                               std::vector<PhaseTotals> *PhaseSink) {
   auto BatchStart = std::chrono::steady_clock::now();
 
-  // A per-call sink needs phase accounting live for the duration of this
-  // run even when no one enabled it globally.  The flip is restored on
-  // exit; report-visible breakdowns key off WasAccounting (below) so the
-  // sink alone never changes report bytes.
+  // Report-visible breakdowns key off accounting as the caller has it.  A
+  // per-call sink turns accounting on for this call's tasks only (each
+  // runs under a ThreadPhaseAccounting scope, below), so the sink never
+  // changes report bytes, nor reaches another call running meanwhile.
   const bool WasAccounting = obs::phaseAccountingEnabled();
   const bool WantSink = PhaseSink != nullptr;
-  if (WantSink && !WasAccounting)
-    obs::setPhaseAccounting(true);
 
   DriverReport Report;
   Report.Threads = Pool.numThreads();
@@ -396,6 +377,7 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
                                                      unsigned Slot) {
     const PendingTask &T = Pending[UniqueToPending[I]];
     const BatchJob &Job = Jobs[T.JobIndex];
+    obs::ThreadPhaseAccounting SinkAccounting(WantSink);
     // Tasks run serially on a worker, so the thread-local phase totals
     // delta across this task is exactly this task's breakdown.
     PhaseTotals Before;
@@ -428,10 +410,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     Out.Fits = R.Fits;
     SolveMs[I] = toMs(std::chrono::steady_clock::now() - Start);
   });
-  // All spans are closed once the pool drains; restore the global flip
-  // before anything else can observe it.
-  if (WantSink && !WasAccounting)
-    obs::setPhaseAccounting(false);
 
   // Phase 4 (serial): commit outcomes to the cache and assemble the
   // reports in expansion order.  Results are read from the phase-2/3
@@ -511,7 +489,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   Report.CacheEvictions =
       CacheTransparent ? 0 : PipelineCache.evictions() - EvictionsBefore;
   Report.WallMs = toMs(std::chrono::steady_clock::now() - BatchStart);
-  publishDriverGauges(workspaceStats(), pipelineCacheCounters());
   return Report;
 }
 

@@ -226,10 +226,17 @@ public:
   /// \p PhaseSink is the per-call span sink for request-scoped tracing:
   /// when non-null it is filled with one PhaseTotals per job (net of
   /// cache hits and batch duplicates, like JobReport::PhaseMs), turning
-  /// phase accounting on for just this call if it was globally off.
-  /// The sink never changes the report: JobReport::PhaseMs stays
-  /// populated only when accounting was already enabled globally, so a
-  /// traced request's report bytes match an untraced one's.
+  /// phase accounting on for this call's tasks only, on the threads that
+  /// run them (obs::ThreadPhaseAccounting); calls running meanwhile on
+  /// other drivers are unaffected.  The sink never changes the report:
+  /// JobReport::PhaseMs stays populated only when accounting was already
+  /// on for the caller, so a traced request's report bytes match an
+  /// untraced one's.
+  ///
+  /// run() sets no gauges in the metrics registry: a front end that wants
+  /// the workspace and cache gauges publishes them from workspaceStats()
+  /// and pipelineCacheCounters() itself (layra-bench does), so concurrent
+  /// drivers never overwrite each other's.
   DriverReport run(const std::vector<BatchJob> &Jobs,
                    bool CacheTransparent = false,
                    std::vector<PhaseTotals> *PhaseSink = nullptr);

@@ -11,8 +11,6 @@
 #include "ir/Interference.h"
 #include "ir/Liveness.h"
 
-#include <algorithm>
-
 using namespace layra;
 
 Graph layra::referenceInterferenceGraph(const Function &F,
@@ -65,14 +63,5 @@ std::string layra::diffAgainstReference(const AllocationProblem &P,
     return "elimination order differs from the reference MCS";
   if (P.Cliques != maximalCliquesChordal(Reference, Peo))
     return "clique cover differs from maximalCliquesChordal";
-  if (P.Constraints.size() != P.Cliques.numCliques())
-    return "constraint count differs from the clique count";
-  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
-    NeighborRange Clique = P.Cliques.clique(K);
-    if (!std::equal(Clique.begin(), Clique.end(),
-                    P.Constraints[K].Members.begin(),
-                    P.Constraints[K].Members.end()))
-      return "constraint " + std::to_string(K) + " differs from its clique";
-  }
   return {};
 }

@@ -183,8 +183,7 @@ OracleOutcome checkWorkspacePure(const OracleContext &Ctx) {
       buildSsaProblem(*Ctx.Ssa, *Ctx.Target, Ctx.Case->Budgets, Ctx.WS);
   if (Fresh.Peo.Order != Reused.Peo.Order)
     return fail("workspace reuse changed the elimination order");
-  if (!(Fresh.Constraints == Reused.Constraints) ||
-      Fresh.Constraints.size() != Reused.Constraints.size())
+  if (Fresh.Cliques != Reused.Cliques)
     return fail("workspace reuse changed the pressure constraints");
 
   for (const char *Name : {"bfpl", "lh", "optimal"}) {

@@ -50,20 +50,23 @@ Graph layra::randomChordalGraph(Rng &R, const ChordalGenOptions &Options) {
     }
   }
 
-  Graph G;
+  std::vector<Weight> Weights(N);
   for (unsigned V = 0; V < N; ++V)
-    G.addVertex(static_cast<Weight>(R.nextInRange(1, Options.MaxWeight)));
+    Weights[V] = static_cast<Weight>(R.nextInRange(1, Options.MaxWeight));
   // Vertices interfere iff their subtrees share a tree node.  Sweep tree
-  // nodes and connect all subtree owners present at each node.
+  // nodes and connect all subtree owners present at each node; two owners
+  // sharing several nodes repeat their edge, and the first one counts.
   std::vector<std::vector<VertexId>> Owners(T);
   for (unsigned V = 0; V < N; ++V)
     for (unsigned Node : SubtreeNodes[V])
       Owners[Node].push_back(V);
+  std::vector<GraphEdge> Edges;
   for (unsigned Node = 0; Node < T; ++Node)
     for (size_t A = 0; A < Owners[Node].size(); ++A)
       for (size_t B = A + 1; B < Owners[Node].size(); ++B)
-        G.addEdge(Owners[Node][A], Owners[Node][B]);
-  return G;
+        Edges.push_back({Owners[Node][A], Owners[Node][B]});
+  removeRepeatedEdges(Edges, N);
+  return Graph(std::move(Weights), Edges);
 }
 
 Graph layra::randomIntervalGraph(Rng &R, unsigned NumVertices,
@@ -74,28 +77,30 @@ Graph layra::randomIntervalGraph(Rng &R, unsigned NumVertices,
     unsigned Lo, Hi;
   };
   std::vector<Interval> Intervals(NumVertices);
-  Graph G;
+  std::vector<Weight> Weights(NumVertices);
   for (unsigned V = 0; V < NumVertices; ++V) {
     unsigned Lo = static_cast<unsigned>(R.nextBelow(Horizon));
     unsigned Len = 1 + static_cast<unsigned>(R.nextBelow(MaxLength));
     Intervals[V] = {Lo, std::min(Horizon, Lo + Len)};
-    G.addVertex(static_cast<Weight>(R.nextInRange(1, MaxWeight)));
+    Weights[V] = static_cast<Weight>(R.nextInRange(1, MaxWeight));
   }
+  std::vector<GraphEdge> Edges;
   for (unsigned A = 0; A < NumVertices; ++A)
     for (unsigned B = A + 1; B < NumVertices; ++B)
       if (Intervals[A].Lo < Intervals[B].Hi && Intervals[B].Lo < Intervals[A].Hi)
-        G.addEdge(A, B);
-  return G;
+        Edges.push_back({A, B});
+  return Graph(std::move(Weights), Edges);
 }
 
 Graph layra::randomGraph(Rng &R, unsigned NumVertices, double EdgeProbability,
                          Weight MaxWeight) {
-  Graph G;
+  std::vector<Weight> Weights(NumVertices);
   for (unsigned V = 0; V < NumVertices; ++V)
-    G.addVertex(static_cast<Weight>(R.nextInRange(1, MaxWeight)));
+    Weights[V] = static_cast<Weight>(R.nextInRange(1, MaxWeight));
+  std::vector<GraphEdge> Edges;
   for (unsigned A = 0; A < NumVertices; ++A)
     for (unsigned B = A + 1; B < NumVertices; ++B)
       if (R.nextBool(EdgeProbability))
-        G.addEdge(A, B);
-  return G;
+        Edges.push_back({A, B});
+  return Graph(std::move(Weights), Edges);
 }

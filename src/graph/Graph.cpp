@@ -7,15 +7,61 @@
 
 #include "graph/Graph.h"
 
+#include "core/SolverWorkspace.h"
+
 #include <algorithm>
 
 using namespace layra;
+
+void layra::removeRepeatedEdges(std::vector<GraphEdge> &Edges,
+                                unsigned NumVertices, SolverWorkspace *WS) {
+  WorkspaceOrLocal LocalScope(WS);
+  WS = LocalScope.get();
+  // A stable counting sort buckets the edge indices by lower endpoint;
+  // walking one bucket in list order, an upper endpoint already stamped
+  // with the bucket's vertex marks a repeat.
+  unsigned N = NumVertices;
+  std::vector<uint32_t> &End = WS->acquire(WS->EdgeDedup.BucketEnd, N, 0u);
+  for (const GraphEdge &E : Edges)
+    ++End[std::min(E.U, E.V)];
+  uint32_t Sum = 0;
+  for (VertexId L = 0; L < N; ++L) {
+    Sum += End[L];
+    End[L] = Sum - End[L]; // Bucket start for now; the fill ends it.
+  }
+  std::vector<uint32_t> &Bucket =
+      WS->acquire(WS->EdgeDedup.Bucket, Edges.size(), 0u);
+  for (uint32_t I = 0; I < Edges.size(); ++I)
+    Bucket[End[std::min(Edges[I].U, Edges[I].V)]++] = I;
+
+  std::vector<VertexId> &Stamp =
+      WS->acquire(WS->EdgeDedup.Stamp, N, VertexId(~0u));
+  bool Repeats = false;
+  uint32_t Begin = 0;
+  for (VertexId L = 0; L < N; ++L) {
+    for (uint32_t I = Begin; I < End[L]; ++I) {
+      GraphEdge &E = Edges[Bucket[I]];
+      VertexId Upper = std::max(E.U, E.V);
+      if (Stamp[Upper] == L) {
+        E.V = E.U; // A self-loop marks the repeat for removal below.
+        Repeats = true;
+      } else {
+        Stamp[Upper] = L;
+      }
+    }
+    Begin = End[L];
+  }
+  if (Repeats)
+    Edges.erase(std::remove_if(Edges.begin(), Edges.end(),
+                               [](const GraphEdge &E) { return E.U == E.V; }),
+                Edges.end());
+}
 
 Graph::Graph(std::vector<Weight> VertexWeights,
              const std::vector<GraphEdge> &Edges,
              std::vector<std::string> VertexNames)
     : Weights(std::move(VertexWeights)), Names(std::move(VertexNames)),
-      EdgeCount(Edges.size()), MatrixEnabled(false), Compressed(true) {
+      EdgeCount(Edges.size()), Compressed(true) {
   unsigned N = numVertices();
   assert((Names.empty() || Names.size() == N) && "one name per vertex");
   assert(2 * EdgeCount <= UINT32_MAX && "edge count overflows CSR offsets");
@@ -59,37 +105,6 @@ VertexId Graph::addVertex(Weight W, std::string Name) {
     Names.resize(Id + 1);
     Names[Id] = std::move(Name);
   }
-
-  if (MatrixEnabled) {
-    unsigned Count = Id + 1;
-    if (Count > kMaxDenseVertices) {
-      // Past the density cap: drop the matrix for good and fall back to
-      // list scans.
-      std::vector<uint64_t>().swap(Matrix);
-      MatrixStride = 0;
-      MatrixEnabled = false;
-    } else {
-      unsigned NeededWords = (Count + 63) / 64;
-      if (NeededWords > MatrixStride) {
-        // Re-stride with geometric headroom so incremental addVertex
-        // re-lays rows O(log N) times, not O(N).
-        unsigned NewStride =
-            (std::min(Count * 2, kMaxDenseVertices) + 63) / 64;
-        std::vector<uint64_t> NewMatrix(
-            static_cast<std::size_t>(Count) * NewStride, 0);
-        for (VertexId V = 0; V < Id; ++V)
-          std::copy_n(Matrix.begin() +
-                          static_cast<std::size_t>(V) * MatrixStride,
-                      MatrixStride,
-                      NewMatrix.begin() +
-                          static_cast<std::size_t>(V) * NewStride);
-        Matrix = std::move(NewMatrix);
-        MatrixStride = NewStride;
-      } else {
-        Matrix.resize(static_cast<std::size_t>(Count) * MatrixStride, 0);
-      }
-    }
-  }
   return Id;
 }
 
@@ -101,16 +116,12 @@ bool Graph::addEdge(VertexId U, VertexId V) {
     return false;
   Adjacency[U].push_back(V);
   Adjacency[V].push_back(U);
-  if (MatrixStride) {
-    setMatrixBit(U, V);
-    setMatrixBit(V, U);
-  }
   ++EdgeCount;
   return true;
 }
 
-bool Graph::hasEdgeScan(VertexId U, VertexId V) const {
-  // Scan the smaller neighbor list.
+bool Graph::hasEdge(VertexId U, VertexId V) const {
+  assert(U < numVertices() && V < numVertices() && "vertex out of range");
   if (degree(U) > degree(V))
     std::swap(U, V);
   NeighborRange Smaller = neighbors(U);
@@ -132,12 +143,8 @@ void Graph::compress() {
     Offset += static_cast<uint32_t>(Adjacency[V].size());
   }
   CsrOffsets[N] = Offset;
-  // Release the per-vertex lists and the bit matrix; the CSR is the view
-  // from now on, and hasEdge() scans it.
+  // Release the per-vertex lists; the CSR is the view from now on.
   std::vector<std::vector<VertexId>>().swap(Adjacency);
-  std::vector<uint64_t>().swap(Matrix);
-  MatrixStride = 0;
-  MatrixEnabled = false;
   Compressed = true;
 }
 
@@ -184,19 +191,24 @@ bool Graph::isStableSet(const std::vector<VertexId> &Subset) const {
 Graph Graph::inducedSubgraph(const std::vector<VertexId> &Keep,
                              std::vector<VertexId> *OldToNew) const {
   std::vector<VertexId> Map(numVertices(), ~0u);
-  Graph Sub;
+  std::vector<Weight> SubWeights;
+  std::vector<std::string> SubNames;
   for (VertexId V : Keep) {
     assert(V < numVertices() && "vertex out of range");
     assert(Map[V] == ~0u && "duplicate vertex in induced subgraph request");
-    Map[V] = Sub.addVertex(weight(V), name(V));
+    Map[V] = static_cast<VertexId>(SubWeights.size());
+    SubWeights.push_back(weight(V));
+    SubNames.push_back(name(V));
   }
+  // Each kept edge once, from its lower-id endpoint: no repeats to drop.
+  std::vector<GraphEdge> Edges;
   for (VertexId V : Keep)
     for (VertexId U : neighbors(V))
       if (Map[U] != ~0u && V < U)
-        Sub.addEdge(Map[V], Map[U]);
+        Edges.push_back({Map[V], Map[U]});
   if (OldToNew)
     *OldToNew = std::move(Map);
-  return Sub;
+  return Graph(std::move(SubWeights), Edges, std::move(SubNames));
 }
 
 std::string Graph::toDot(const std::vector<VertexId> &Highlight) const {

@@ -11,19 +11,20 @@
 /// interpreted as its estimated spill cost (paper §3: "A spill cost
 /// represents the access frequency of a variable").
 ///
-/// Storage has two lifecycles, and both end in the same frozen CSR view
-/// (offsets + one packed neighbor array) that every neighbor walk in MCS,
-/// Frank's algorithm and the clique-tree DP streams:
-///  - Bulk build (solver hot path): ir/Interference appends edges in
-///    discovery order to a flat list, deduplicates it once -- stably, the
-///    first occurrence wins -- and hands it to the edge-list constructor,
-///    which lays out the CSR directly.  No per-vertex lists and no bit
-///    matrix are ever allocated, so the build has no vertex-count cap.
-///  - Incremental build (hand-built graphs, inducedSubgraph): per-vertex
-///    adjacency lists plus a dense bit matrix for O(1) duplicate detection
-///    in addEdge() (up to kMaxDenseVertices).  compress() flattens the
-///    lists into the CSR and releases both the lists and the matrix, so a
-///    frozen graph costs O(N + E) bytes whatever its history.
+/// Every graph the library builds comes out of one path and ends in one
+/// frozen CSR view (offsets + one packed neighbor array) that every
+/// neighbor walk in MCS, Frank's algorithm and the clique-tree DP streams:
+/// the producer appends edges in discovery order to a flat list,
+/// removeRepeatedEdges() drops any repeats -- stably, the first occurrence
+/// wins -- and the edge-list constructor lays out the CSR directly.
+/// ir/Interference, inducedSubgraph(), core/Coalescing and the random
+/// generators all build this way; no per-vertex lists are allocated and
+/// there is no vertex-count cap.
+///
+/// addVertex()/addEdge() serve hand-built test graphs and the incremental
+/// reference of fuzz/BuildReference.h: they keep per-vertex adjacency
+/// lists, addEdge() deduplicates by scanning the smaller list, and
+/// compress() flattens the lists into the same CSR and releases them.
 /// Neighbor order is load-bearing -- MCS bucket tie-breaking and with it
 /// every PEO, clique cover and DP result depends on it -- and it is the
 /// same either way: a vertex's neighbors appear in the order of the first
@@ -43,6 +44,8 @@
 #include <vector>
 
 namespace layra {
+
+class SolverWorkspace;
 
 /// Dense vertex identifier.
 using VertexId = unsigned;
@@ -91,34 +94,28 @@ struct GraphEdge {
   VertexId V;
 };
 
+/// Drops every repeat of an undirected edge from \p Edges in place,
+/// keeping each edge's first occurrence and the order of the survivors --
+/// the list Graph's edge-list constructor then needs.  Endpoints must be
+/// below \p NumVertices.  O(N + E).  \p WS optionally supplies the
+/// scratch.
+void removeRepeatedEdges(std::vector<GraphEdge> &Edges, unsigned NumVertices,
+                         SolverWorkspace *WS = nullptr);
+
 /// An undirected graph with per-vertex weights and optional vertex names.
 ///
 /// addEdge() deduplicates edges and rejects self-loops; the edge-list
-/// constructor requires a list free of both.  Adjacency is kept in
-/// insertion order -- algorithms that need determinism across runs get it
-/// because the whole library is deterministic (no pointer ordering
-/// anywhere).
+/// constructor requires a list free of both (see removeRepeatedEdges).
+/// Adjacency is kept in insertion order -- algorithms that need determinism
+/// across runs get it because the whole library is deterministic (no
+/// pointer ordering anywhere).
 class Graph {
 public:
-  /// Largest vertex count for which the incremental build maintains the
-  /// dense adjacency bit matrix.  One row is numVertices() bits, so the
-  /// matrix costs ~N^2/8 bytes (2 MiB at the cap); beyond it addEdge and
-  /// hasEdge fall back to the list scan.  The edge-list build never
-  /// allocates a matrix and has no cap.
-  static constexpr unsigned kMaxDenseVertices = 4096;
-
   Graph() = default;
 
-  /// Creates a graph with \p NumVertices vertices of weight 0.
+  /// Creates a mutable graph with \p NumVertices vertices of weight 0.
   explicit Graph(unsigned NumVertices)
-      : Adjacency(NumVertices), Weights(NumVertices, 0) {
-    if (NumVertices > kMaxDenseVertices)
-      MatrixEnabled = false;
-    else if (NumVertices > 0) {
-      MatrixStride = (NumVertices + 63) / 64;
-      Matrix.assign(static_cast<std::size_t>(NumVertices) * MatrixStride, 0);
-    }
-  }
+      : Adjacency(NumVertices), Weights(NumVertices, 0) {}
 
   /// Builds a frozen graph with one vertex per entry of \p VertexWeights
   /// straight into the CSR view from \p Edges, which must be free of
@@ -133,25 +130,16 @@ public:
   /// \pre the graph is not compressed.
   VertexId addVertex(Weight W = 0, std::string Name = {});
 
-  /// Adds the undirected edge {U, V} unless it already exists.
+  /// Adds the undirected edge {U, V} unless it already exists (found by
+  /// hasEdge's scan).
   /// \returns true if the edge was inserted, false if it was present.
   /// \pre U != V, both are valid vertex ids, and the graph is not
   /// compressed.
   bool addEdge(VertexId U, VertexId V);
 
-  /// Returns true if the undirected edge {U, V} exists.  O(1) while the
-  /// dense bit matrix is live (a mutable graph with numVertices() <=
-  /// kMaxDenseVertices); otherwise, frozen graphs included, a scan of the
+  /// Returns true if the undirected edge {U, V} exists: a scan of the
   /// smaller neighbor list.
-  bool hasEdge(VertexId U, VertexId V) const {
-    assert(U < numVertices() && V < numVertices() && "vertex out of range");
-    if (MatrixStride)
-      return (Matrix[static_cast<std::size_t>(U) * MatrixStride +
-                     (V >> 6)] >>
-              (V & 63)) &
-             1;
-    return hasEdgeScan(U, V);
-  }
+  bool hasEdge(VertexId U, VertexId V) const;
 
   unsigned numVertices() const {
     return static_cast<unsigned>(Weights.size());
@@ -161,11 +149,10 @@ public:
   /// Freezes the edge set and flattens adjacency into a CSR (offsets +
   /// packed neighbor array) so neighbor walks stream contiguous memory.
   /// Iteration order -- and with it every downstream result -- is
-  /// unchanged.  Releases the adjacency lists and the bit matrix.
-  /// Idempotent; addVertex/addEdge are no longer allowed.  Called at
-  /// problem-construction freeze points (AllocationProblem::
-  /// fromChordalGraph / fromGeneralGraph); graphs from the edge-list
-  /// constructor are born frozen.
+  /// unchanged.  Releases the adjacency lists.  Idempotent; addVertex/
+  /// addEdge are no longer allowed.  Called at problem-construction freeze
+  /// points (AllocationProblem::fromChordalGraph / fromGeneralGraph);
+  /// graphs from the edge-list constructor are born frozen.
   void compress();
 
   /// True once compress() ran.
@@ -212,8 +199,9 @@ public:
   /// Returns true if \p Subset contains no two adjacent vertices.
   bool isStableSet(const std::vector<VertexId> &Subset) const;
 
-  /// Builds the subgraph induced by \p Keep (weights and names carried over).
-  /// The result is mutable (not compressed), whatever the source's state.
+  /// Builds the subgraph induced by \p Keep (weights and names carried
+  /// over) through the edge-list constructor, so the result is frozen.
+  /// New vertex I is Keep[I].
   /// \param [out] OldToNew if non-null, receives a map of size numVertices()
   ///   with the new id of each kept vertex and ~0u for dropped ones.
   Graph inducedSubgraph(const std::vector<VertexId> &Keep,
@@ -224,26 +212,12 @@ public:
   std::string toDot(const std::vector<VertexId> &Highlight = {}) const;
 
 private:
-  bool hasEdgeScan(VertexId U, VertexId V) const;
-  void setMatrixBit(VertexId U, VertexId V) {
-    Matrix[static_cast<std::size_t>(U) * MatrixStride + (V >> 6)] |=
-        uint64_t(1) << (V & 63);
-  }
-
   /// Insertion-order adjacency lists; emptied (storage released) by
   /// compress().
   std::vector<std::vector<VertexId>> Adjacency;
   std::vector<Weight> Weights;
   std::vector<std::string> Names;
   size_t EdgeCount = 0;
-
-  /// Dense adjacency bit matrix of the incremental build, row-major with
-  /// MatrixStride 64-bit words per row.  Membership only -- iteration
-  /// always uses the ordered lists / CSR.  Dropped permanently once
-  /// numVertices() exceeds kMaxDenseVertices, and by compress().
-  std::vector<uint64_t> Matrix;
-  unsigned MatrixStride = 0;
-  bool MatrixEnabled = true;
 
   /// CSR view, valid once Compressed: CsrOffsets has numVertices()+1
   /// entries; vertex V's neighbors are CsrNeighbors[CsrOffsets[V] ..

@@ -53,49 +53,6 @@ struct LiveSetHash {
     return static_cast<size_t>(H);
   }
 };
-
-/// Drops every repeat of an undirected edge from \p Edges in place, keeping
-/// each edge's first occurrence and the order of the survivors.  A stable
-/// counting sort buckets the edge indices by lower endpoint; walking one
-/// bucket in list order, an upper endpoint already stamped with the
-/// bucket's vertex marks a repeat.  O(N + E): no bit matrix, no cap on N.
-void removeRepeatedEdges(std::vector<GraphEdge> &Edges, unsigned N,
-                         SolverWorkspace &WS) {
-  std::vector<uint32_t> &End = WS.acquire(WS.Interference.BucketEnd, N, 0u);
-  for (const GraphEdge &E : Edges)
-    ++End[std::min(E.U, E.V)];
-  uint32_t Sum = 0;
-  for (VertexId L = 0; L < N; ++L) {
-    Sum += End[L];
-    End[L] = Sum - End[L]; // Bucket start for now; the fill ends it.
-  }
-  std::vector<uint32_t> &Bucket =
-      WS.acquire(WS.Interference.Bucket, Edges.size(), 0u);
-  for (uint32_t I = 0; I < Edges.size(); ++I)
-    Bucket[End[std::min(Edges[I].U, Edges[I].V)]++] = I;
-
-  std::vector<VertexId> &Stamp =
-      WS.acquire(WS.Interference.Stamp, N, VertexId(~0u));
-  bool Repeats = false;
-  uint32_t Begin = 0;
-  for (VertexId L = 0; L < N; ++L) {
-    for (uint32_t I = Begin; I < End[L]; ++I) {
-      GraphEdge &E = Edges[Bucket[I]];
-      VertexId Upper = std::max(E.U, E.V);
-      if (Stamp[Upper] == L) {
-        E.V = E.U; // A self-loop marks the repeat for removal below.
-        Repeats = true;
-      } else {
-        Stamp[Upper] = L;
-      }
-    }
-    Begin = End[L];
-  }
-  if (Repeats)
-    Edges.erase(std::remove_if(Edges.begin(), Edges.end(),
-                               [](const GraphEdge &E) { return E.U == E.V; }),
-                Edges.end());
-}
 } // namespace
 
 InterferenceInfo layra::buildInterference(const Function &F,
@@ -198,7 +155,7 @@ InterferenceInfo layra::buildInterference(const Function &F,
   }
   if (Discovered)
     *Discovered = Edges;
-  removeRepeatedEdges(Edges, F.numValues(), *WS);
+  removeRepeatedEdges(Edges, F.numValues(), WS);
   std::vector<std::string> Names(F.numValues());
   for (ValueId V = 0; V < F.numValues(); ++V)
     Names[V] = F.valueName(V);

@@ -82,8 +82,9 @@ struct PhaseTotals {
 
 namespace obs {
 
-/// Global observability switches, checked on every span with one relaxed
-/// load.  Zero means every instrumentation point is a no-op.
+/// Observability switches, checked on every span with one relaxed load of
+/// the global word and one thread-local read.  Zero means every
+/// instrumentation point is a no-op.
 enum : uint32_t {
   kTraceEvents = 1u << 0,     ///< Buffer spans into TraceCollector.
   kPhaseAccounting = 1u << 1, ///< Accumulate PhaseTotals + phase metrics.
@@ -91,17 +92,41 @@ enum : uint32_t {
 
 extern std::atomic<uint32_t> Flags;
 
+/// Switches that hold for the calling thread only, OR-ed into the global
+/// ones by every span (see ThreadPhaseAccounting).
+inline thread_local uint32_t ThreadFlags = 0;
+
 inline uint32_t activeFlags() {
-  return Flags.load(std::memory_order_relaxed);
+  return Flags.load(std::memory_order_relaxed) | ThreadFlags;
 }
 
+/// True when phase accounting is on globally or for the calling thread.
 inline bool phaseAccountingEnabled() {
   return (activeFlags() & kPhaseAccounting) != 0;
 }
 
 /// Turns phase accounting (PhaseTotals + per-stage histograms + stage
-/// counters) on or off.  Tracing is controlled by TraceCollector::enable.
+/// counters) on or off for every thread.  Tracing is controlled by
+/// TraceCollector::enable.
 void setPhaseAccounting(bool Enabled);
+
+/// Turns phase accounting on for the calling thread while in scope, when
+/// \p Enable is set, without touching the global switch.  BatchDriver
+/// scopes each task of a call that has a PhaseSink with one, so a traced
+/// call accounts its own tasks and no other caller's.
+class ThreadPhaseAccounting {
+public:
+  explicit ThreadPhaseAccounting(bool Enable) : Saved(ThreadFlags) {
+    if (Enable)
+      ThreadFlags |= kPhaseAccounting;
+  }
+  ~ThreadPhaseAccounting() { ThreadFlags = Saved; }
+  ThreadPhaseAccounting(const ThreadPhaseAccounting &) = delete;
+  ThreadPhaseAccounting &operator=(const ThreadPhaseAccounting &) = delete;
+
+private:
+  const uint32_t Saved;
+};
 
 /// The calling thread's accumulated phase totals (monotone; the driver
 /// snapshots before/after a task and works with the delta).

@@ -130,7 +130,7 @@ TEST(DifferentialFuzz, WorkspaceReuseIsByteIdenticalToFreshRuns) {
       AllocationProblem Reused =
           buildSsaProblem(Ssa.Ssa, ST231, Regs, &Shared);
       EXPECT_EQ(Fresh.Peo.Order, Reused.Peo.Order);
-      EXPECT_EQ(Fresh.Constraints, Reused.Constraints);
+      EXPECT_EQ(Fresh.Cliques, Reused.Cliques);
 
       for (auto Opts : {LayeredOptions::nl(), LayeredOptions::bl(),
                         LayeredOptions::fpl(), LayeredOptions::bfpl()}) {
@@ -205,7 +205,8 @@ TEST(DifferentialFuzz, ScalarEraEqualsOneClassTableBehavior) {
       AllocationProblem Table =
           buildSsaProblem(Ssa.Ssa, ST231, std::vector<unsigned>{Regs});
       EXPECT_EQ(Scalar.Budgets, Table.Budgets);
-      EXPECT_EQ(Scalar.Constraints, Table.Constraints);
+      EXPECT_EQ(Scalar.ClassOf, Table.ClassOf);
+      EXPECT_EQ(Scalar.Cliques, Table.Cliques);
       EXPECT_EQ(Scalar.Peo.Order, Table.Peo.Order);
 
       // allocateProblem's single-class fast path is allocate() verbatim.

@@ -177,7 +177,8 @@ TEST(RegClassTest, ClassZeroFunctionsBehaveIdenticallyOnMultiClassTargets) {
   AllocationProblem B = buildSsaProblem(F, ARMv7_VFP, 4);
   EXPECT_EQ(B.numClasses(), 1u); // Trimmed to the classes present.
   EXPECT_EQ(A.Budgets, B.Budgets);
-  EXPECT_EQ(A.Constraints, B.Constraints);
+  EXPECT_EQ(A.ClassOf, B.ClassOf);
+  EXPECT_EQ(A.Cliques, B.Cliques);
 
   PipelineResult PA = runAllocationPipeline(F, ARMv7, 4);
   PipelineResult PB = runAllocationPipeline(F, ARMv7_VFP, 4);
@@ -315,10 +316,10 @@ TEST(RegClassTest, GeneralProblemsSplitPointSetsPerClass) {
     AllocationProblem P = buildGeneralProblem(F, ARMv7_VFP, {3, 2});
     ASSERT_TRUE(P.multiClass());
     std::vector<char> Covered(P.graph().numVertices(), 0);
-    for (const PressureConstraint &C : P.Constraints) {
-      EXPECT_EQ(C.Budget, P.budgetOf(C.Class));
-      for (VertexId V : C.Members) {
-        EXPECT_EQ(P.classOf(V), C.Class);
+    for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
+      EXPECT_FALSE(P.Cliques.clique(K).empty()) << "seed=" << Seed;
+      for (VertexId V : P.Cliques.clique(K)) {
+        EXPECT_EQ(P.classOf(V), P.constraintClass(K));
         Covered[V] = 1;
       }
     }

@@ -16,9 +16,14 @@
 #include "ir/Parser.h"
 #include "ir/ProgramGen.h"
 #include "ir/SsaBuilder.h"
+#include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 using namespace layra;
 
@@ -440,4 +445,70 @@ TEST(BatchDriverTest, ReportSerializersProduceParseableShapes) {
   for (char C : TasksCsv)
     Lines += C == '\n' ? 1 : 0;
   EXPECT_EQ(Lines, 1u + 3u);
+}
+
+TEST(BatchDriverTest, PhaseSinkAccountsOnlyItsOwnCall) {
+  // Two drivers serve traced (sink) calls while a third serves plain ones,
+  // all at once, with accounting off globally.  No plain report may gain
+  // a phase breakdown, and every sink must account each task it solved.
+  ASSERT_FALSE(obs::phaseAccountingEnabled());
+  Suite S = tinySuite(8, 41);
+  auto JobAt = [&](unsigned Regs) {
+    BatchJob Job;
+    Job.SuiteName = "tiny";
+    Job.SuiteData = &S;
+    Job.NumRegisters = Regs;
+    return Job;
+  };
+  std::atomic<unsigned> SinksRunning{2};
+  auto Traced = [&](unsigned FirstRegs) {
+    BatchDriver Driver(2);
+    for (unsigned Call = 0; Call < 12; ++Call) {
+      std::vector<PhaseTotals> Sink;
+      DriverReport R = Driver.run({JobAt(FirstRegs + Call)},
+                                  /*CacheTransparent=*/false, &Sink);
+      // No ASSERT on this thread: the loop must reach the decrement.
+      EXPECT_EQ(Sink.size(), 1u);
+      if (Sink.size() != 1)
+        continue;
+      uint64_t Solved = 0;
+      for (const TaskResult &T : R.Jobs[0].Tasks)
+        Solved += T.CacheHit ? 0 : 1;
+      EXPECT_EQ(Sink[0].Count[unsigned(Phase::Pipeline)], Solved)
+          << "call " << Call;
+      EXPECT_TRUE(R.Jobs[0].PhaseMs.empty());
+    }
+    --SinksRunning;
+  };
+  std::thread A(Traced, 2), B(Traced, 3);
+  BatchDriver Plain(2);
+  unsigned PlainCalls = 0, WithPhases = 0;
+  for (unsigned I = 0; SinksRunning > 0 || PlainCalls < 4; ++I) {
+    DriverReport R = Plain.run({JobAt(2 + I % 14)});
+    ++PlainCalls;
+    WithPhases += R.Jobs[0].PhaseMs.empty() ? 0 : 1;
+  }
+  A.join();
+  B.join();
+  EXPECT_EQ(WithPhases, 0u) << "of " << PlainCalls << " plain calls";
+  EXPECT_FALSE(obs::phaseAccountingEnabled());
+}
+
+TEST(BatchDriverTest, RunLeavesDriverGaugesToItsCaller) {
+  // The workspace and cache gauges belong to the front end that publishes
+  // them (layra-bench); a run() must not overwrite them.
+  MetricsRegistry &M = MetricsRegistry::global();
+  M.set(M.gauge("layra.driver.cache.hits"), -1.0);
+  Suite S = tinySuite(3, 5);
+  BatchJob Job;
+  Job.SuiteName = "tiny";
+  Job.SuiteData = &S;
+  Job.NumRegisters = 4;
+  BatchDriver Driver(2);
+  DriverReport R = Driver.run({Job, Job});
+  ASSERT_EQ(R.CacheHits, 3u);
+  MetricsSnapshot Snap = M.snapshot();
+  const double *Hits = Snap.gauge("layra.driver.cache.hits");
+  ASSERT_NE(Hits, nullptr);
+  EXPECT_EQ(*Hits, -1.0);
 }

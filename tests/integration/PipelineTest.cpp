@@ -135,7 +135,7 @@ TEST(PipelineTest, TargetsDifferOnlyInCostScale) {
   // Same structure...
   EXPECT_EQ(PSt.graph().numVertices(), PArm.graph().numVertices());
   EXPECT_EQ(PSt.graph().numEdges(), PArm.graph().numEdges());
-  EXPECT_EQ(PSt.Constraints.size(), PArm.Constraints.size());
+  EXPECT_EQ(PSt.Cliques, PArm.Cliques);
   // ...different weights.
   bool AnyDifferent = false;
   for (VertexId V = 0; V < PSt.graph().numVertices(); ++V)

@@ -38,10 +38,10 @@ IlpInstance packingOf(const AllocationProblem &P) {
   I.Weights.resize(P.graph().numVertices());
   for (VertexId V = 0; V < P.graph().numVertices(); ++V)
     I.Weights[V] = P.graph().weight(V);
-  for (const PressureConstraint &K : P.Constraints) {
+  for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
     IlpConstraint Row;
-    Row.Capacity = K.Budget;
-    for (VertexId V : K.Members)
+    Row.Capacity = P.constraintBudget(K);
+    for (VertexId V : P.Cliques.clique(K))
       Row.Vars.push_back(V);
     I.Constraints.push_back(std::move(Row));
   }
