@@ -3,13 +3,13 @@
 
 Reruns the canonical EEMBC register sweep (the baseline tracked at the
 repo root) and fails when the build got meaningfully slower or when the
-deterministic report fields drifted:
+report depends on the thread count:
 
  1. Determinism: `--no-timing` reports must be byte-identical across
-    thread counts (modulo the `"threads": N` configuration field), and
-    their deterministic fields must match the committed baseline -- a
-    drift means allocation *results* changed and the baseline must be
-    regenerated deliberately, never silently.
+    thread counts (modulo the `"threads": N` configuration field).  Their
+    deterministic fields are pinned by the tier-1 golden
+    tests/driver/golden/eembc_sweep.json (ReportIOGoldenTest), which
+    fails on any drift in allocation *results*.
  2. Timing: best-of-N single-thread wall_ms must stay within
     --threshold (default 15%) of the committed baseline's.  Best-of-N
     because CI wall clocks are noisy in one direction only: the fastest
@@ -48,19 +48,6 @@ def normalize_threads(text):
     return re.sub(r'"threads": \d+', '"threads": N', text)
 
 
-def scrub_timing(doc):
-    """Drops every wall-clock-derived field, recursively."""
-    if isinstance(doc, dict):
-        return {
-            k: scrub_timing(v)
-            for k, v in doc.items()
-            if k not in ("wall_ms", "phase_ms", "threads")
-        }
-    if isinstance(doc, list):
-        return [scrub_timing(v) for v in doc]
-    return doc
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bench", required=True, help="layra-bench binary")
@@ -80,25 +67,13 @@ def main():
         t1, t4 = f"{tmp}/t1.json", f"{tmp}/t4.json"
         run_bench(args.bench, ["--threads=1", "--no-timing"], t1)
         run_bench(args.bench, ["--threads=4", "--no-timing"], t4)
-        raw = open(t1).read()
-        a = normalize_threads(raw)
+        a = normalize_threads(open(t1).read())
         b = normalize_threads(open(t4).read())
         if a != b:
             print("FAIL: --no-timing reports differ between thread counts",
                   file=sys.stderr)
             return 1
         print("ok: --no-timing report is thread-count independent")
-
-        # --- Deterministic fields vs the committed baseline --------------
-        fresh_det = scrub_timing(json.loads(raw))
-        base_det = scrub_timing(baseline)
-        if fresh_det != base_det:
-            print("FAIL: deterministic report fields drifted from the "
-                  f"committed baseline {args.baseline}; if the change is "
-                  "intended, regenerate the baseline in the same commit",
-                  file=sys.stderr)
-            return 1
-        print("ok: deterministic fields match the committed baseline")
 
     # --- Timed best-of-N vs baseline ------------------------------------
     base_ms = baseline["wall_ms"]

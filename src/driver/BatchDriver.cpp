@@ -202,7 +202,6 @@ WorkspaceStats BatchDriver::workspaceStats() const {
 
 void BatchDriver::setCacheCapacity(size_t MaxEntries) {
   PipelineCache.setCapacity(MaxEntries);
-  ProblemCache.setCapacity(MaxEntries);
 }
 
 DriverCacheCounters BatchDriver::pipelineCacheCounters() const {
@@ -215,27 +214,13 @@ DriverCacheCounters BatchDriver::pipelineCacheCounters() const {
   return C;
 }
 
-DriverCacheCounters BatchDriver::problemCacheCounters() const {
-  DriverCacheCounters C;
-  C.Hits = ProblemHits;
-  C.Misses = ProblemMisses;
-  C.Evictions = ProblemCache.evictions();
-  C.Entries = ProblemCache.size();
-  C.Capacity = ProblemCache.capacity();
-  return C;
-}
-
 DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
-                              bool CacheTransparent,
-                              std::vector<PhaseTotals> *PhaseSink) {
+                              bool CacheTransparent) {
   auto BatchStart = std::chrono::steady_clock::now();
 
-  // Report-visible breakdowns key off accounting as the caller has it.  A
-  // per-call sink turns accounting on for this call's tasks only (each
-  // runs under a ThreadPhaseAccounting scope, below), so the sink never
-  // changes report bytes, nor reaches another call running meanwhile.
-  const bool WasAccounting = obs::phaseAccountingEnabled();
-  const bool WantSink = PhaseSink != nullptr;
+  // Accounting as the caller has it, sampled once so a mid-run flip cannot
+  // leave half-collected breakdowns; each task runs under it below.
+  const bool Accounting = obs::phaseAccountingEnabled();
 
   DriverReport Report;
   Report.Threads = Pool.numThreads();
@@ -369,19 +354,17 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // workspace reuse cannot leak one task's results into another's.
   std::vector<TaskOutcome> Outcomes(UniqueToPending.size());
   std::vector<double> SolveMs(UniqueToPending.size(), 0);
-  // Sampled once so a mid-run flip cannot leave half-collected breakdowns.
-  const bool CollectPhases = WasAccounting || WantSink;
-  std::vector<PhaseTotals> TaskPhases(CollectPhases ? UniqueToPending.size()
-                                                    : 0);
+  std::vector<PhaseTotals> TaskPhases(Accounting ? UniqueToPending.size()
+                                                 : 0);
   Pool.parallelForWorker(UniqueToPending.size(), [&](size_t I,
                                                      unsigned Slot) {
     const PendingTask &T = Pending[UniqueToPending[I]];
     const BatchJob &Job = Jobs[T.JobIndex];
-    obs::ThreadPhaseAccounting SinkAccounting(WantSink);
+    obs::ThreadPhaseAccounting CallerAccounting(Accounting);
     // Tasks run serially on a worker, so the thread-local phase totals
     // delta across this task is exactly this task's breakdown.
     PhaseTotals Before;
-    if (CollectPhases)
+    if (Accounting)
       Before = obs::threadPhaseTotals();
     auto Start = std::chrono::steady_clock::now();
     // A function that already has phis is SSA (submit_ir input, which the
@@ -393,7 +376,7 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     PipelineResult R = runAllocationPipeline(
         Ssa ? Ssa->Ssa : *T.F, Job.Target, JobBudgets[T.JobIndex],
         Job.Options, Workspaces[Slot].get());
-    if (CollectPhases) {
+    if (Accounting) {
       const PhaseTotals &After = obs::threadPhaseTotals();
       for (unsigned P = 0; P < kNumPhases; ++P) {
         TaskPhases[I].Ms[P] = After.Ms[P] - Before.Ms[P];
@@ -429,15 +412,17 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   }
 
   std::vector<std::vector<double>> JobSolveMs(Jobs.size());
-  std::vector<PhaseTotals> JobPhases(CollectPhases ? Jobs.size() : 0);
+  if (Accounting)
+    for (JobReport &JR : Report.Jobs)
+      JR.Phases.emplace();
   for (const PendingTask &T : Pending) {
     JobReport &JR = Report.Jobs[T.JobIndex];
     // Phase breakdowns, like WallMs, cover only the tasks actually solved
     // in this run (cache hits and batch twins cost no solver time).
-    if (CollectPhases && !T.PersistentHit && !T.BatchDup)
+    if (Accounting && !T.PersistentHit && !T.BatchDup)
       for (unsigned P = 0; P < kNumPhases; ++P) {
-        JobPhases[T.JobIndex].Ms[P] += TaskPhases[T.UniqueIndex].Ms[P];
-        JobPhases[T.JobIndex].Count[P] += TaskPhases[T.UniqueIndex].Count[P];
+        JR.Phases->Ms[P] += TaskPhases[T.UniqueIndex].Ms[P];
+        JR.Phases->Count[P] += TaskPhases[T.UniqueIndex].Count[P];
       }
     TaskResult Result;
     Result.Program = *T.Program;
@@ -462,19 +447,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     JR.WallMsTotal += Result.WallMs;
     JR.Tasks.push_back(std::move(Result));
   }
-  // Report-visible breakdowns only when accounting was globally on; the
-  // per-call sink gets its copy regardless.  Keeping the two consumers
-  // separate is what lets a traced request's report stay byte-identical
-  // to an untraced one's.
-  if (WasAccounting)
-    for (size_t JI = 0; JI < Jobs.size(); ++JI) {
-      JobReport &JR = Report.Jobs[JI];
-      JR.PhaseMs.assign(JobPhases[JI].Ms, JobPhases[JI].Ms + kNumPhases);
-      JR.PhaseCount.assign(JobPhases[JI].Count,
-                           JobPhases[JI].Count + kNumPhases);
-    }
-  if (WantSink)
-    *PhaseSink = std::move(JobPhases);
   for (size_t JI = 0; JI < Jobs.size(); ++JI) {
     SampleSummary Summary = summarize(std::move(JobSolveMs[JI]));
     Report.Jobs[JI].WallMsP50 = Summary.Median;
@@ -534,33 +506,19 @@ BatchDriver::solveProblems(const std::vector<const AllocationProblem *> &Problem
   // solves, later ones share.
   uint64_t Salt = mixString(0x6c617972612d7370ULL, AllocatorName); // "la-sp"
   // The node limit shapes results only for the branch-and-bound solver;
-  // keying it for other allocators would needlessly split their caches.
+  // keying it for other allocators would needlessly split identical
+  // instances.
   Salt = mix(Salt, IsOptimal ? OptimalNodeLimit : 0);
-  // Persistent-cache hits are copied out during classification: a bounded
-  // cache may evict them before the final assembly below.
-  std::vector<AllocationResult> Results(Problems.size());
-  std::vector<uint64_t> Keys(Problems.size());
-  std::vector<size_t> ResultUnique(Problems.size(), ~size_t(0));
+  std::vector<size_t> ResultUnique(Problems.size());
   std::vector<size_t> UniqueToInput;
   std::unordered_map<uint64_t, size_t> UniqueOf;
   for (size_t I = 0; I < Problems.size(); ++I) {
     // Same accepted hash-collision tradeoff as the pipeline cache above.
-    Keys[I] = mix(Salt, hashProblem(*Problems[I]));
-    if (const AllocationResult *Hit = ProblemCache.find(Keys[I])) {
-      Results[I] = *Hit;
-      ++ProblemHits;
-      continue;
-    }
-    auto Known = UniqueOf.find(Keys[I]);
-    if (Known != UniqueOf.end()) {
-      ResultUnique[I] = Known->second;
-      ++ProblemHits;
-    } else {
-      ResultUnique[I] = UniqueToInput.size();
-      UniqueOf.emplace(Keys[I], UniqueToInput.size());
+    uint64_t Key = mix(Salt, hashProblem(*Problems[I]));
+    auto Known = UniqueOf.emplace(Key, UniqueToInput.size());
+    if (Known.second)
       UniqueToInput.push_back(I);
-      ++ProblemMisses;
-    }
+    ResultUnique[I] = Known.first->second;
   }
 
   std::vector<AllocationResult> Unique(UniqueToInput.size());
@@ -580,10 +538,8 @@ BatchDriver::solveProblems(const std::vector<const AllocationProblem *> &Problem
     Unique[U] = A->allocateProblem(P, WS);
   });
 
+  std::vector<AllocationResult> Results(Problems.size());
   for (size_t I = 0; I < Problems.size(); ++I)
-    if (ResultUnique[I] != ~size_t(0))
-      Results[I] = Unique[ResultUnique[I]];
-  for (size_t U = 0; U < UniqueToInput.size(); ++U)
-    ProblemCache.insert(Keys[UniqueToInput[U]], std::move(Unique[U]));
+    Results[I] = Unique[ResultUnique[I]];
   return Results;
 }

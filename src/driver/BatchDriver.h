@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,14 +116,13 @@ struct JobReport {
   double WallMsP50 = 0;
   double WallMsP95 = 0;
   double WallMsMax = 0;
-  /// Per-phase *self*-time breakdown over this job's solved tasks, indexed
-  /// by Phase (kNumPhases entries) -- summing PhaseMs reconstructs the
-  /// solve wall time without double counting.  Populated only when phase
-  /// accounting (obs::setPhaseAccounting) was on during run(); empty
-  /// otherwise.  Timing fields: excluded from determinism comparisons and
-  /// from --no-timing reports.
-  std::vector<double> PhaseMs;
-  std::vector<uint64_t> PhaseCount;
+  /// Per-phase *self*-time breakdown over this job's solved tasks --
+  /// summing Ms reconstructs the solve wall time without double counting.
+  /// Present only when phase accounting was on for the thread that called
+  /// run() (obs::phaseAccountingEnabled).  The only per-job phase store:
+  /// report serializers and request traces both read it.  Timing fields:
+  /// excluded from determinism comparisons and from --no-timing reports.
+  std::optional<PhaseTotals> Phases;
 };
 
 /// Everything one run() produced.
@@ -135,8 +135,8 @@ struct DriverReport {
   double WallMs = 0;           ///< Whole-batch wall clock.  Timing field.
 };
 
-/// Lifetime counters of one BatchDriver cache (pipeline or problem side).
-/// Cumulative across run()/solveProblems() calls; the allocation server
+/// Lifetime counters of a BatchDriver's pipeline-outcome cache.
+/// Cumulative across run() calls; the allocation server
 /// surfaces them through its `stats` request, and `layra-bench
 /// --workspace-stats` prints them alongside the arena accounting.
 struct DriverCacheCounters {
@@ -223,31 +223,28 @@ public:
   /// the cache is -- the property the allocation server's responses rely
   /// on (tests/service/ServerLoopbackTest.cpp asserts it).
   ///
-  /// \p PhaseSink is the per-call span sink for request-scoped tracing:
-  /// when non-null it is filled with one PhaseTotals per job (net of
-  /// cache hits and batch duplicates, like JobReport::PhaseMs), turning
-  /// phase accounting on for this call's tasks only, on the threads that
-  /// run them (obs::ThreadPhaseAccounting); calls running meanwhile on
-  /// other drivers are unaffected.  The sink never changes the report:
-  /// JobReport::PhaseMs stays populated only when accounting was already
-  /// on for the caller, so a traced request's report bytes match an
-  /// untraced one's.
+  /// Phase accounting follows the calling thread: run() samples
+  /// obs::phaseAccountingEnabled() once (the global switch, or the
+  /// caller's obs::ThreadPhaseAccounting scope), runs every task under
+  /// that setting on whichever pool thread takes it, and then fills each
+  /// JobReport::Phases.  Calls running meanwhile on other threads are
+  /// unaffected.
   ///
   /// run() sets no gauges in the metrics registry: a front end that wants
   /// the workspace and cache gauges publishes them from workspaceStats()
   /// and pipelineCacheCounters() itself (layra-bench does), so concurrent
   /// drivers never overwrite each other's.
   DriverReport run(const std::vector<BatchJob> &Jobs,
-                   bool CacheTransparent = false,
-                   std::vector<PhaseTotals> *PhaseSink = nullptr);
+                   bool CacheTransparent = false);
 
   /// Lower-level batch entry used by the figure harness: solves every
   /// problem with allocator \p AllocatorName in parallel and returns the
-  /// results in input order.  Duplicate instances (by content hash) are
-  /// solved once.  \p OptimalNodeLimit bounds the "optimal"
-  /// branch-and-bound search (always honored for that allocator, zero
-  /// meaning a zero node budget; the default matches OptimalBnBAllocator's
-  /// own); other allocators ignore it.
+  /// results in input order.  Duplicate instances (by content hash) within
+  /// one call are solved once; nothing is kept across calls.
+  /// \p OptimalNodeLimit bounds the "optimal" branch-and-bound search
+  /// (always honored for that allocator, zero meaning a zero node budget;
+  /// the default matches OptimalBnBAllocator's own); other allocators
+  /// ignore it.
   ///
   /// The allocator name and allocator-vs-problem compatibility (the
   /// linear-scan family needs AllocationProblem::Intervals) are validated
@@ -263,10 +260,8 @@ public:
 
   /// Number of memoized pipeline outcomes.
   size_t pipelineCacheSize() const { return PipelineCache.size(); }
-  /// Number of memoized problem results (solveProblems side).
-  size_t problemCacheSize() const { return ProblemCache.size(); }
 
-  /// Bounds both content-hash caches to \p MaxEntries each, evicting the
+  /// Bounds the pipeline-outcome cache to \p MaxEntries, evicting the
   /// least recently used overflow immediately.  0 (the default) removes the
   /// bound.  Recency updates and evictions happen only in the serial
   /// classification/commit phases, so eviction order -- and with it every
@@ -285,8 +280,6 @@ public:
 
   /// Lifetime hit/miss/eviction counters of the pipeline-outcome cache.
   DriverCacheCounters pipelineCacheCounters() const;
-  /// Lifetime hit/miss/eviction counters of the problem-result cache.
-  DriverCacheCounters problemCacheCounters() const;
 
   /// Aggregated buffer-checkout accounting over every per-worker
   /// workspace, cumulative across run()/solveProblems() calls.  Feeds
@@ -304,18 +297,10 @@ private:
   /// hashPipelineTask key -> outcome.  Touched only from the serial
   /// expansion/commit phases, never from pool workers.
   LruCache<uint64_t, TaskOutcome> PipelineCache;
-  /// hashProblem+allocator key -> result, for solveProblems.  Entries are
-  /// retained until evicted by the capacity bound (unbounded by default) so
-  /// a (problem, allocator, R) pair recurring in a later call is free; the
-  /// cost is O(vertices) bytes per unique instance, a few MB across the
-  /// largest figure sweep.  Callers for whom that never pays can simply use
-  /// a shorter-lived driver.
-  LruCache<uint64_t, AllocationResult> ProblemCache;
   /// Optional persistence layer under PipelineCache (not owned).
   TaskOutcomeStore *OutcomeStore = nullptr;
-  /// Lifetime hit/miss tallies (the caches themselves track evictions).
+  /// Lifetime hit/miss tallies (the cache itself tracks evictions).
   uint64_t PipelineHits = 0, PipelineMisses = 0;
-  uint64_t ProblemHits = 0, ProblemMisses = 0;
 };
 
 } // namespace layra

@@ -56,14 +56,15 @@ static JsonValue jobToJson(const JobReport &JR, bool IncludeTiming,
     // Per-phase self-time breakdown, present only when phase accounting
     // was on during the run.  Gated on IncludeTiming like every timing
     // field, so --no-timing reports and goldens keep their bytes.
-    if (!JR.PhaseMs.empty()) {
+    if (JR.Phases) {
       JsonValue Phases = JsonValue::object();
       for (unsigned P = 0; P < kNumPhases; ++P) {
-        if (JR.PhaseCount[P] == 0)
+        if (JR.Phases->Count[P] == 0)
           continue;
         JsonValue One = JsonValue::object();
-        One.set("ms", roundMs(JR.PhaseMs[P]));
-        One.set("count", static_cast<unsigned long long>(JR.PhaseCount[P]));
+        One.set("ms", roundMs(JR.Phases->Ms[P]));
+        One.set("count",
+                static_cast<unsigned long long>(JR.Phases->Count[P]));
         Phases.set(phaseName(Phase(P)), std::move(One));
       }
       Out.set("phase_ms", std::move(Phases));
@@ -151,7 +152,7 @@ void layra::writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
   // accounting on) *and* timing is included, mirroring the JSON field.
   bool AnyPhases = false;
   for (const JobReport &JR : Report.Jobs)
-    AnyPhases |= !JR.PhaseMs.empty();
+    AnyPhases |= JR.Phases.has_value();
   AnyPhases &= IncludeTiming;
   if (IncludeTiming) {
     Headers.push_back("wall_ms_total");
@@ -191,8 +192,7 @@ void layra::writeDriverReportCsv(std::FILE *Out, const DriverReport &Report,
     }
     if (AnyPhases)
       for (unsigned P = 0; P < kNumPhases; ++P)
-        Row.push_back(JR.PhaseMs.empty() ? "0"
-                                         : Table::num(JR.PhaseMs[P]));
+        Row.push_back(JR.Phases ? Table::num(JR.Phases->Ms[P]) : "0");
     T.addRow(std::move(Row));
   }
   T.printCsv(Out);

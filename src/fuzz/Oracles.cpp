@@ -289,8 +289,8 @@ OracleOutcome checkMetricsQuiet(const OracleContext &Ctx) {
           .dump(2);
 
   // Instrumented run: deterministic tracing, phase accounting, the
-  // request-scoped event log, a live per-job phase sink, and a request
-  // trace consuming it -- every observability surface at once.
+  // request-scoped event log, and a request trace taking its phases from
+  // the report -- every observability surface at once.
   obs::EventLog &Events = obs::EventLog::global();
   bool WasEvents = Events.enabled();
   TC.enable(/*Deterministic=*/true);
@@ -298,16 +298,15 @@ OracleOutcome checkMetricsQuiet(const OracleContext &Ctx) {
   Events.setEnabled(true);
   Events.record(obs::EventKind::RequestStart, 0, "fuzz-metrics-quiet");
   BatchDriver LoudDriver(1);
-  std::vector<PhaseTotals> JobPhases;
-  std::string LoudJson =
-      driverReportToJson(LoudDriver.run(Jobs, /*CacheTransparent=*/false,
-                                        &JobPhases),
-                         /*IncludeTiming=*/false,
-                         /*IncludeTasks=*/true)
-          .dump(2);
+  DriverReport Loud = LoudDriver.run(Jobs);
+  std::string LoudJson = driverReportToJson(Loud, /*IncludeTiming=*/false,
+                                            /*IncludeTasks=*/true)
+                             .dump(2);
   obs::RequestTrace Trace;
   Trace.begin("fuzz-metrics-quiet", std::chrono::steady_clock::now());
-  Trace.attachJobPhases(JobPhases);
+  for (const JobReport &JR : Loud.Jobs)
+    if (JR.Phases)
+      Trace.JobPhases.push_back(*JR.Phases);
   Events.record(obs::EventKind::RequestEnd, 0, Trace.id().c_str());
   TC.disable();
   TC.clear();
@@ -316,8 +315,8 @@ OracleOutcome checkMetricsQuiet(const OracleContext &Ctx) {
   if (WasTracing)
     TC.enable(WasDet);
 
-  if (JobPhases.size() != Jobs.size())
-    return fail("phase sink did not report one entry per job");
+  if (Trace.JobPhases.size() != Jobs.size())
+    return fail("phase accounting did not report one breakdown per job");
 
   if (QuietJson != LoudJson)
     return fail("timing-free report changed when tracing/metrics were on");

@@ -280,7 +280,7 @@ private:
         ValueId V = valueOf(Token);
         Out.push_back(V);
         if (AllowClass && Cur.consume(":$")) {
-          long long Class;
+          long long Class = 0;
           if (!Cur.readNumber(Class) || Class < 0 ||
               Class >= static_cast<long long>(kMaxRegClasses))
             return fail(L, "register class suffix must be :$N with N in "

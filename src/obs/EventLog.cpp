@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -69,10 +70,32 @@ double roundMs(double Ms) { return std::round(Ms * 1e3) / 1e3; }
 /// event for sequence Seq is being filled in, 2*Seq+2 once published.
 /// A reader that observes the same published stamp before and after
 /// copying the payload has a consistent event; any other interleaving
-/// is detected and the slot skipped.
+/// is detected and the slot skipped.  The payload is stored as atomic
+/// words so a copy that races a writer is a torn read, never a data
+/// race: each word store is a release (ordering the odd stamp before
+/// it) and each word load an acquire (ordering the re-check after it).
 struct EventLog::Slot {
+  static constexpr std::size_t kWords = sizeof(Event) / sizeof(uint64_t);
+  static_assert(std::is_trivially_copyable_v<Event> &&
+                    sizeof(Event) % sizeof(uint64_t) == 0,
+                "events must copy as whole words");
   std::atomic<uint64_t> Stamp{0};
-  Event E;
+  std::atomic<uint64_t> Words[kWords] = {};
+
+  void store(const Event &E) {
+    uint64_t W[kWords] = {};
+    std::memcpy(W, &E, sizeof(Event));
+    for (std::size_t I = 0; I < kWords; ++I)
+      Words[I].store(W[I], std::memory_order_release);
+  }
+  Event load() const {
+    uint64_t W[kWords] = {};
+    for (std::size_t I = 0; I < kWords; ++I)
+      W[I] = Words[I].load(std::memory_order_acquire);
+    Event E;
+    std::memcpy(&E, W, sizeof(Event));
+    return E;
+  }
 };
 
 EventLog::EventLog(std::size_t Capacity)
@@ -98,14 +121,16 @@ void EventLog::record(EventKind K, double Value, const char *Trace,
   if (!enabled())
     return;
   uint64_t Seq = Next.fetch_add(1, std::memory_order_relaxed);
+  Event E;
+  E.Seq = Seq;
+  E.TsMs = sinceEpochMs();
+  E.Kind = K;
+  E.Value = Value;
+  copyBounded(E.Trace, Trace);
+  copyBounded(E.Detail, Detail);
   Slot &S = Slots[Seq & Mask];
-  S.Stamp.store(2 * Seq + 1, std::memory_order_release);
-  S.E.Seq = Seq;
-  S.E.TsMs = sinceEpochMs();
-  S.E.Kind = K;
-  S.E.Value = Value;
-  copyBounded(S.E.Trace, Trace);
-  copyBounded(S.E.Detail, Detail);
+  S.Stamp.store(2 * Seq + 1, std::memory_order_relaxed);
+  S.store(E);
   S.Stamp.store(2 * Seq + 2, std::memory_order_release);
 }
 
@@ -120,8 +145,7 @@ std::vector<EventLog::Event> EventLog::snapshot() const {
     uint64_t Before = S.Stamp.load(std::memory_order_acquire);
     if (Before != 2 * Seq + 2)
       continue; // mid-write, or already lapped by a newer event
-    Event Copy = S.E;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    Event Copy = S.load();
     if (S.Stamp.load(std::memory_order_relaxed) != Before)
       continue; // torn: a writer reclaimed the slot during the copy
     Out.push_back(Copy);
@@ -151,7 +175,7 @@ void EventLog::reset() {
   std::size_t Cap = Mask + 1;
   for (std::size_t I = 0; I < Cap; ++I) {
     Slots[I].Stamp.store(0, std::memory_order_relaxed);
-    Slots[I].E = Event();
+    Slots[I].store(Event());
   }
   Next.store(0, std::memory_order_relaxed);
   Epoch = std::chrono::steady_clock::now();

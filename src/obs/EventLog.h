@@ -1,9 +1,9 @@
 // Bounded, wait-free structured event log: the serve stack's flight
 // recorder.  Writers (reader threads, the dispatcher, signal-driven dump
 // paths) append fixed-size typed events to a power-of-two ring with a
-// single fetch_add and two release stores; they never take a lock and
-// never block, so recording is safe from any thread at any point in a
-// request's life.  Readers reconstruct the most recent window with a
+// single fetch_add and a few atomic word stores; they never take a lock
+// and never block, so recording is safe from any thread at any point in
+// a request's life.  Readers reconstruct the most recent window with a
 // per-slot seqlock: a slot whose stamp changed mid-copy is simply
 // dropped as torn.  The ring survives a wedged dispatcher — a SIGQUIT
 // or fatal-error dump walks the slots directly, no queue involved.
@@ -86,7 +86,7 @@ public:
   uint64_t recorded() const { return Next.load(std::memory_order_relaxed); }
 
   /// Append one event.  Trace/Detail may be null; both are truncated to
-  /// their slot fields.  Wait-free: one fetch_add plus plain stores.
+  /// their slot fields.  Wait-free: one fetch_add plus atomic stores.
   void record(EventKind K, double Value = 0, const char *Trace = nullptr,
               const char *Detail = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 using namespace layra;
 using namespace layra::obs;
@@ -45,8 +44,11 @@ void RequestTrace::begin(std::string Id,
                          std::chrono::steady_clock::time_point E) {
   TraceId = std::move(Id);
   Epoch = E;
-  Spans.clear();
+  for (unsigned S = 0; S < kNumStages; ++S)
+    EndMs[S] = -1;
   JobPhases.clear();
+  StartMs[unsigned(Stage::Accept)] = 0;
+  Open = int(Stage::Accept);
 }
 
 double RequestTrace::sinceBeginMs() const {
@@ -55,36 +57,38 @@ double RequestTrace::sinceBeginMs() const {
       .count();
 }
 
-void RequestTrace::addSpan(const char *Name, double StartMs, double DurMs) {
-  Span S;
-  S.Name = Name;
-  S.StartMs = StartMs < 0 ? 0 : StartMs;
-  S.DurMs = DurMs < 0 ? 0 : DurMs;
-  Spans.push_back(std::move(S));
+void RequestTrace::enter(Stage S) {
+  if (!active())
+    return;
+  double Now = sinceBeginMs();
+  if (Open >= 0)
+    EndMs[Open] = Now;
+  StartMs[unsigned(S)] = Now;
+  Open = int(S);
 }
 
-bool RequestTrace::hasSpan(const char *Name) const {
-  for (const Span &S : Spans)
-    if (S.Name == Name)
-      return true;
-  return false;
-}
-
-void RequestTrace::attachJobPhases(std::vector<PhaseTotals> Phases) {
-  JobPhases = std::move(Phases);
+void RequestTrace::leave() {
+  if (Open < 0)
+    return;
+  EndMs[Open] = sinceBeginMs();
+  Open = -1;
 }
 
 JsonValue RequestTrace::toJson() const {
+  static const char *const StageNames[kNumStages] = {
+      "accept", "queue_wait", "dispatch", "driver", "response_flush"};
   JsonValue Doc = JsonValue::object();
   Doc.set("id", TraceId);
   if (ShardId >= 0)
     Doc.set("shard", ShardId);
   JsonValue SpanArr = JsonValue::array();
-  for (const Span &S : Spans) {
+  for (unsigned S = 0; S < kNumStages; ++S) {
+    if (EndMs[S] < 0)
+      continue;
     JsonValue E = JsonValue::object();
-    E.set("name", S.Name);
-    E.set("start_ms", roundMs(S.StartMs));
-    E.set("dur_ms", roundMs(S.DurMs));
+    E.set("name", StageNames[S]);
+    E.set("start_ms", roundMs(StartMs[S]));
+    E.set("dur_ms", roundMs(EndMs[S] - StartMs[S]));
     SpanArr.push(std::move(E));
   }
   Doc.set("spans", std::move(SpanArr));
@@ -109,11 +113,5 @@ JsonValue RequestTrace::toJson() const {
     }
     Doc.set("jobs", std::move(Jobs));
   }
-  return Doc;
-}
-
-JsonValue RequestTrace::idJson() const {
-  JsonValue Doc = JsonValue::object();
-  Doc.set("id", TraceId);
   return Doc;
 }

@@ -1,15 +1,16 @@
 // Request-scoped span tree for the serve path.  Where PR 6's
 // TraceCollector aggregates phase spans process-wide, a RequestTrace
-// owns the timeline of ONE protocol request: the server stamps
-// accept -> queue_wait -> dispatch -> driver -> response_flush spans
-// against a single epoch (the moment the frame finished arriving), and
-// the batch driver attaches per-job solver phase totals via its
-// per-call sink.  The result serializes as the `trace` member echoed
-// in traced responses and as the payload of slow-request log lines.
+// owns the timeline of ONE protocol request: a fixed table of the five
+// serve stages (accept -> queue_wait -> dispatch -> driver ->
+// response_flush) stamped against a single epoch (the moment the frame
+// finished arriving), plus the per-job solver phase totals the server
+// moves out of the driver report (JobReport::Phases).  The result
+// serializes as the `trace` member echoed in traced responses and as the
+// payload of slow-request log lines.
 //
-// A RequestTrace is single-threaded by construction — it lives on the
-// dispatcher's stack for the duration of one request — so it needs no
-// synchronization.
+// A RequestTrace is single-threaded by construction — it travels with
+// its request from the IO thread to one shard worker and back, never
+// touched by two threads at once — so it needs no synchronization.
 #ifndef LAYRA_OBS_REQUESTTRACE_H
 #define LAYRA_OBS_REQUESTTRACE_H
 
@@ -36,14 +37,14 @@ std::string makeTraceId(uint64_t Salt, uint64_t Seq);
 
 class RequestTrace {
 public:
-  struct Span {
-    std::string Name;
-    double StartMs = 0; ///< offset from the request epoch
-    double DurMs = 0;
-  };
+  /// The serve-path stages in timeline order, which is also the order
+  /// their spans serialize in.
+  enum class Stage : unsigned { Accept, QueueWait, Dispatch, Driver,
+                                ResponseFlush };
+  static constexpr unsigned kNumStages = 5;
 
-  /// Arm the trace.  Epoch anchors every span's StartMs; the server
-  /// passes the frame-arrival time so queue wait is visible.
+  /// Arm the trace and enter Accept at \p Epoch; the server passes the
+  /// frame-arrival time so queue wait is visible.
   void begin(std::string Id,
              std::chrono::steady_clock::time_point Epoch);
 
@@ -53,14 +54,12 @@ public:
   /// Milliseconds elapsed since begin()'s epoch.
   double sinceBeginMs() const;
 
-  void addSpan(const char *Name, double StartMs, double DurMs);
-  bool hasSpan(const char *Name) const;
-  const std::vector<Span> &spans() const { return Spans; }
-
-  /// Adopt the batch driver's per-call phase sink: one PhaseTotals per
-  /// job, already net of cache hits and batch duplicates.
-  void attachJobPhases(std::vector<PhaseTotals> Phases);
-  const std::vector<PhaseTotals> &jobPhases() const { return JobPhases; }
+  /// Closes the open stage, if any, and opens \p S, both at one clock
+  /// reading, so consecutive stages tile the timeline.  No-op (and no
+  /// clock read) on an inactive trace.
+  void enter(Stage S);
+  /// Closes the open stage now; no-op when none is open.
+  void leave();
 
   /// Whether the client asked for the span tree in its response (the
   /// request carried a `trace` field).  Server-internal traces — armed
@@ -68,30 +67,28 @@ public:
   /// response bytes stay untouched.
   bool Echo = false;
 
-  /// Epoch offset where the dispatch span opened; the server stamps it
-  /// at dequeue and the handler closes the span once it knows where
-  /// dispatch work ends (driver start, or response build for
-  /// ping/stats).
-  double DispatchStartMs = 0;
-
   /// Shard that executed the request (sharded serving core); negative
   /// means "not shard-routed" (ping/stats/parse errors handled on the IO
   /// loop) and the tag is omitted from toJson().
   int ShardId = -1;
 
-  /// Full span tree: {"id", "spans": [...], "jobs": [...]}.  Phases
-  /// with zero hits are omitted per job.
-  JsonValue toJson() const;
+  /// Per-job solver phase totals, one per job in job order, moved here
+  /// from the driver report after a traced run.
+  std::vector<PhaseTotals> JobPhases;
 
-  /// Minimal echo for responses that carry no span tree (pong, stats,
-  /// errors): {"id": ...}.
-  JsonValue idJson() const;
+  /// Full span tree: {"id", "shard"?, "spans": [...], "jobs"?: [...]}.
+  /// Only closed stages become spans; phases with zero hits are omitted
+  /// per job.
+  JsonValue toJson() const;
 
 private:
   std::string TraceId;
   std::chrono::steady_clock::time_point Epoch;
-  std::vector<Span> Spans;
-  std::vector<PhaseTotals> JobPhases;
+  /// Epoch offsets per stage; a negative end marks a stage never
+  /// closed, which serializes no span.
+  double StartMs[kNumStages] = {};
+  double EndMs[kNumStages] = {-1, -1, -1, -1, -1};
+  int Open = -1;
 };
 
 } // namespace obs

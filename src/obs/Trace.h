@@ -111,9 +111,11 @@ inline bool phaseAccountingEnabled() {
 void setPhaseAccounting(bool Enabled);
 
 /// Turns phase accounting on for the calling thread while in scope, when
-/// \p Enable is set, without touching the global switch.  BatchDriver
-/// scopes each task of a call that has a PhaseSink with one, so a traced
-/// call accounts its own tasks and no other caller's.
+/// \p Enable is set, without touching the global switch.  A caller scopes
+/// a BatchDriver::run with one to account that call only (the allocation
+/// server does for a traced request); the driver carries the setting to
+/// the pool threads that run the call's tasks, so no other caller's work
+/// is accounted.
 class ThreadPhaseAccounting {
 public:
   explicit ThreadPhaseAccounting(bool Enable) : Saved(ThreadFlags) {

@@ -166,37 +166,38 @@ private:
 
 #endif
 
-/// A finished request on its way back to the IO loop: the response plus
-/// everything the flush-time bookkeeping (RequestEnd event, slow log,
-/// response_flush span) needs.  Shard workers post these; for requests the
-/// IO thread answers itself (ping/stats, parse errors, rejects) one is
-/// sequenced directly without crossing threads.
-struct Completion {
+/// One request's identity and observability state: built at parse time,
+/// it travels through the shard queue, the completion channel and the
+/// flush queue, and finalizes once the response is on the wire.
+struct RequestRecord {
   uint64_t ConnId = 0;
   uint64_t Seq = 0;
+  ServiceRequest::Kind Kind = ServiceRequest::Kind::Ping;
+  /// Record RequestEnd / slow-log at flush time.  False for replies that
+  /// never got a RequestStart (parse/framing errors, admission rejects).
+  bool TrackEnd = false;
+  /// Dequeue to response built.
+  double ServiceMs = 0;
+  /// Active when the client asked for a trace, the slow log could need
+  /// the span tree, or the event ring wants request events with ids.
+  obs::RequestTrace Trace;
+};
+
+/// A finished request on its way back to the IO loop.  Shard workers post
+/// these; for requests the IO thread answers itself (ping/stats, parse
+/// errors, rejects) one is sequenced directly without crossing threads.
+struct Completion {
+  RequestRecord Rec;
   std::string Response;
   /// Close the connection once this response is flushed (framing errors,
   /// connection-limit rejections).
   bool CloseAfter = false;
-  /// Record RequestEnd / slow-log at flush time.  False for replies that
-  /// never got a RequestStart (parse/framing errors, admission rejects).
-  bool TrackEnd = false;
-  bool WantTrace = false;
-  obs::RequestTrace Trace;
-  double ServiceMs = 0;
-  ServiceRequest::Kind Kind = ServiceRequest::Kind::Ping;
 };
 
 /// One request parked in a shard queue.
 struct ShardJob {
-  uint64_t ConnId = 0;
-  uint64_t Seq = 0;
+  RequestRecord Rec;
   ServiceRequest Req;
-  obs::RequestTrace Trace;
-  bool WantTrace = false;
-  /// Epoch offset where parsing finished (the accept span's end); the
-  /// shard worker's dequeue stamp closes the queue_wait span against it.
-  double ParseMs = 0;
 };
 
 /// Flush bookkeeping for one response sitting in a connection's output
@@ -205,13 +206,8 @@ struct ShardJob {
 /// response is on the wire and the record finalizes.
 struct FlushRecord {
   uint64_t EndOffset = 0;
-  bool TrackEnd = false;
-  bool WantTrace = false;
-  obs::RequestTrace Trace;
-  double ServiceMs = 0;
-  double FlushStartMs = 0;
   std::chrono::steady_clock::time_point FlushStartTime;
-  ServiceRequest::Kind Kind = ServiceRequest::Kind::Ping;
+  RequestRecord Rec;
 };
 
 /// Per-connection state, owned and touched by the IO thread only.
@@ -565,19 +561,19 @@ struct Server::Impl {
   void checkWriteTimeouts();
   void shardLoop(Shard &Sh);
   std::string handleAllocate(Shard &Sh, const ServiceRequest &Req,
-                             obs::RequestTrace *Trace);
+                             obs::RequestTrace &Trace);
   std::string handleSubmitIr(Shard &Sh, const ServiceRequest &Req,
-                             obs::RequestTrace *Trace);
+                             obs::RequestTrace &Trace);
   std::string runJobs(Shard &Sh, const std::vector<BatchJob> &Jobs,
                       const ServiceRequest &Req,
                       uint64_t ServerStats::*Counter,
-                      obs::RequestTrace *Trace);
+                      obs::RequestTrace &Trace);
   std::string failRequest(const std::string &Message,
-                          const obs::RequestTrace *Trace = nullptr);
+                          const obs::RequestTrace &Trace = {});
   /// Target/allocator validation shared by allocate and submit_ir;
   /// returns a non-empty error-response payload on rejection.
   std::string validateCommon(const ServiceRequest &Req,
-                             const obs::RequestTrace *Trace);
+                             const obs::RequestTrace &Trace);
   /// One slow-request JSON line (full span tree) on Opt.SlowLog.
   void emitSlowRequest(const obs::RequestTrace &Trace, double TotalMs,
                        ServiceRequest::Kind K);
@@ -809,8 +805,8 @@ void Server::Impl::acceptReady(SocketFd &Listener) {
       C->ReadClosed = true;
       C->ParseDead = true;
       Completion Comp;
-      Comp.ConnId = C->Id;
-      Comp.Seq = C->NextSeq++;
+      Comp.Rec.ConnId = C->Id;
+      Comp.Rec.Seq = C->NextSeq++;
       ++C->InFlight;
       Comp.Response = makeErrorResponse("server at its connection limit");
       Comp.CloseAfter = true;
@@ -928,8 +924,8 @@ void Server::Impl::parseFrames(IoConn &C, bool IgnoreWindow) {
       C.ParseDead = true;
       C.ReadClosed = true;
       Completion Comp;
-      Comp.ConnId = C.Id;
-      Comp.Seq = C.NextSeq++;
+      Comp.Rec.ConnId = C.Id;
+      Comp.Rec.Seq = C.NextSeq++;
       ++C.InFlight;
       Comp.Response =
           failRequest(std::string("protocol error: ") + frameStatusName(FS));
@@ -957,90 +953,66 @@ void Server::Impl::parseFrames(IoConn &C, bool IgnoreWindow) {
 
 void Server::Impl::processRequest(IoConn &C, std::string_view Payload) {
   auto AcceptTime = std::chrono::steady_clock::now();
-  uint64_t Seq = C.NextSeq++;
+  Completion Comp;
+  RequestRecord &Rec = Comp.Rec;
+  Rec.ConnId = C.Id;
+  Rec.Seq = C.NextSeq++;
   ++C.InFlight;
   ServiceRequest Req;
   std::string Error;
   if (!parseServiceRequest(Payload, Req, Error)) {
     // Framing is intact; answer (in order) and keep serving.  A request
     // that never parsed has no trace context to echo, traced or not.
-    Completion Comp;
-    Comp.ConnId = C.Id;
-    Comp.Seq = Seq;
     Comp.Response = failRequest(Error);
     sequenceCompletion(C, std::move(Comp));
     return;
   }
+  Rec.Kind = Req.K;
   obs::EventLog &Events = obs::EventLog::global();
   // A trace is armed when the client asked for one, when the slow log
   // could need the span tree, or when the event ring wants request events
   // with ids.  Untraced otherwise: the handler path does zero extra work,
   // keeping the no-observers deployment at its old cost.
-  const bool WantTrace = Req.Trace || Opt.SlowMs >= 0 || Events.enabled();
-  obs::RequestTrace Trace;
-  double ParseMs = 0;
-  if (WantTrace) {
-    std::string Id = Req.TraceId.empty()
-                         ? obs::makeTraceId(TraceSalt, NextTraceSeq++)
-                         : Req.TraceId;
-    Trace.begin(std::move(Id), AcceptTime);
+  obs::RequestTrace &Trace = Rec.Trace;
+  if (Req.Trace || Opt.SlowMs >= 0 || Events.enabled()) {
+    Trace.begin(Req.TraceId.empty()
+                    ? obs::makeTraceId(TraceSalt, NextTraceSeq++)
+                    : Req.TraceId,
+                AcceptTime);
     Trace.Echo = Req.Trace;
-    ParseMs = Trace.sinceBeginMs();
-    Trace.addSpan("accept", 0, ParseMs);
+    Trace.enter(obs::RequestTrace::Stage::QueueWait);
   }
   if (Req.K == ServiceRequest::Kind::Ping ||
       Req.K == ServiceRequest::Kind::Stats) {
     // Answered on the IO thread: both are cheap, and stats must observe
     // the shards, not run inside one.
     auto Begin = std::chrono::steady_clock::now();
-    if (WantTrace) {
-      double DequeueMs = Trace.sinceBeginMs();
-      Trace.addSpan("queue_wait", ParseMs, DequeueMs - ParseMs);
-      Trace.DispatchStartMs = DequeueMs;
-    }
+    Trace.enter(obs::RequestTrace::Stage::Dispatch);
     Events.record(obs::EventKind::RequestStart, 0, Trace.id().c_str(),
                   requestKindName(Req.K));
     const std::string EchoId = Trace.Echo ? Trace.id() : std::string();
-    std::string Response;
-    if (Req.K == ServiceRequest::Kind::Ping) {
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.RequestsTotal;
-        ++Counters.RequestsPing;
-      }
-      Response = makePongResponse(EchoId);
-    } else {
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.RequestsTotal;
-        ++Counters.RequestsStats;
-      }
-      Response = makeStatsResponse(snapshotStats(), EchoId);
-    }
-    double ServiceMs = msSince(Begin);
-    ServiceHist.record(ServiceMs);
     {
       std::lock_guard<std::mutex> L(StatsMutex);
-      InlineBusyMs += ServiceMs;
+      ++Counters.RequestsTotal;
+      ++(Req.K == ServiceRequest::Kind::Ping ? Counters.RequestsPing
+                                             : Counters.RequestsStats);
     }
-    if (WantTrace)
-      Trace.addSpan("dispatch", Trace.DispatchStartMs,
-                    Trace.sinceBeginMs() - Trace.DispatchStartMs);
-    Completion Comp;
-    Comp.ConnId = C.Id;
-    Comp.Seq = Seq;
-    Comp.Response = std::move(Response);
-    Comp.TrackEnd = true;
-    Comp.WantTrace = WantTrace;
-    Comp.Trace = std::move(Trace);
-    Comp.ServiceMs = ServiceMs;
-    Comp.Kind = Req.K;
+    Comp.Response = Req.K == ServiceRequest::Kind::Ping
+                        ? makePongResponse(EchoId)
+                        : makeStatsResponse(snapshotStats(), EchoId);
+    Rec.ServiceMs = msSince(Begin);
+    ServiceHist.record(Rec.ServiceMs);
+    {
+      std::lock_guard<std::mutex> L(StatsMutex);
+      InlineBusyMs += Rec.ServiceMs;
+    }
+    Trace.leave();
+    Rec.TrackEnd = true;
     sequenceCompletion(C, std::move(Comp));
     return;
   }
   // Content-hash routing: identical work always lands on the same shard,
   // so its private cache sees every repeat.
-  ServiceRequest::Kind Kind = Req.K;
   Shard &Sh = *ShardList[size_t(routeRequestHash(Req) % NumShards)];
   bool Full = false;
   bool Saturated = false;
@@ -1049,14 +1021,7 @@ void Server::Impl::processRequest(IoConn &C, std::string_view Payload) {
     if (Sh.Queue.size() >= Opt.QueueCapacity) {
       Full = true;
     } else {
-      ShardJob Job;
-      Job.ConnId = C.Id;
-      Job.Seq = Seq;
-      Job.Req = std::move(Req);
-      Job.Trace = std::move(Trace);
-      Job.WantTrace = WantTrace;
-      Job.ParseMs = ParseMs;
-      Sh.Queue.push_back(std::move(Job));
+      Sh.Queue.push_back({std::move(Rec), std::move(Req)});
       Sh.QueueMaxDepth =
           std::max<uint64_t>(Sh.QueueMaxDepth, Sh.Queue.size());
       Saturated = Sh.Queue.size() >= Opt.QueueCapacity;
@@ -1073,13 +1038,9 @@ void Server::Impl::processRequest(IoConn &C, std::string_view Payload) {
     }
     Events.record(obs::EventKind::Reject, double(Opt.QueueCapacity),
                   Trace.id().c_str(), "shard queue full");
-    Completion Comp;
-    Comp.ConnId = C.Id;
-    Comp.Seq = Seq;
     Comp.Response =
         makeErrorResponse("server overloaded: shard queue full, retry later",
                           Trace.Echo ? Trace.id() : std::string());
-    Comp.Kind = Kind;
     sequenceCompletion(C, std::move(Comp));
     return;
   }
@@ -1091,7 +1052,7 @@ void Server::Impl::processRequest(IoConn &C, std::string_view Payload) {
 }
 
 void Server::Impl::sequenceCompletion(IoConn &C, Completion Comp) {
-  C.Ready.emplace(Comp.Seq, std::move(Comp));
+  C.Ready.emplace(Comp.Rec.Seq, std::move(Comp));
   // Flush the in-order prefix: a completion for request N waits here until
   // every response before N is in the output buffer.
   while (!C.Ready.empty() && C.Ready.begin()->first == C.NextFlushSeq) {
@@ -1120,15 +1081,9 @@ void Server::Impl::appendResponse(IoConn &C, Completion &Comp) {
     Out = &Fallback;
   }
   FlushRecord R;
-  R.TrackEnd = Comp.TrackEnd;
-  R.WantTrace = Comp.WantTrace;
-  R.ServiceMs = Comp.ServiceMs;
-  R.Kind = Comp.Kind;
   R.FlushStartTime = std::chrono::steady_clock::now();
-  if (Comp.WantTrace) {
-    R.Trace = std::move(Comp.Trace);
-    R.FlushStartMs = R.Trace.sinceBeginMs();
-  }
+  R.Rec = std::move(Comp.Rec);
+  R.Rec.Trace.enter(obs::RequestTrace::Stage::ResponseFlush);
   bool WasDrained = C.OutPos >= C.OutBuf.size();
   C.OutBuf += encodeFrameHeader(Out->size());
   C.OutBuf += *Out;
@@ -1179,17 +1134,16 @@ bool Server::Impl::tryWrite(IoConn &C) {
 }
 
 void Server::Impl::finalizeFlush(FlushRecord &R) {
-  double FlushMs = msSince(R.FlushStartTime);
-  double TotalMs = R.ServiceMs + FlushMs;
-  if (R.WantTrace)
-    R.Trace.addSpan("response_flush", R.FlushStartMs, FlushMs);
-  if (!R.TrackEnd)
+  RequestRecord &Rec = R.Rec;
+  double TotalMs = Rec.ServiceMs + msSince(R.FlushStartTime);
+  Rec.Trace.leave();
+  if (!Rec.TrackEnd)
     return;
   obs::EventLog::global().record(obs::EventKind::RequestEnd, TotalMs,
-                                 R.Trace.id().c_str(),
-                                 requestKindName(R.Kind));
+                                 Rec.Trace.id().c_str(),
+                                 requestKindName(Rec.Kind));
   if (Opt.SlowMs >= 0 && TotalMs >= Opt.SlowMs)
-    emitSlowRequest(R.Trace, TotalMs, R.Kind);
+    emitSlowRequest(Rec.Trace, TotalMs, Rec.Kind);
 }
 
 void Server::Impl::drainCompletions() {
@@ -1200,7 +1154,7 @@ void Server::Impl::drainCompletions() {
   }
   for (Completion &Comp : Batch) {
     --OutstandingShardJobs;
-    auto It = Conns.find(Comp.ConnId);
+    auto It = Conns.find(Comp.Rec.ConnId);
     if (It == Conns.end())
       continue; // Connection died while its request was in flight.
     IoConn &C = *It->second;
@@ -1243,43 +1197,29 @@ void Server::Impl::shardLoop(Shard &Sh) {
       Sh.Queue.pop_front();
     }
     auto Begin = std::chrono::steady_clock::now();
-    obs::RequestTrace &Trace = Job.Trace;
-    if (Job.WantTrace) {
-      double DequeueMs = Trace.sinceBeginMs();
-      Trace.addSpan("queue_wait", Job.ParseMs, DequeueMs - Job.ParseMs);
-      Trace.DispatchStartMs = DequeueMs;
-      Trace.ShardId = int(Sh.Index);
-    }
+    RequestRecord &Rec = Job.Rec;
+    Rec.Trace.enter(obs::RequestTrace::Stage::Dispatch);
+    Rec.Trace.ShardId = int(Sh.Index);
     obs::EventLog::global().record(obs::EventKind::RequestStart, 0,
-                                   Trace.id().c_str(),
-                                   requestKindName(Job.Req.K));
-    obs::RequestTrace *TracePtr = Job.WantTrace ? &Trace : nullptr;
-    std::string Response =
-        Job.Req.K == ServiceRequest::Kind::Allocate
-            ? handleAllocate(Sh, Job.Req, TracePtr)
-            : handleSubmitIr(Sh, Job.Req, TracePtr);
-    double ServiceMs = msSince(Begin);
-    ServiceHist.record(ServiceMs);
+                                   Rec.Trace.id().c_str(),
+                                   requestKindName(Rec.Kind));
+    Completion Comp;
+    Comp.Response = Rec.Kind == ServiceRequest::Kind::Allocate
+                        ? handleAllocate(Sh, Job.Req, Rec.Trace)
+                        : handleSubmitIr(Sh, Job.Req, Rec.Trace);
+    Rec.ServiceMs = msSince(Begin);
+    ServiceHist.record(Rec.ServiceMs);
     {
       std::lock_guard<std::mutex> L(Sh.StatMutex);
-      Sh.BusyMs += ServiceMs;
+      Sh.BusyMs += Rec.ServiceMs;
       ++Sh.Requests;
     }
-    // Handlers close the dispatch span once they know where dispatch work
-    // ends (driver start).  Paths that never got there -- validation
-    // rejections -- close it here, covering the whole handler.
-    if (Job.WantTrace && !Trace.hasSpan("dispatch"))
-      Trace.addSpan("dispatch", Trace.DispatchStartMs,
-                    Trace.sinceBeginMs() - Trace.DispatchStartMs);
-    Completion Comp;
-    Comp.ConnId = Job.ConnId;
-    Comp.Seq = Job.Seq;
-    Comp.Response = std::move(Response);
-    Comp.TrackEnd = true;
-    Comp.WantTrace = Job.WantTrace;
-    Comp.Trace = std::move(Job.Trace);
-    Comp.ServiceMs = ServiceMs;
-    Comp.Kind = Job.Req.K;
+    // Handlers leave dispatch for the driver stage and close that once
+    // the solve ends.  Paths that never got there -- validation
+    // rejections -- close dispatch here, covering the whole handler.
+    Rec.Trace.leave();
+    Rec.TrackEnd = true;
+    Comp.Rec = std::move(Rec);
     postCompletion(std::move(Comp));
   }
 }
@@ -1300,21 +1240,19 @@ void Server::Impl::emitSlowRequest(const obs::RequestTrace &Trace,
 }
 
 std::string Server::Impl::failRequest(const std::string &Message,
-                                      const obs::RequestTrace *Trace) {
+                                      const obs::RequestTrace &Trace) {
   {
     std::lock_guard<std::mutex> L(StatsMutex);
     ++Counters.RequestsTotal;
     ++Counters.RequestsFailed;
   }
   obs::EventLog::global().record(obs::EventKind::Reject, 0,
-                                 Trace ? Trace->id().c_str() : nullptr,
-                                 Message.c_str());
-  return makeErrorResponse(Message, Trace && Trace->Echo ? Trace->id()
-                                                         : std::string());
+                                 Trace.id().c_str(), Message.c_str());
+  return makeErrorResponse(Message, Trace.Echo ? Trace.id() : std::string());
 }
 
 std::string Server::Impl::validateCommon(const ServiceRequest &Req,
-                                         const obs::RequestTrace *Trace) {
+                                         const obs::RequestTrace &Trace) {
   const TargetDesc *Target = targetByName(Req.TargetName);
   if (!Target)
     return failRequest("unknown target '" + Req.TargetName + "'", Trace);
@@ -1334,15 +1272,10 @@ std::string Server::Impl::runJobs(Shard &Sh,
                                   const std::vector<BatchJob> &Jobs,
                                   const ServiceRequest &Req,
                                   uint64_t ServerStats::*Counter,
-                                  obs::RequestTrace *Trace) {
-  // The dispatch span covers dequeue to driver start (validation, suite
-  // lookup, job building); the driver span is the solve itself.
-  double DriverStart = 0;
-  if (Trace) {
-    DriverStart = Trace->sinceBeginMs();
-    Trace->addSpan("dispatch", Trace->DispatchStartMs,
-                   DriverStart - Trace->DispatchStartMs);
-  }
+                                  obs::RequestTrace &Trace) {
+  // The dispatch stage covers dequeue to driver start (validation, suite
+  // lookup, job building); the driver stage is the solve itself.
+  Trace.enter(obs::RequestTrace::Stage::Driver);
   uint64_t EvictionsBefore = Sh.Driver.pipelineCacheCounters().Evictions;
   // Transparent mode makes the response byte-identical to a direct fresh
   // BatchDriver run of the same jobs, however warm the shard's cache or
@@ -1351,25 +1284,34 @@ std::string Server::Impl::runJobs(Shard &Sh,
   // persistent cache served while cache_hit claimed a fresh solve --
   // self-contradictory.  Byte identity is only promised for timing-free
   // responses anyway (docs/PROTOCOL.md).
-  std::vector<PhaseTotals> JobPhases;
-  DriverReport Report = Sh.Driver.run(Jobs, /*CacheTransparent=*/!Req.Timing,
-                                      Trace ? &JobPhases : nullptr);
-  if (Trace) {
-    Trace->addSpan("driver", DriverStart,
-                   Trace->sinceBeginMs() - DriverStart);
-    Trace->attachJobPhases(std::move(JobPhases));
+  //
+  // A traced run accounts its own solver phases (and no other shard's)
+  // and moves them from the report into the trace, so a traced report --
+  // phase_ms of a timing response included -- keeps an untraced one's
+  // bytes.
+  DriverReport Report;
+  {
+    obs::ThreadPhaseAccounting TracedAccounting(Trace.active());
+    Report = Sh.Driver.run(Jobs, /*CacheTransparent=*/!Req.Timing);
+  }
+  Trace.leave();
+  if (Trace.active()) {
+    for (JobReport &JR : Report.Jobs) {
+      Trace.JobPhases.push_back(*JR.Phases);
+      JR.Phases.reset();
+    }
     uint64_t Evicted =
         Sh.Driver.pipelineCacheCounters().Evictions - EvictionsBefore;
     if (Evicted > 0)
       obs::EventLog::global().record(obs::EventKind::CachePressure,
-                                     double(Evicted), Trace->id().c_str());
+                                     double(Evicted), Trace.id().c_str());
   }
   JsonValue Doc = driverReportToJson(Report, Req.Timing, Req.Details);
   // The span tree lands after every report member (JsonValue::set appends
   // new keys), so a traced response differs from an untraced one only by
   // the trailing "trace" object -- ServerLoopbackTest holds us to that.
-  if (Trace && Trace->Echo)
-    Doc.set("trace", Trace->toJson());
+  if (Trace.Echo)
+    Doc.set("trace", Trace.toJson());
   std::string Response = Doc.dump(2) + "\n";
   {
     std::lock_guard<std::mutex> L(StatsMutex);
@@ -1385,7 +1327,7 @@ std::string Server::Impl::runJobs(Shard &Sh,
 
 std::string Server::Impl::handleAllocate(Shard &Sh,
                                          const ServiceRequest &Req,
-                                         obs::RequestTrace *Trace) {
+                                         obs::RequestTrace &Trace) {
   std::string Rejection = validateCommon(Req, Trace);
   if (!Rejection.empty())
     return Rejection;
@@ -1423,7 +1365,7 @@ std::string Server::Impl::handleAllocate(Shard &Sh,
 
 std::string Server::Impl::handleSubmitIr(Shard &Sh,
                                          const ServiceRequest &Req,
-                                         obs::RequestTrace *Trace) {
+                                         obs::RequestTrace &Trace) {
   std::string Rejection = validateCommon(Req, Trace);
   if (!Rejection.empty())
     return Rejection;

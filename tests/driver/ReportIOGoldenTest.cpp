@@ -10,7 +10,9 @@
 /// JSON/CSV output of a fixed deterministic batch is compared byte-for-byte
 /// against fixtures committed under tests/driver/golden/.  Any schema or
 /// formatting drift then shows up as a reviewable fixture diff instead of
-/// silently breaking BENCH_*.json trajectory tooling.
+/// silently breaking BENCH_*.json trajectory tooling.  One more fixture
+/// pins the eembc sweep behind BENCH_driver.json, so a change in any
+/// allocation result fails here too.
 ///
 /// Regenerating after an *intentional* schema change:
 ///   LAYRA_UPDATE_GOLDEN=1 ./tests_driver_ReportIOGoldenTest
@@ -181,7 +183,7 @@ TEST(ReportIOGolden, TimedReportCarriesPhaseBreakdowns) {
 
   ASSERT_FALSE(Report.Jobs.empty());
   for (const JobReport &JR : Report.Jobs)
-    EXPECT_EQ(JR.PhaseMs.size(), size_t(kNumPhases));
+    EXPECT_TRUE(JR.Phases.has_value());
   std::string Json = capture([&](std::FILE *Out) {
     writeDriverReportJson(Out, Report, /*IncludeTiming=*/true,
                           /*IncludeTasks=*/false);
@@ -192,4 +194,24 @@ TEST(ReportIOGolden, TimedReportCarriesPhaseBreakdowns) {
     writeDriverReportCsv(Out, Report, /*IncludeTiming=*/true);
   });
   EXPECT_NE(Csv.find("phase_ms_pipeline"), std::string::npos);
+}
+
+TEST(ReportIOGolden, EembcSweepWithoutTimingMatchesFixture) {
+  // The sweep of BENCH_driver.json -- eembc on st231 at 4..16 registers,
+  // default options, one thread -- is `layra-bench --suite=eembc
+  // --regs=4..16 --threads=1 --no-timing --json` byte for byte.
+  std::vector<BatchJob> Jobs;
+  for (unsigned Regs = 4; Regs <= 16; ++Regs) {
+    BatchJob Job;
+    Job.SuiteName = "eembc";
+    Job.NumRegisters = Regs;
+    Jobs.push_back(Job);
+  }
+  BatchDriver Driver(1);
+  DriverReport Report = Driver.run(Jobs);
+  compareToGolden(capture([&](std::FILE *Out) {
+                    writeDriverReportJson(Out, Report, /*IncludeTiming=*/false,
+                                          /*IncludeTasks=*/false);
+                  }),
+                  "eembc_sweep.json");
 }

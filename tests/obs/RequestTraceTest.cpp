@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Request-scoped span trees (obs/RequestTrace.h): trace id generation
-/// and wire validation, span bookkeeping, per-job phase attachment, and
-/// the JSON shapes echoed in traced responses and slow-request lines.
+/// and wire validation, the stage table, per-job phases, and the JSON
+/// shapes echoed in traced responses and slow-request lines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,48 +67,89 @@ TEST(RequestTraceTest, InactiveUntilBegun) {
   EXPECT_EQ(Trace.id(), "req-1");
 }
 
-TEST(RequestTraceTest, SpansAccumulateAndNegativesClamp) {
-  RequestTrace Trace;
-  Trace.begin("req-1", std::chrono::steady_clock::now());
-  Trace.addSpan("accept", 0, 0.5);
-  Trace.addSpan("queue_wait", 0.5, -0.001); // Clock skew: clamps to 0.
-  ASSERT_EQ(Trace.spans().size(), 2u);
-  EXPECT_TRUE(Trace.hasSpan("accept"));
-  EXPECT_TRUE(Trace.hasSpan("queue_wait"));
-  EXPECT_FALSE(Trace.hasSpan("driver"));
-  EXPECT_EQ(Trace.spans()[1].DurMs, 0.0);
+namespace {
+
+/// The "spans" member of \p Doc.
+const JsonValue &spansOf(const JsonValue &Doc) {
+  const JsonValue *Spans = Doc.find("spans");
+  EXPECT_NE(Spans, nullptr);
+  static const JsonValue Empty = JsonValue::array();
+  return Spans ? *Spans : Empty;
 }
 
-TEST(RequestTraceTest, ToJsonCarriesIdAndOrderedSpans) {
+} // namespace
+
+TEST(RequestTraceTest, StagesTileTheTimelineInStageOrder) {
+  using Stage = RequestTrace::Stage;
   RequestTrace Trace;
-  Trace.begin("req-json", std::chrono::steady_clock::now());
-  Trace.addSpan("accept", 0, 0.25);
-  Trace.addSpan("dispatch", 0.25, 1.5);
+  Trace.begin("req-json", std::chrono::steady_clock::now() -
+                              std::chrono::milliseconds(2));
+  Trace.enter(Stage::QueueWait);
+  Trace.enter(Stage::Dispatch);
+  Trace.leave();
+  Trace.leave(); // Nothing open: a no-op.
 
   JsonValue Doc = Trace.toJson();
-  const JsonValue *Id = Doc.find("id");
-  ASSERT_NE(Id, nullptr);
-  EXPECT_EQ(Id->stringValue(), "req-json");
-  const JsonValue *Spans = Doc.find("spans");
-  ASSERT_NE(Spans, nullptr);
-  ASSERT_EQ(Spans->size(), 2u);
-  EXPECT_EQ(Spans->at(0).find("name")->stringValue(), "accept");
-  EXPECT_EQ(Spans->at(1).find("name")->stringValue(), "dispatch");
-  EXPECT_EQ(Spans->at(1).find("start_ms")->numberValue(), 0.25);
-  EXPECT_EQ(Spans->at(1).find("dur_ms")->numberValue(), 1.5);
+  ASSERT_NE(Doc.find("id"), nullptr);
+  EXPECT_EQ(Doc.find("id")->stringValue(), "req-json");
+  EXPECT_EQ(Doc.find("shard"), nullptr); // Not shard-routed.
+  const JsonValue &Spans = spansOf(Doc);
+  ASSERT_EQ(Spans.size(), 3u);
+  EXPECT_EQ(Spans.at(0).find("name")->stringValue(), "accept");
+  EXPECT_EQ(Spans.at(1).find("name")->stringValue(), "queue_wait");
+  EXPECT_EQ(Spans.at(2).find("name")->stringValue(), "dispatch");
+  EXPECT_EQ(Spans.at(0).find("start_ms")->numberValue(), 0.0);
+  EXPECT_GE(Spans.at(0).find("dur_ms")->numberValue(), 2.0);
+  // Each stage opens at the clock reading that closed the previous one.
+  for (unsigned I = 1; I < Spans.size(); ++I) {
+    const JsonValue &Prev = Spans.at(I - 1);
+    EXPECT_NEAR(Spans.at(I).find("start_ms")->numberValue(),
+                Prev.find("start_ms")->numberValue() +
+                    Prev.find("dur_ms")->numberValue(),
+                0.0025);
+  }
   // No jobs attached: the member is omitted entirely.
   EXPECT_EQ(Doc.find("jobs"), nullptr);
 }
 
-TEST(RequestTraceTest, AttachedJobPhasesOmitZeroCountPhases) {
+TEST(RequestTraceTest, OpenStagesAreNotSpansAndSerializeInStageOrder) {
+  using Stage = RequestTrace::Stage;
+  RequestTrace Trace;
+  Trace.begin("req-order", std::chrono::steady_clock::now());
+  Trace.ShardId = 3;
+  Trace.enter(Stage::Driver); // Skips queue_wait and dispatch.
+  Trace.leave();
+  Trace.enter(Stage::ResponseFlush); // Still open.
+  JsonValue Doc = Trace.toJson();
+  ASSERT_NE(Doc.find("shard"), nullptr);
+  EXPECT_EQ(Doc.find("shard")->numberValue(), 3.0);
+  const JsonValue &Spans = spansOf(Doc);
+  ASSERT_EQ(Spans.size(), 2u);
+  EXPECT_EQ(Spans.at(0).find("name")->stringValue(), "accept");
+  EXPECT_EQ(Spans.at(1).find("name")->stringValue(), "driver");
+
+  Trace.leave();
+  ASSERT_EQ(spansOf(Trace.toJson()).size(), 3u);
+  EXPECT_EQ(spansOf(Trace.toJson()).at(2).find("name")->stringValue(),
+            "response_flush");
+}
+
+TEST(RequestTraceTest, InactiveTraceRecordsNothing) {
+  RequestTrace Trace;
+  Trace.enter(RequestTrace::Stage::Dispatch);
+  Trace.leave();
+  EXPECT_FALSE(Trace.active());
+  EXPECT_EQ(spansOf(Trace.toJson()).size(), 0u);
+}
+
+TEST(RequestTraceTest, JobPhasesOmitZeroCountPhases) {
   RequestTrace Trace;
   Trace.begin("req-phases", std::chrono::steady_clock::now());
 
-  std::vector<PhaseTotals> Phases(2);
-  Phases[0].Ms[size_t(Phase::Liveness)] = 3.5;
-  Phases[0].Count[size_t(Phase::Liveness)] = 7;
+  Trace.JobPhases.resize(2);
+  Trace.JobPhases[0].Ms[size_t(Phase::Liveness)] = 3.5;
+  Trace.JobPhases[0].Count[size_t(Phase::Liveness)] = 7;
   // Job 1 never ran anything: its phase list must come out empty.
-  Trace.attachJobPhases(Phases);
 
   JsonValue Doc = Trace.toJson();
   const JsonValue *Jobs = Doc.find("jobs");
@@ -126,15 +167,10 @@ TEST(RequestTraceTest, AttachedJobPhasesOmitZeroCountPhases) {
   const JsonValue *P1 = Jobs->at(1).find("phases");
   ASSERT_NE(P1, nullptr);
   EXPECT_EQ(P1->size(), 0u);
-}
 
-TEST(RequestTraceTest, IdJsonIsMinimal) {
-  RequestTrace Trace;
-  Trace.begin("req-min", std::chrono::steady_clock::now());
-  JsonValue Doc = Trace.idJson();
-  EXPECT_EQ(Doc.size(), 1u);
-  ASSERT_NE(Doc.find("id"), nullptr);
-  EXPECT_EQ(Doc.find("id")->stringValue(), "req-min");
+  // Re-arming starts a fresh record.
+  Trace.begin("req-again", std::chrono::steady_clock::now());
+  EXPECT_EQ(Trace.toJson().find("jobs"), nullptr);
 }
 
 TEST(RequestTraceTest, SinceBeginIsMonotone) {

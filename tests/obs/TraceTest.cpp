@@ -221,20 +221,19 @@ TEST(TraceTest, PhaseAccountingFillsJobBreakdowns) {
   obs::setPhaseAccounting(false);
 
   ASSERT_EQ(Report.Jobs.size(), 1u);
-  const JobReport &JR = Report.Jobs[0];
-  ASSERT_EQ(JR.PhaseMs.size(), size_t(kNumPhases));
-  ASSERT_EQ(JR.PhaseCount.size(), size_t(kNumPhases));
+  ASSERT_TRUE(Report.Jobs[0].Phases.has_value());
+  const PhaseTotals &Phases = *Report.Jobs[0].Phases;
   // Every solve enters the pipeline and final assignment at least once.
-  EXPECT_GT(JR.PhaseCount[unsigned(Phase::Pipeline)], 0u);
-  EXPECT_GT(JR.PhaseCount[unsigned(Phase::Allocate)], 0u);
-  EXPECT_GT(JR.PhaseCount[unsigned(Phase::Assign)], 0u);
+  EXPECT_GT(Phases.Count[unsigned(Phase::Pipeline)], 0u);
+  EXPECT_GT(Phases.Count[unsigned(Phase::Allocate)], 0u);
+  EXPECT_GT(Phases.Count[unsigned(Phase::Assign)], 0u);
   // Self times are non-negative and their sum reconstructs (almost all of)
   // the run without double counting -- it cannot exceed total wall time by
   // more than rounding noise.
   double SelfSum = 0;
   for (unsigned P = 0; P < kNumPhases; ++P) {
-    EXPECT_GE(JR.PhaseMs[P], 0.0);
-    SelfSum += JR.PhaseMs[P];
+    EXPECT_GE(Phases.Ms[P], 0.0);
+    SelfSum += Phases.Ms[P];
   }
   EXPECT_GT(SelfSum, 0.0);
 }

@@ -135,6 +135,33 @@ void expectConnectionGone(int Fd) {
       << frameStatusName(After);
 }
 
+/// Expects \p Got and \p Want to have the same shape: the same member
+/// keys in the same order in every object, the same length in every
+/// array, recursively.  Values are not compared (timings differ, and a
+/// zero timing parses as an integer).
+void expectSameKeys(const JsonValue &Got, const JsonValue &Want,
+                    const std::string &Path) {
+  if (Got.isNumber() && Want.isNumber())
+    return;
+  ASSERT_EQ(Got.kind(), Want.kind()) << Path;
+  if (Got.isArray()) {
+    ASSERT_EQ(Got.size(), Want.size()) << Path;
+    for (size_t I = 0; I < Got.size(); ++I)
+      expectSameKeys(Got.at(I), Want.at(I),
+                     Path + "[" + std::to_string(I) + "]");
+    return;
+  }
+  if (!Got.isObject())
+    return;
+  ASSERT_EQ(Got.size(), Want.size()) << Path;
+  for (size_t I = 0; I < Got.size(); ++I) {
+    const auto &[GotKey, GotValue] = Got.members()[I];
+    const auto &[WantKey, WantValue] = Want.members()[I];
+    ASSERT_EQ(GotKey, WantKey) << Path;
+    expectSameKeys(GotValue, WantValue, Path + "." + GotKey);
+  }
+}
+
 uint64_t statsCacheHits(Client &Conn) {
   std::string Payload, Error;
   EXPECT_TRUE(Conn.stats(Payload, &Error)) << Error;
@@ -720,6 +747,40 @@ TEST(ServerLoopbackTest, TracedResponsesDifferOnlyByTheTraceMember) {
 
   // And the trace member is the last one: appended, never interleaved.
   EXPECT_EQ(Parsed.Value.members().back().first, "trace");
+
+  // A timing response: its values are wall clocks, so compare shapes.  The
+  // traced request goes first and really solves; its phases travel in the
+  // trace, never as the report's phase_ms.
+  ServiceRequest TimedReq = allocateRequest({6, 7}, /*Details=*/true);
+  TimedReq.Timing = true;
+  ServiceRequest TimedTracedReq = TimedReq;
+  TimedTracedReq.Trace = true;
+  TimedTracedReq.TraceId = "timing-check";
+  std::string TimedTraced, TimedUntraced;
+  ASSERT_TRUE(Conn.call(Client::makeAllocateRequest(TimedTracedReq),
+                        TimedTraced, &Error))
+      << Error;
+  ASSERT_TRUE(Conn.call(Client::makeAllocateRequest(TimedReq), TimedUntraced,
+                        &Error))
+      << Error;
+  ASSERT_FALSE(Client::isErrorResponse(TimedTraced));
+  ASSERT_FALSE(Client::isErrorResponse(TimedUntraced));
+  JsonParseResult TimedDoc = parseJson(TimedTraced);
+  JsonParseResult TwinDoc = parseJson(TimedUntraced);
+  ASSERT_TRUE(TimedDoc.Ok) << TimedDoc.Error;
+  ASSERT_TRUE(TwinDoc.Ok) << TwinDoc.Error;
+  ASSERT_EQ(TimedDoc.Value.members().back().first, "trace");
+  JsonValue TimedStripped = JsonValue::object();
+  for (const auto &Member : TimedDoc.Value.members())
+    if (Member.first != "trace")
+      TimedStripped.append(Member.first, Member.second);
+  ASSERT_NE(TimedStripped.find("wall_ms"), nullptr);
+  expectSameKeys(TimedStripped, TwinDoc.Value, "response");
+  EXPECT_EQ(TimedTraced.find("\"phase_ms\""), std::string::npos);
+  EXPECT_EQ(TimedUntraced.find("\"phase_ms\""), std::string::npos);
+  const JsonValue *TraceJobs = TimedDoc.Value.find("trace")->find("jobs");
+  ASSERT_NE(TraceJobs, nullptr);
+  EXPECT_EQ(TraceJobs->size(), 2u);
 }
 
 TEST(ServerLoopbackTest, ShardedResponsesAreByteIdenticalToDirectRun) {
