@@ -31,7 +31,7 @@ PipelineResult layra::runAllocationPipeline(const Function &F,
 PipelineResult layra::runAllocationPipeline(
     const Function &F, const TargetDesc &Target,
     const std::vector<unsigned> &Budgets, const PipelineOptions &Options,
-    SolverWorkspace *WS) {
+    SolverWorkspace *WS, const AllocationProblem *Round0) {
   assert(verifyFunction(F, /*ExpectSsa=*/true) &&
          "pipeline requires strict SSA input");
   PhaseSpan PipelineSpan(Phase::Pipeline);
@@ -56,7 +56,19 @@ PipelineResult layra::runAllocationPipeline(
   // exact same function.
   std::optional<AllocationProblem> Current;
 
+  // The caller's problem of F stands in for a build until a rewrite
+  // changes Out.Rewritten.  It is trimmed to the classes F uses, as
+  // buildSsaProblem trims its budgets.
+  if (Round0 && Round0->numClasses() > Budgets.size())
+    layraFatalError("function uses a register class the target (or budget "
+                    "vector) does not have");
+  assert((!Round0 || !WithIntervals || Round0->Intervals) &&
+         "round-0 problem lacks the intervals the allocator reads");
+  const AllocationProblem *Unchanged = Round0;
   auto build = [&] {
+    if (Unchanged)
+      return Unchanged->withBudgets(std::vector<unsigned>(
+          Budgets.begin(), Budgets.begin() + Unchanged->numClasses()));
     return buildSsaProblem(Out.Rewritten, Target, Budgets, WS, WithIntervals);
   };
   auto allocate = [&](const AllocationProblem &P) {
@@ -98,6 +110,7 @@ PipelineResult layra::runAllocationPipeline(
     // One rewrite covers every class's spills; reload temporaries inherit
     // their value's class (ir/SpillRewriter.cpp).
     SpillRewriteStats Stats = rewriteSpills(Out.Rewritten, Spilled);
+    Unchanged = nullptr;
     Out.Spills.NumLoads += Stats.NumLoads;
     Out.Spills.NumStores += Stats.NumStores;
     Out.Spills.NumSlots += Stats.NumSlots;

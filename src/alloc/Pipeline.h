@@ -91,11 +91,21 @@ PipelineResult runAllocationPipeline(const Function &F,
 /// allocator decomposes multi-class instances per class -- and rewrites
 /// all spills at once; spill temporaries inherit their value's class, so
 /// reload pressure stays within the file that caused it.
+///
+/// \p Round0 optionally supplies the problem of \p F itself, built by
+/// buildSsaProblem with \p Target's spill costs at *any* budgets, and with
+/// live intervals when the allocator reads them.  Round 0 (and the final
+/// assignment when no round rewrote \p F) then starts from
+/// `Round0->withBudgets(Budgets)` instead of rebuilding: the problem's
+/// graph and constraints do not depend on the budgets, so a register sweep
+/// builds each function's first problem once (driver/BatchDriver.cpp does).
+/// Results are identical with and without it.
 PipelineResult runAllocationPipeline(const Function &F,
                                      const TargetDesc &Target,
                                      const std::vector<unsigned> &Budgets,
                                      const PipelineOptions &Options = {},
-                                     SolverWorkspace *WS = nullptr);
+                                     SolverWorkspace *WS = nullptr,
+                                     const AllocationProblem *Round0 = nullptr);
 
 } // namespace layra
 

@@ -9,7 +9,7 @@
 
 #include "core/SolverWorkspace.h"
 #include "core/StepLayer.h"
-#include "graph/StableSet.h"
+#include "obs/Trace.h"
 #include "support/Compiler.h"
 
 #include <algorithm>
@@ -18,16 +18,33 @@ using namespace layra;
 
 namespace {
 /// Working state of one layered run.  All buffers are checked out of the
-/// workspace, so consecutive layers (and consecutive runs sharing one
-/// workspace) reuse the same arenas.
+/// workspace, so consecutive runs sharing one workspace reuse the same
+/// arenas.
+///
+/// A layer costs its candidates and their edges, not the whole problem:
+/// the candidates stay in PEO order and are compacted once per layer, each
+/// vertex's candidate degree (the §4.1 bias) is kept exact as vertices
+/// leave the candidate set, Frank's phase 1 charges only later neighbors
+/// (an earlier neighbor's residual is already 0), and blue-adjacent marks
+/// are layer stamps, so no N-sized buffer is refilled per layer.
+/// fuzz/LayeredReference.h keeps the per-layer recount as the reference.
 struct LayeredState {
   const AllocationProblem &P;
+  const Graph &G;
   const LayeredOptions &Opt;
   SolverWorkspace &WS;
   std::vector<char> &Candidates;       // Still eligible for allocation.
   std::vector<char> &Allocated;        // Result flags.
   std::vector<unsigned> &PerClique;    // Allocated count per maximal clique.
   std::vector<char> &CliqueClosed;     // Clique reached R allocated vertices.
+  std::vector<VertexId> &Order;        // Candidates, in PEO order.
+  std::vector<unsigned> &Degree;       // Candidate neighbors (Biased only).
+  std::vector<uint32_t> &LaterStart;   // Later-neighbor CSR offsets.
+  std::vector<VertexId> &Later;        // Later neighbors in the PEO.
+  std::vector<Weight> &Residual;       // Frank's residual weights.
+  std::vector<VertexId> &Red;          // Frank's red stack.
+  std::vector<unsigned> &BlueStamp;    // Layer that last marked a vertex.
+  unsigned LayerNo = 0;
   /// Clique tree for the step >= 2 DP; built once per run on first use so
   /// every layer shares it.
   CliqueTree StepTree;
@@ -35,51 +52,110 @@ struct LayeredState {
 
   LayeredState(const AllocationProblem &P, const LayeredOptions &Opt,
                SolverWorkspace &WS)
-      : P(P), Opt(Opt), WS(WS),
-        Candidates(
-            WS.acquire(WS.Layered.Candidates, P.graph().numVertices(), char(1))),
-        Allocated(
-            WS.acquire(WS.Layered.Allocated, P.graph().numVertices(), char(0))),
+      : P(P), G(P.graph()), Opt(Opt), WS(WS),
+        Candidates(WS.acquire(WS.Layered.Candidates, G.numVertices(), char(1))),
+        Allocated(WS.acquire(WS.Layered.Allocated, G.numVertices(), char(0))),
         PerClique(WS.acquire(WS.Layered.PerClique, P.Cliques.numCliques(), 0u)),
         CliqueClosed(WS.acquire(WS.Layered.CliqueClosed,
-                                P.Cliques.numCliques(), char(0))) {}
+                                P.Cliques.numCliques(), char(0))),
+        Order(WS.acquireCleared(WS.Layered.Order)),
+        Degree(WS.acquire(WS.Layered.Degree, Opt.Biased ? G.numVertices() : 0,
+                          0u)),
+        LaterStart(WS.acquire(WS.Layered.LaterStart, G.numVertices() + 1, 0u)),
+        Later(WS.acquireCleared(WS.Layered.Later)),
+        Residual(WS.acquire(WS.Layered.Residual, G.numVertices(), Weight(0))),
+        Red(WS.acquireCleared(WS.Layered.Red)),
+        BlueStamp(WS.acquire(WS.Layered.BlueStamp, G.numVertices(), 0u)) {
+    unsigned N = G.numVertices();
+    Order.assign(P.Peo.Order.begin(), P.Peo.Order.end());
+    const std::vector<unsigned> &Position = P.Peo.Position;
+    Later.reserve(G.numEdges());
+    for (VertexId V = 0; V < N; ++V) {
+      LaterStart[V] = static_cast<uint32_t>(Later.size());
+      for (VertexId U : G.neighbors(V))
+        if (Position[U] > Position[V])
+          Later.push_back(U);
+    }
+    LaterStart[N] = static_cast<uint32_t>(Later.size());
+    for (VertexId V = 0; V < Degree.size(); ++V)
+      Degree[V] = static_cast<unsigned>(G.neighbors(V).size());
+  }
 
-  /// Weights for the next layer: raw, or biased by the remaining
+  NeighborRange laterNeighbors(VertexId V) const {
+    return {Later.data() + LaterStart[V], Later.data() + LaterStart[V + 1]};
+  }
+
+  /// The layer weight of candidate \p V: raw, or biased by its remaining
   /// interference degree (paper §4.1).  Biasing w -> w*|V| + |adj| preserves
   /// the order of distinct weights and breaks ties toward vertices whose
   /// allocation removes more interference among the remaining candidates.
-  /// Fills the workspace weight buffer in place.
-  const std::vector<Weight> &layerWeights() {
-    unsigned N = P.graph().numVertices();
-    std::vector<Weight> &W = WS.acquire(WS.Layered.LayerWeights, N, Weight(0));
-    for (VertexId V = 0; V < N; ++V) {
-      if (!Candidates[V])
-        continue;
-      if (!Opt.Biased) {
-        W[V] = P.graph().weight(V);
-        continue;
-      }
-      Weight Degree = 0;
-      for (VertexId U : P.graph().neighbors(V))
-        Degree += Candidates[U] ? 1 : 0;
-      W[V] = P.graph().weight(V) * static_cast<Weight>(N) + Degree;
+  Weight layerWeight(VertexId V) const {
+    if (!Opt.Biased)
+      return G.weight(V);
+    return G.weight(V) * static_cast<Weight>(G.numVertices()) + Degree[V];
+  }
+
+  /// Frank's algorithm (paper Algorithm 1) over the candidates, as
+  /// maximumWeightedStableSetChordal computes it with the candidate mask.
+  std::vector<VertexId> stableLayer() {
+    PhaseSpan StableSetSpan(Phase::StableSet);
+    // Phase 1: sweep the candidates in PEO order with residual weights;
+    // mark red every vertex whose residual is still positive and charge it
+    // to its later candidate neighbors.
+    for (VertexId V : Order) {
+      Residual[V] = layerWeight(V);
+      assert(Residual[V] >= 0 && "stable-set weights must be non-negative");
     }
-    return W;
+    Red.clear();
+    for (VertexId V : Order) {
+      Weight Charge = Residual[V];
+      if (Charge <= 0)
+        continue;
+      Red.push_back(V);
+      for (VertexId U : laterNeighbors(V))
+        if (Candidates[U])
+          Residual[U] = std::max<Weight>(0, Residual[U] - Charge);
+    }
+    // Phase 2: pop red vertices in reverse; keep ("mark blue") each one no
+    // blue vertex of this layer is adjacent to.
+    ++LayerNo;
+    std::vector<VertexId> Layer;
+    for (auto It = Red.rbegin(); It != Red.rend(); ++It) {
+      if (BlueStamp[*It] == LayerNo)
+        continue;
+      Layer.push_back(*It);
+      for (VertexId U : G.neighbors(*It))
+        BlueStamp[U] = LayerNo;
+    }
+    return Layer;
   }
 
   /// Computes one optimal layer of at most \p Bound registers over the
   /// current candidates.  Empty result means no remaining candidate has
   /// positive weight.
   std::vector<VertexId> computeLayer(unsigned Bound) {
-    const std::vector<Weight> &W = layerWeights();
+    Order.erase(std::remove_if(Order.begin(), Order.end(),
+                               [&](VertexId V) { return !Candidates[V]; }),
+                Order.end());
     if (Bound == 1)
-      return maximumWeightedStableSetChordal(P.graph(), P.Peo, W, Candidates, &WS)
-          .Set;
+      return stableLayer();
     if (!StepTreeBuilt) {
-      StepTree = buildCliqueTree(P.graph(), P.Cliques);
+      StepTree = buildCliqueTree(G, P.Cliques);
       StepTreeBuilt = true;
     }
+    std::vector<Weight> &W =
+        WS.acquire(WS.Layered.LayerWeights, G.numVertices(), Weight(0));
+    for (VertexId V : Order)
+      W[V] = layerWeight(V);
     return optimalBoundedLayer(P, Candidates, W, Bound, &WS, &StepTree);
+  }
+
+  /// Removes candidate \p V from the candidate set.
+  void leave(VertexId V) {
+    Candidates[V] = 0;
+    if (Opt.Biased)
+      for (VertexId U : G.neighbors(V))
+        --Degree[U];
   }
 
   /// Marks \p Layer allocated and removes it from the candidates.
@@ -87,7 +163,7 @@ struct LayeredState {
     for (VertexId V : Layer) {
       assert(Candidates[V] && !Allocated[V] && "layer reused a vertex");
       Allocated[V] = 1;
-      Candidates[V] = 0;
+      leave(V);
     }
   }
 
@@ -103,7 +179,8 @@ struct LayeredState {
           continue;
         CliqueClosed[C] = 1;
         for (VertexId U : P.Cliques.clique(C))
-          Candidates[U] = 0;
+          if (Candidates[U])
+            leave(U);
       }
   }
 };
@@ -117,11 +194,15 @@ AllocationResult layra::layeredAllocate(const AllocationProblem &P,
                     "use layeredHeuristicAllocate for general graphs");
   assert(Options.Step >= 1 && Options.Step <= kMaxLayerStep &&
          "unsupported step");
+  unsigned R = P.uniformBudget();
+  // Without registers every clique is saturated from the start.
+  if (R == 0)
+    return AllocationResult::fromFlags(
+        P.graph(), std::vector<char>(P.graph().numVertices(), 0));
   WorkspaceOrLocal LocalScope(WS);
   WS = LocalScope.get();
 
   LayeredState S(P, Options, *WS);
-  unsigned R = P.uniformBudget();
 
   // Phase 1 (paper Algorithm 2): stack optimal layers until R registers are
   // filled.  Each layer raises every clique's allocated count by at most the
@@ -140,17 +221,10 @@ AllocationResult layra::layeredAllocate(const AllocationProblem &P,
 
   // Phase 2 (paper Algorithm 3, lines 8-13): allocate any vertex whose
   // cliques still have spare registers, one stable-set layer at a time,
-  // until nothing changes.
-  if (Options.FixedPoint) {
-    // Close cliques the first phase saturated (Algorithm 3 line 8 calls
-    // UPDATE once before the loop; updateCliques above already accounted
-    // the counts, so just sweep for saturated cliques).
-    for (unsigned C = 0; C < P.Cliques.numCliques(); ++C)
-      if (!S.CliqueClosed[C] && S.PerClique[C] >= R) {
-        S.CliqueClosed[C] = 1;
-        for (VertexId U : P.Cliques.clique(C))
-          S.Candidates[U] = 0;
-      }
+  // until nothing changes.  Algorithm 3 calls UPDATE once before the loop;
+  // updateCliques above already closed every clique that phase 1
+  // saturated, the moment it reached R.
+  if (Options.FixedPoint)
     for (;;) {
       std::vector<VertexId> Layer = S.computeLayer(1);
       if (Layer.empty())
@@ -158,7 +232,6 @@ AllocationResult layra::layeredAllocate(const AllocationProblem &P,
       S.commitLayer(Layer);
       S.updateCliques(Layer);
     }
-  }
 
   // The result owns its flags: copy them out of the workspace buffer at
   // exact size so the arena keeps its capacity for the next run.

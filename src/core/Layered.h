@@ -53,8 +53,9 @@ struct LayeredOptions {
 /// Runs the layered-optimal allocator on a chordal instance.
 /// The result is always feasible: at most NumRegisters allocated vertices in
 /// every maximal clique, hence the allocated set is R-colorable.
-/// Complexity with step == 1: O(R * (|V| + |E|)) plus the fixed-point
-/// iterations, each also O(|V| + |E|).
+/// Complexity with step == 1: O(|V| + |E|) once per run, then, for each
+/// of the R layers and each fixed-point iteration, the remaining
+/// candidates and their edges (at most O(|V| + |E|) per layer).
 ///
 /// \p WS optionally supplies the per-layer scratch (candidate masks, layer
 /// weights, Frank's-algorithm state, the step DP tables); each layer then

@@ -39,6 +39,13 @@ void SolverWorkspace::releaseMemory() {
   release(Layered.CliqueClosed);
   release(Layered.PerClique);
   release(Layered.LayerWeights);
+  release(Layered.Order);
+  release(Layered.Degree);
+  release(Layered.LaterStart);
+  release(Layered.Later);
+  release(Layered.Residual);
+  release(Layered.Red);
+  release(Layered.BlueStamp);
 
   release(Step.Nodes);
   release(Step.BagWeight);

@@ -177,13 +177,23 @@ public:
     std::vector<std::vector<VertexId>> MustBeAdjacentTo;
   } Chordal;
 
-  /// Layered allocator per-run state (core/Layered.cpp).
+  /// Layered allocator per-run state (core/Layered.cpp): flags, clique
+  /// counts, the PEO-ordered candidates with their kept degrees, the
+  /// later-neighbor CSR and Frank's per-layer residuals, red stack and
+  /// blue stamps.
   struct LayeredScratch {
     std::vector<char> Candidates;
     std::vector<char> Allocated;
     std::vector<char> CliqueClosed;
     std::vector<unsigned> PerClique;
     std::vector<Weight> LayerWeights;
+    std::vector<VertexId> Order;
+    std::vector<unsigned> Degree;
+    std::vector<uint32_t> LaterStart;
+    std::vector<VertexId> Later;
+    std::vector<Weight> Residual;
+    std::vector<VertexId> Red;
+    std::vector<unsigned> BlueStamp;
   } Layered;
 
   /// One clique-tree node's DP table (core/StepLayer.cpp).  ProjKeys /

@@ -8,14 +8,18 @@
 #include "driver/BatchDriver.h"
 
 #include "alloc/OptimalBnB.h"
+#include "core/ProblemBuilder.h"
 #include "ir/SsaBuilder.h"
 #include "support/Compiler.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -287,10 +291,14 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
 
   Report.Jobs.resize(Jobs.size());
   // Per-class budgets of each job, resolved once (class 0 = NumRegisters,
-  // others architectural, --class-regs overrides applied).
+  // others architectural, --class-regs overrides applied), and whether its
+  // allocator reads live intervals.
   std::vector<std::vector<unsigned>> JobBudgets(Jobs.size());
+  std::vector<char> JobIntervals(Jobs.size(), 0);
   for (size_t JI = 0; JI < Jobs.size(); ++JI) {
     const BatchJob &Job = Jobs[JI];
+    if (std::unique_ptr<Allocator> A = makeAllocator(Job.Options.AllocatorName))
+      JobIntervals[JI] = A->requiresIntervals();
     const Suite &S =
         Job.SuiteData ? *Job.SuiteData : GeneratedSuites.at(Job.SuiteName);
     // The report must stay valid after the caller's Suite dies: snapshot
@@ -348,34 +356,85 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
       }
   }
 
+  // Group the unique instances by what their round 0 depends on besides
+  // the budgets: the function, the target's load/store costs and whether
+  // the allocator reads intervals.  The solve order is group by group
+  // (groups by first occurrence, tasks in expansion order), so a pool
+  // slot's consecutive tasks mostly share a group.
+  std::map<std::tuple<const Function *, Weight, Weight, bool>, size_t>
+      GroupIds;
+  std::vector<size_t> GroupOf(UniqueToPending.size()), GroupSize;
+  for (size_t I = 0; I < UniqueToPending.size(); ++I) {
+    const PendingTask &T = Pending[UniqueToPending[I]];
+    const TargetDesc &Target = Jobs[T.JobIndex].Target;
+    auto Known = GroupIds.emplace(
+        std::make_tuple(T.F, Target.LoadCost, Target.StoreCost,
+                        JobIntervals[T.JobIndex] != 0),
+        GroupSize.size());
+    if (Known.second)
+      GroupSize.push_back(0);
+    GroupOf[I] = Known.first->second;
+    ++GroupSize[GroupOf[I]];
+  }
+  std::vector<size_t> SolveOrder(UniqueToPending.size());
+  std::iota(SolveOrder.begin(), SolveOrder.end(), size_t(0));
+  std::stable_sort(SolveOrder.begin(), SolveOrder.end(),
+                   [&](size_t A, size_t B) { return GroupOf[A] < GroupOf[B]; });
+
+  // Each pool slot remembers the SSA form and round-0 problem of the last
+  // group of two or more tasks it met; the group's next task on that slot
+  // starts round 0 from the shared problem instead of converting and
+  // building again.  A slot runs one task at a time, so its memo needs no
+  // lock; one group per slot bounds the shared problems alive to the pool
+  // width, and none outlives run().
+  struct SlotMemo {
+    size_t Group = ~size_t(0);
+    std::optional<SsaConversion> Ssa;
+    std::optional<AllocationProblem> Round0;
+  };
+  std::vector<SlotMemo> Memo(Pool.numThreads());
+
   // Phase 3 (parallel): solve each unique instance once.  Every worker
   // writes only its own slot; the library itself is deterministic, and a
   // workspace carries only buffer capacity, never state, so slot-local
-  // workspace reuse cannot leak one task's results into another's.
+  // workspace reuse cannot leak one task's results into another's.  A
+  // shared round-0 problem equals the one the task would build.
   std::vector<TaskOutcome> Outcomes(UniqueToPending.size());
   std::vector<double> SolveMs(UniqueToPending.size(), 0);
   std::vector<PhaseTotals> TaskPhases(Accounting ? UniqueToPending.size()
                                                  : 0);
-  Pool.parallelForWorker(UniqueToPending.size(), [&](size_t I,
-                                                     unsigned Slot) {
+  Pool.parallelForWorker(SolveOrder.size(), [&](size_t Pos, unsigned Slot) {
+    size_t I = SolveOrder[Pos];
     const PendingTask &T = Pending[UniqueToPending[I]];
     const BatchJob &Job = Jobs[T.JobIndex];
+    const std::vector<unsigned> &Budgets = JobBudgets[T.JobIndex];
+    SolverWorkspace *WS = Workspaces[Slot].get();
     obs::ThreadPhaseAccounting CallerAccounting(Accounting);
     // Tasks run serially on a worker, so the thread-local phase totals
-    // delta across this task is exactly this task's breakdown.
+    // delta across this task is exactly this task's breakdown.  The task
+    // that converts and builds for its group is charged for that work.
     PhaseTotals Before;
     if (Accounting)
       Before = obs::threadPhaseTotals();
     auto Start = std::chrono::steady_clock::now();
-    // A function that already has phis is SSA (submit_ir input, which the
-    // server checks is strict) and is solved as it is; only phi-free
-    // input goes through SSA construction.
-    std::optional<SsaConversion> Ssa;
-    if (!hasPhis(*T.F))
-      Ssa.emplace(convertToSsa(*T.F));
+    SlotMemo Single; // A one-task group keeps nothing for later tasks.
+    SlotMemo &M = GroupSize[GroupOf[I]] > 1 ? Memo[Slot] : Single;
+    if (M.Group != GroupOf[I]) {
+      M = SlotMemo();
+      M.Group = GroupOf[I];
+      // A function that already has phis is SSA (submit_ir input, which
+      // the server checks is strict) and is solved as it is; only
+      // phi-free input goes through SSA construction.
+      if (!hasPhis(*T.F))
+        M.Ssa.emplace(convertToSsa(*T.F));
+      if (&M != &Single)
+        M.Round0.emplace(buildSsaProblem(M.Ssa ? M.Ssa->Ssa : *T.F,
+                                         Job.Target, Budgets, WS,
+                                         JobIntervals[T.JobIndex] != 0));
+    }
     PipelineResult R = runAllocationPipeline(
-        Ssa ? Ssa->Ssa : *T.F, Job.Target, JobBudgets[T.JobIndex],
-        Job.Options, Workspaces[Slot].get());
+        M.Ssa ? M.Ssa->Ssa : *T.F, Job.Target, Budgets, Job.Options, WS,
+        M.Round0 ? &*M.Round0 : nullptr);
     if (Accounting) {
       const PhaseTotals &After = obs::threadPhaseTotals();
       for (unsigned P = 0; P < kNumPhases; ++P) {

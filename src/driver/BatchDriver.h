@@ -93,7 +93,11 @@ struct TaskResult {
   uint64_t Key = 0;     ///< Content hash (IR + target + R + options).
   bool CacheHit = false;///< Shared a previously solved identical instance.
   TaskOutcome Out;
-  double WallMs = 0;    ///< Solve time; 0 for cache hits.  Timing field.
+  /// Solve time; 0 for cache hits.  Timing field.  Work a task shares
+  /// with the rest of its group (its function's SSA conversion and round-0
+  /// problem, see BatchDriver::run) is charged to the task that performed
+  /// it, so summed WallMs still counts all solver work.
+  double WallMs = 0;
 };
 
 /// Aggregates over one job.  Every field except the WallMs* ones is
@@ -222,6 +226,14 @@ public:
   /// transparent timing-free report is byte-identical no matter how warm
   /// the cache is -- the property the allocation server's responses rely
   /// on (tests/service/ServerLoopbackTest.cpp asserts it).
+  ///
+  /// Budget-invariant work is done once per group: unique tasks that
+  /// agree on the function, the target's load/store costs and whether
+  /// the allocator reads intervals run consecutively, and each pool slot
+  /// keeps the SSA form and round-0 problem of its current group (at most
+  /// one per slot, freed by the end of the call), so a register sweep
+  /// converts and builds each function's first problem about once.
+  /// Outcomes are identical to solving every task alone.
   ///
   /// Phase accounting follows the calling thread: run() samples
   /// obs::phaseAccountingEnabled() once (the global switch, or the

@@ -265,6 +265,42 @@ OracleOutcome checkCacheTransparent(const OracleContext &Ctx) {
   return {};
 }
 
+/// A register sweep in one BatchDriver::run shares the case's SSA form and
+/// round-0 problem across its budgets.  Every task must equal a direct
+/// pipeline run that builds its own round 0, under an allocator that reads
+/// the graph and one that reads the intervals.
+OracleOutcome checkBudgetSweep(const OracleContext &Ctx) {
+  Suite S = singleFunctionSuite(Ctx.Case->F, "fuzz");
+  for (const char *Name : {"bfpl", "ls"}) {
+    std::vector<BatchJob> Jobs;
+    for (unsigned Extra : {0u, 1u, 3u}) {
+      std::vector<unsigned> Budgets = Ctx.Case->Budgets;
+      Budgets[0] += Extra;
+      Jobs.push_back(singleJob(S, *Ctx.Target, Budgets).front());
+      Jobs.back().Options.AllocatorName = Name;
+    }
+    BatchDriver Driver(1);
+    DriverReport Report = Driver.run(Jobs);
+    for (const JobReport &JR : Report.Jobs) {
+      PipelineResult Want = runAllocationPipeline(
+          *Ctx.Ssa, *Ctx.Target, JR.Job.Budgets, JR.Job.Options);
+      const TaskOutcome &Got = JR.Tasks.front().Out;
+      if (Got.SpillCost != Want.TotalSpillCost ||
+          Got.NumLoads != Want.Spills.NumLoads ||
+          Got.NumStores != Want.Spills.NumStores ||
+          Got.LoadsFolded != Want.LoadsFolded || Got.Rounds != Want.Rounds ||
+          Got.FinalMaxLive != Want.FinalMaxLive || Got.Fits != Want.Fits)
+        return fail(std::string(Name) + " at " +
+                    std::to_string(JR.Job.NumRegisters) +
+                    " registers: swept driver task differs from a direct "
+                    "pipeline run (spill cost " +
+                    std::to_string(Got.SpillCost) + " vs " +
+                    std::to_string(Want.TotalSpillCost) + ")");
+    }
+  }
+  return {};
+}
+
 /// Observability must be free of observable effect: running the pipeline
 /// with tracing and phase accounting fully enabled yields a timing-free
 /// report byte-identical to a quiet run.  Guards the zero-cost-when-
@@ -392,6 +428,9 @@ const std::vector<Oracle> &layra::oracleRegistry() {
       {"serve-direct",
        "layra-serve submit_ir responses equal direct driver runs byte-for-byte",
        checkServeDirect, true},
+      {"budget-sweep",
+       "a three-budget sweep sharing round 0 equals direct pipeline runs",
+       checkBudgetSweep, false},
   };
   return Registry;
 }

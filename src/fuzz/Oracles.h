@@ -10,7 +10,8 @@
 /// heuristics never beat a proven exact optimum, assignments respect
 /// interference and per-class budgets, workspace reuse is byte-pure, the
 /// allocation-free problem build equals its incremental reference,
-/// the batch driver's cache is report-transparent, the allocation server
+/// the batch driver's cache is report-transparent, a register sweep that
+/// shares round 0 equals direct pipeline runs, the allocation server
 /// answers byte-identically to a direct driver run -- as named, reusable
 /// checks over one FuzzCase.  `layra-fuzz` sweeps them over mutated
 /// cases; tests/fuzz/OracleTest.cpp pins each one on known-good and
@@ -74,7 +75,7 @@ struct Oracle {
 /// All oracles, in a stable order:
 ///   heuristic-vs-exact, assignment-valid, baseline-backends,
 ///   workspace-pure, build-vs-reference, parse-roundtrip,
-///   cache-transparent, metrics-quiet, serve-direct.
+///   cache-transparent, metrics-quiet, serve-direct, budget-sweep.
 const std::vector<Oracle> &oracleRegistry();
 
 /// Lookup by name; nullptr when unknown.

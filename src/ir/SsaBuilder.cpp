@@ -9,6 +9,7 @@
 
 #include "ir/Dominators.h"
 #include "ir/Liveness.h"
+#include "obs/Trace.h"
 #include "support/Compiler.h"
 #include <cstdio>
 
@@ -121,6 +122,7 @@ static void renameBlock(RenameState &S, BlockId B) {
 
 SsaConversion layra::convertToSsa(const Function &F) {
   assert(verifyFunction(F) && "convertToSsa requires a verified function");
+  PhaseSpan SsaSpan(Phase::Ssa);
   SsaConversion Out;
   Out.Ssa = Function(F.name());
 

@@ -16,10 +16,11 @@
 namespace layra {
 
 static const char *const PhaseNames[kNumPhases] = {
-    "pipeline",     "spill_round",  "problem_build", "liveness",
-    "spill_costs",  "interference", "mcs_peo",       "clique_tree_dp",
-    "stable_set",   "allocate",     "min_cost_flow", "simplex",
-    "ilp",          "spill_rewrite", "operand_fold", "assign",
+    "ssa",          "pipeline",      "spill_round",  "problem_build",
+    "liveness",     "spill_costs",   "interference", "mcs_peo",
+    "clique_tree_dp", "stable_set",  "allocate",     "min_cost_flow",
+    "simplex",      "ilp",           "spill_rewrite", "operand_fold",
+    "assign",
 };
 
 const char *phaseName(Phase P) { return PhaseNames[unsigned(P)]; }

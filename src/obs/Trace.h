@@ -49,6 +49,7 @@ namespace layra {
 /// The solver stage taxonomy.  Order is the report/trace emission order;
 /// names (phaseName) are the span names and the metric name stems.
 enum class Phase : unsigned {
+  Ssa,          ///< convertToSsa: IR -> strict SSA.
   Pipeline,     ///< One whole runAllocationPipeline call.
   SpillRound,   ///< One build/allocate/spill/rewrite round.
   ProblemBuild, ///< buildSsaProblem / buildGeneralProblem.
@@ -67,7 +68,7 @@ enum class Phase : unsigned {
   Assign,       ///< Final color/register assignment.
 };
 
-inline constexpr unsigned kNumPhases = 16;
+inline constexpr unsigned kNumPhases = 17;
 
 /// Stable lower_snake_case name of \p P ("pipeline", "mcs_peo", ...).
 const char *phaseName(Phase P);

@@ -7,6 +7,7 @@
 
 #include "alloc/Pipeline.h"
 
+#include "core/ProblemBuilder.h"
 #include "ir/Dominators.h"
 #include "ir/Liveness.h"
 #include "ir/LoopInfo.h"
@@ -141,4 +142,42 @@ TEST(PipelineDriverTest, BetterAllocatorSpillsNoMoreInRoundOne) {
     Nl += runAllocationPipeline(F, ST231, 4, B).TotalSpillCost;
   }
   EXPECT_LE(Bfpl, Nl);
+}
+
+TEST(PipelineDriverTest, SharedRound0ProblemChangesNothing) {
+  // A round-0 problem built at other budgets, re-budgeted by the pipeline,
+  // must give the run the bytes of a fresh build: the same rewritten IR,
+  // assignment and costs.  MaxRounds = 0 takes it straight to the final
+  // assignment; ls reads the intervals the shared problem carries.
+  for (uint64_t Seed : {51u, 52u, 53u}) {
+    Function F = makeSsaFunction(Seed, /*NumVars=*/20);
+    for (const char *Name : {"bfpl", "ls"}) {
+      AllocationProblem Round0 =
+          buildSsaProblem(F, ST231, std::vector<unsigned>{9}, nullptr,
+                          /*WithIntervals=*/std::string(Name) == "ls");
+      for (unsigned MaxRounds : {4u, 0u})
+        for (unsigned Regs : {3u, 5u, 9u}) {
+          PipelineOptions Options;
+          Options.AllocatorName = Name;
+          Options.MaxRounds = MaxRounds;
+          PipelineResult Want = runAllocationPipeline(F, ST231, {Regs}, Options);
+          PipelineResult Got = runAllocationPipeline(F, ST231, {Regs}, Options,
+                                                     nullptr, &Round0);
+          std::string What = "seed " + std::to_string(Seed) + " " + Name +
+                             " rounds " + std::to_string(MaxRounds) +
+                             " regs " + std::to_string(Regs);
+          EXPECT_EQ(Got.Rewritten.toString(), Want.Rewritten.toString())
+              << What;
+          EXPECT_EQ(Got.Regs.RegisterOf, Want.Regs.RegisterOf) << What;
+          EXPECT_EQ(Got.Regs.Success, Want.Regs.Success) << What;
+          EXPECT_EQ(Got.TotalSpillCost, Want.TotalSpillCost) << What;
+          EXPECT_EQ(Got.RemainingCopyCost, Want.RemainingCopyCost) << What;
+          EXPECT_EQ(Got.Spills.NumLoads, Want.Spills.NumLoads) << What;
+          EXPECT_EQ(Got.Spills.NumStores, Want.Spills.NumStores) << What;
+          EXPECT_EQ(Got.Rounds, Want.Rounds) << What;
+          EXPECT_EQ(Got.FinalMaxLive, Want.FinalMaxLive) << What;
+          EXPECT_EQ(Got.Fits, Want.Fits) << What;
+        }
+    }
+  }
 }

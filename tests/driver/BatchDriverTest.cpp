@@ -64,7 +64,99 @@ Suite tinySuite(unsigned NumFunctions, uint64_t Seed) {
   return S;
 }
 
+bool hasPhis(const Function &F) {
+  for (const BasicBlock &B : F.blocks())
+    if (!B.Instrs.empty() && B.Instrs.front().isPhi())
+      return true;
+  return false;
+}
+
+/// One job per register count in [Lo, Hi] over \p S.
+std::vector<BatchJob> sweepJobs(const Suite &S, unsigned Lo, unsigned Hi,
+                                const std::string &Allocator = "bfpl",
+                                const TargetDesc &Target = ST231,
+                                std::vector<ClassRegOverride> ClassRegs = {}) {
+  std::vector<BatchJob> Jobs;
+  for (unsigned Regs = Lo; Regs <= Hi; ++Regs) {
+    BatchJob Job;
+    Job.SuiteName = S.Name;
+    Job.SuiteData = &S;
+    Job.Target = Target;
+    Job.NumRegisters = Regs;
+    Job.ClassRegs = ClassRegs;
+    Job.Options.AllocatorName = Allocator;
+    Jobs.push_back(Job);
+  }
+  return Jobs;
+}
+
+/// Runs \p Jobs in one BatchDriver::run, where each function's tasks share
+/// its SSA form and round-0 problem, at 1 and 4 threads, and requires every
+/// task's outcome to equal a direct runAllocationPipeline on the function's
+/// SSA form with no shared problem.
+void expectGroupedRunMatchesDirect(const std::vector<BatchJob> &Jobs) {
+  std::vector<TaskOutcome> Want;
+  for (const BatchJob &Job : Jobs)
+    for (const SuiteProgram &Prog : Job.SuiteData->Programs)
+      for (const Function &F : Prog.Functions) {
+        PipelineResult R = runAllocationPipeline(
+            hasPhis(F) ? F : convertToSsa(F).Ssa, Job.Target,
+            resolveClassBudgets(Job.Target, Job.NumRegisters, Job.ClassRegs),
+            Job.Options);
+        TaskOutcome Out;
+        Out.SpillCost = R.TotalSpillCost;
+        Out.NumLoads = R.Spills.NumLoads;
+        Out.NumStores = R.Spills.NumStores;
+        Out.LoadsFolded = R.LoadsFolded;
+        Out.Rounds = R.Rounds;
+        Out.FinalMaxLive = R.FinalMaxLive;
+        Out.Fits = R.Fits;
+        Want.push_back(Out);
+      }
+  for (unsigned Threads : {1u, 4u}) {
+    BatchDriver Driver(Threads);
+    DriverReport Report = Driver.run(Jobs);
+    size_t I = 0;
+    for (const JobReport &JR : Report.Jobs)
+      for (const TaskResult &T : JR.Tasks) {
+        ASSERT_LT(I, Want.size());
+        const TaskOutcome &W = Want[I++];
+        std::string What = JR.Job.SuiteName + " " + T.Function + " regs " +
+                           std::to_string(JR.Job.NumRegisters) + " " +
+                           JR.Job.Options.AllocatorName + " threads " +
+                           std::to_string(Threads);
+        EXPECT_EQ(T.Out.SpillCost, W.SpillCost) << What;
+        EXPECT_EQ(T.Out.NumLoads, W.NumLoads) << What;
+        EXPECT_EQ(T.Out.NumStores, W.NumStores) << What;
+        EXPECT_EQ(T.Out.LoadsFolded, W.LoadsFolded) << What;
+        EXPECT_EQ(T.Out.Rounds, W.Rounds) << What;
+        EXPECT_EQ(T.Out.FinalMaxLive, W.FinalMaxLive) << What;
+        EXPECT_EQ(T.Out.Fits, W.Fits) << What;
+      }
+    EXPECT_EQ(I, Want.size());
+  }
+}
+
 } // namespace
+
+TEST(BatchDriverTest, SharedRound0ProblemsMatchDirectPipelineRuns) {
+  // A register sweep groups each function's tasks.  One run holds eembc
+  // under bfpl, under ls (the shared problem carries intervals) and on a
+  // target with other spill costs, so no group may take another's
+  // problem; then the multi-class suite with a second class budget.  SSA
+  // input, which skips conversion, is swept in
+  // SolvesFunctionsThatAlreadyHavePhisAsTheyAre.
+  Suite Eembc = makeSuite("eembc");
+  std::vector<BatchJob> Jobs = sweepJobs(Eembc, 4, 16);
+  for (const BatchJob &Job : sweepJobs(Eembc, 4, 16, "ls"))
+    Jobs.push_back(Job);
+  for (const BatchJob &Job : sweepJobs(Eembc, 4, 8, "bfpl", ARMv7))
+    Jobs.push_back(Job);
+  expectGroupedRunMatchesDirect(Jobs);
+  Suite Mixed = makeSuite("mixed-classes");
+  expectGroupedRunMatchesDirect(
+      sweepJobs(Mixed, 4, 16, "bfpl", ARMv7_VFP, {{"vfp", 8}}));
+}
 
 TEST(BatchDriverTest, EembcResultsAreBitIdenticalAcrossThreadCounts) {
   BatchDriver Serial(1), Parallel(8);
@@ -144,7 +236,8 @@ TEST(BatchDriverTest, SolvesFunctionsThatAlreadyHavePhisAsTheyAre) {
   // back-edge or branch-arm def does not reach, and solve a different
   // program.  Build such input as the server does -- SSA text printed and
   // parsed back -- and require the driver to match the pipeline run on
-  // exactly that function.
+  // exactly that function, at two register counts, so each function's
+  // tasks share its round-0 problem.
   Suite S;
   S.Name = "submitted";
   SuiteProgram Prog;
@@ -168,24 +261,7 @@ TEST(BatchDriverTest, SolvesFunctionsThatAlreadyHavePhisAsTheyAre) {
   }
   ASSERT_GT(Phis, 0u);
   S.Programs.push_back(std::move(Prog));
-
-  BatchJob Job;
-  Job.SuiteName = S.Name;
-  Job.SuiteData = &S;
-  Job.NumRegisters = 4;
-  BatchDriver Driver(2);
-  DriverReport Report = Driver.run({Job});
-  const std::vector<Function> &Fns = S.Programs[0].Functions;
-  ASSERT_EQ(Report.Jobs.size(), 1u);
-  ASSERT_EQ(Report.Jobs[0].Tasks.size(), Fns.size());
-  for (size_t I = 0; I < Fns.size(); ++I) {
-    PipelineResult Want = runAllocationPipeline(Fns[I], ST231, 4);
-    const TaskOutcome &Got = Report.Jobs[0].Tasks[I].Out;
-    EXPECT_EQ(Got.SpillCost, Want.TotalSpillCost) << Fns[I].name();
-    EXPECT_EQ(Got.NumLoads, Want.Spills.NumLoads) << Fns[I].name();
-    EXPECT_EQ(Got.NumStores, Want.Spills.NumStores) << Fns[I].name();
-    EXPECT_EQ(Got.Rounds, Want.Rounds) << Fns[I].name();
-  }
+  expectGroupedRunMatchesDirect(sweepJobs(S, 4, 5));
 }
 
 TEST(BatchDriverTest, CachePersistsAcrossRuns) {

@@ -182,18 +182,34 @@ TEST(ReportIOGolden, TimedReportCarriesPhaseBreakdowns) {
   obs::setPhaseAccounting(false);
 
   ASSERT_FALSE(Report.Jobs.empty());
-  for (const JobReport &JR : Report.Jobs)
-    EXPECT_TRUE(JR.Phases.has_value());
+  // The phases account for the solve wall time: SSA construction runs
+  // under its own span, and the self times of all phases cover nearly all
+  // of each job's summed task time.
+  double PhaseMs = 0, WallMs = 0;
+  uint64_t SsaSpans = 0;
+  for (const JobReport &JR : Report.Jobs) {
+    ASSERT_TRUE(JR.Phases.has_value());
+    for (unsigned P = 0; P < kNumPhases; ++P)
+      PhaseMs += JR.Phases->Ms[P];
+    SsaSpans += JR.Phases->Count[unsigned(Phase::Ssa)];
+    WallMs += JR.WallMsTotal;
+  }
+  EXPECT_GT(SsaSpans, 0u);
+  EXPECT_GE(PhaseMs, 0.95 * WallMs) << "phases " << PhaseMs << " ms of "
+                                    << WallMs << " ms solve time";
+  EXPECT_LE(PhaseMs, WallMs * 1.001 + 0.01);
   std::string Json = capture([&](std::FILE *Out) {
     writeDriverReportJson(Out, Report, /*IncludeTiming=*/true,
                           /*IncludeTasks=*/false);
   });
   EXPECT_NE(Json.find("\"phase_ms\""), std::string::npos);
   EXPECT_NE(Json.find("\"pipeline\""), std::string::npos);
+  EXPECT_NE(Json.find("\"ssa\""), std::string::npos);
   std::string Csv = capture([&](std::FILE *Out) {
     writeDriverReportCsv(Out, Report, /*IncludeTiming=*/true);
   });
   EXPECT_NE(Csv.find("phase_ms_pipeline"), std::string::npos);
+  EXPECT_NE(Csv.find("phase_ms_ssa"), std::string::npos);
 }
 
 TEST(ReportIOGolden, EembcSweepWithoutTimingMatchesFixture) {

@@ -75,7 +75,7 @@ OracleOutcome runOn(const FuzzCase &Case, const std::string &OracleName,
 
 TEST(OracleTest, RegistryNamesAreStableAndLookupsWork) {
   const std::vector<Oracle> &Registry = oracleRegistry();
-  ASSERT_EQ(Registry.size(), 9u);
+  ASSERT_EQ(Registry.size(), 10u);
   for (const Oracle &O : Registry) {
     EXPECT_EQ(findOracle(O.Name), &O);
     EXPECT_NE(O.Description[0], '\0');
@@ -90,6 +90,8 @@ TEST(OracleTest, RegistryNamesAreStableAndLookupsWork) {
   EXPECT_FALSE(findOracle("baseline-backends")->NeedsServer);
   ASSERT_NE(findOracle("build-vs-reference"), nullptr);
   EXPECT_FALSE(findOracle("build-vs-reference")->NeedsServer);
+  ASSERT_NE(findOracle("budget-sweep"), nullptr);
+  EXPECT_FALSE(findOracle("budget-sweep")->NeedsServer);
 }
 
 TEST(OracleTest, AllLocalOraclesPassOnKnownGoodCases) {
