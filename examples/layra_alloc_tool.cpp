@@ -229,8 +229,6 @@ int main(int Argc, char **Argv) {
   if (Opt.Compare) {
     Table T({"allocator", "allocated", "spilled", "spill cost", "optimal?"});
     for (const std::string &Name : allAllocatorNames()) {
-      if (Name == "brute")
-        continue; // Exponential; meant for unit tests only.
       std::unique_ptr<Allocator> A = makeAllocator(Name);
       AllocationResult Result = A->allocateProblem(P);
       T.addRow({Name, Table::num((long long)Result.allocated().size()),
@@ -255,8 +253,8 @@ int main(int Argc, char **Argv) {
               Result.Proven ? " (proven optimal)" : "");
   for (VertexId V : Result.spilled())
     std::printf("  spill %s (cost %lld)\n",
-                P.graph().name(V).empty() ? ("%" + std::to_string(V)).c_str()
-                                    : P.graph().name(V).c_str(),
+                F.valueName(V).empty() ? ("%" + std::to_string(V)).c_str()
+                                       : F.valueName(V).c_str(),
                 static_cast<long long>(P.graph().weight(V)));
 
   if (Opt.Emit) {

@@ -19,8 +19,7 @@
 ///               [--no-fold] [--cache-cap=N] [--disk-cache=DIR]
 ///               [--disk-cache-cap=BYTES] [--json=FILE] [--csv=FILE]
 ///               [--tasks-csv=FILE] [--details] [--no-timing]
-///               [--trace=FILE] [--metrics[=FILE]]
-///               [--workspace-stats] [--quiet]
+///               [--trace=FILE] [--metrics[=FILE]] [--quiet]
 ///
 ///   --suite      suites to run (default eembc); names as in makeSuite(),
 ///                plus the graph-only suite `random-chordal` (generated
@@ -57,12 +56,8 @@
 ///                --no-timing the trace uses deterministic sequence
 ///                timestamps so it, too, is byte-identical across runs
 ///   --metrics    dump the metrics registry (per-stage latency histograms,
-///                stage counters, workspace/cache gauges) in Prometheus
+///                stage counters, pipeline-cache gauges) in Prometheus
 ///                text format after the run, to FILE or stderr
-///   --workspace-stats  print the workspace/cache subset of the metrics
-///                registry (arena reuse accounting, pipeline-cache
-///                hit/miss/eviction gauges) to stderr; never part of the
-///                reports
 ///   --quiet      suppress the stdout summary table
 ///
 /// Examples:
@@ -111,7 +106,6 @@ struct CliOptions {
   std::string TasksCsvPath;
   bool Details = false;
   bool Timing = true;
-  bool WorkspaceStats = false;
   bool Quiet = false;
   std::string TracePath;
   bool Metrics = false;
@@ -130,8 +124,7 @@ struct CliOptions {
       "          [--no-fold] [--cache-cap=N] [--disk-cache=DIR]\n"
       "          [--disk-cache-cap=BYTES] [--json=FILE] [--csv=FILE]\n"
       "          [--tasks-csv=FILE] [--details] [--no-timing]\n"
-      "          [--trace=FILE] [--metrics[=FILE]]\n"
-      "          [--workspace-stats] [--quiet]\n",
+      "          [--trace=FILE] [--metrics[=FILE]] [--quiet]\n",
       Argv0);
   std::exit(2);
 }
@@ -227,8 +220,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
                        "stderr)");
       Opt.Metrics = true;
       Opt.MetricsPath = V;
-    } else if (Arg == "--workspace-stats") {
-      Opt.WorkspaceStats = true;
     } else if (Arg == "--quiet") {
       Opt.Quiet = true;
     } else if (Arg == "--help" || Arg == "-h") {
@@ -320,17 +311,12 @@ void runGraphSuite(BatchDriver &Driver, const CliOptions &Opt) {
     T.print(stdout);
 }
 
-/// Publishes \p Driver's workspace-arena and pipeline-cache accounting as
-/// gauges in the global metrics registry, where --workspace-stats and
-/// --metrics read them back from a snapshot.
+/// Publishes \p Driver's pipeline-cache accounting as gauges in the
+/// global metrics registry, where --metrics reads them back from a
+/// snapshot.
 void publishDriverGauges(const BatchDriver &Driver) {
-  WorkspaceStats WS = Driver.workspaceStats();
   DriverCacheCounters Cache = Driver.pipelineCacheCounters();
   MetricsRegistry &M = MetricsRegistry::global();
-  M.set(M.gauge("layra.workspace.bytes_reused"), double(WS.BytesReused));
-  M.set(M.gauge("layra.workspace.bytes_allocated"), double(WS.BytesAllocated));
-  M.set(M.gauge("layra.workspace.acquires"), double(WS.Acquires));
-  M.set(M.gauge("layra.workspace.reuse_fraction"), WS.reuseFraction());
   M.set(M.gauge("layra.driver.cache.hits"), double(Cache.Hits));
   M.set(M.gauge("layra.driver.cache.misses"), double(Cache.Misses));
   M.set(M.gauge("layra.driver.cache.evictions"), double(Cache.Evictions));
@@ -468,7 +454,7 @@ int main(int Argc, char **Argv) {
   // warm start possible even in a fresh process).  Timed reports keep
   // the honest warm-cache view.
   DriverReport Report = Driver.run(Jobs, /*CacheTransparent=*/!Opt.Timing);
-  if (Opt.WorkspaceStats || Opt.Metrics)
+  if (Opt.Metrics)
     publishDriverGauges(Driver);
 
   if (!Opt.TracePath.empty()) {
@@ -540,25 +526,16 @@ int main(int Argc, char **Argv) {
   if (WantGraphSuite)
     runGraphSuite(Driver, Opt);
 
-  if (Opt.WorkspaceStats || Opt.Metrics) {
+  if (Opt.Metrics) {
     // Stderr (unless --metrics=FILE), so a report streamed to stdout stays
-    // parseable.  The workspace split is thread-count dependent (per-worker
-    // arenas), hence gauges in the registry and never report fields.
-    MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
-    if (Opt.WorkspaceStats) {
-      // Alias for the workspace/cache subset of the registry.
-      std::fputs(Snap.toText("layra.workspace.").c_str(), stderr);
-      std::fputs(Snap.toText("layra.driver.cache.").c_str(), stderr);
-    }
-    if (Opt.Metrics) {
-      std::string Text = Snap.toPrometheusText();
-      if (Opt.MetricsPath.empty()) {
-        std::fputs(Text.c_str(), stderr);
-      } else {
-        std::FILE *MetricsOut = openOutput(Opt.MetricsPath);
-        std::fwrite(Text.data(), 1, Text.size(), MetricsOut);
-        closeOutput(MetricsOut);
-      }
+    // parseable.
+    std::string Text = MetricsRegistry::global().snapshot().toPrometheusText();
+    if (Opt.MetricsPath.empty()) {
+      std::fputs(Text.c_str(), stderr);
+    } else {
+      std::FILE *MetricsOut = openOutput(Opt.MetricsPath);
+      std::fwrite(Text.data(), 1, Text.size(), MetricsOut);
+      closeOutput(MetricsOut);
     }
   }
 

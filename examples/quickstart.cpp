@@ -93,7 +93,7 @@ int main() {
     AllocationResult Result = makeAllocator(Name)->allocate(P);
     std::printf("%-8s spill cost %-6lld spilled:", Name, Result.SpillCost);
     for (VertexId V : Result.spilled())
-      std::printf(" %s", P.graph().name(V).c_str());
+      std::printf(" %s", Ssa.Ssa.valueName(V).c_str());
     std::printf("\n");
   }
 
@@ -104,7 +104,7 @@ int main() {
               Regs.RegistersUsed, Regs.Success);
   for (VertexId V = 0; V < P.graph().numVertices(); ++V)
     if (Regs.RegisterOf[V] != Assignment::kNoRegister)
-      std::printf("  %-8s -> r%u\n", P.graph().name(V).c_str(),
+      std::printf("  %-8s -> r%u\n", Ssa.Ssa.valueName(V).c_str(),
                   Regs.RegisterOf[V]);
   return 0;
 }

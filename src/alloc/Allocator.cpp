@@ -7,7 +7,6 @@
 
 #include "alloc/Allocator.h"
 
-#include "alloc/BruteForce.h"
 #include "alloc/GraphColoring.h"
 #include "alloc/LinearScan.h"
 #include "alloc/OptimalBnB.h"
@@ -113,12 +112,9 @@ std::unique_ptr<Allocator> layra::makeAllocator(const std::string &Name) {
         LinearScanAllocator::PolicyKind::CostBelady);
   if (Name == "optimal")
     return std::make_unique<OptimalBnBAllocator>();
-  if (Name == "brute")
-    return std::make_unique<BruteForceAllocator>();
   return nullptr;
 }
 
 std::vector<std::string> layra::allAllocatorNames() {
-  return {"gc", "nl", "bl", "fpl", "bfpl", "lh", "ls", "bls", "optimal",
-          "brute"};
+  return {"gc", "nl", "bl", "fpl", "bfpl", "lh", "ls", "bls", "optimal"};
 }

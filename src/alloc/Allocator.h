@@ -76,8 +76,9 @@ public:
 ///   "ls"            linear scan, cost-blind furthest-end spilling ("DLS")
 ///   "bls"           linear scan with cost/Belady threshold spilling
 ///   "optimal"       exact branch-and-bound over the point constraints
-///   "brute"         exhaustive search (tiny instances; tests)
-/// Returns nullptr for unknown names.
+/// Returns nullptr for unknown names.  The exhaustive BruteForceAllocator
+/// (alloc/BruteForce.h) is deliberately not among them: it is limited to
+/// tiny instances, so tests construct it directly.
 std::unique_ptr<Allocator> makeAllocator(const std::string &Name);
 
 /// All names makeAllocator accepts (in a stable presentation order).

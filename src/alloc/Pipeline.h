@@ -10,9 +10,11 @@
 /// code, and -- because reload temporaries themselves occupy registers
 /// (paper §4.3: "we can iteratively update the interferences after
 /// allocation") -- re-derive the interference graph and iterate until the
-/// function's register pressure fits the machine.  Optionally coalesces
-/// copies conservatively first and biases the final assignment so affine
-/// values share registers.
+/// function's register pressure fits the machine or MaxRounds is reached.
+/// On targets with addressing modes, single-use reloads are folded into
+/// their consumers after each rewrite round.  Finally it assigns registers
+/// to the values left in registers, by default biased so that values
+/// joined by a copy share a register (AffinityBias).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -27,10 +27,6 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
                                     std::vector<RegClassId> ClassOf,
                                     SolverWorkspace *WS) {
   assert(!Budgets.empty() && "at least one register class required");
-  // Freeze point: the edge set is complete, so flatten adjacency into the
-  // CSR view before the MCS/clique machinery walks it (a no-op for graphs
-  // built from an edge list, which are born frozen).
-  G.compress();
   AllocationProblem P;
   P.Budgets = std::move(Budgets);
   P.ClassOf = std::move(ClassOf);
@@ -67,8 +63,6 @@ AllocationProblem AllocationProblem::fromGeneralGraph(
     Graph G, std::vector<unsigned> Budgets, std::vector<RegClassId> ClassOf,
     std::vector<std::vector<VertexId>> PointLiveSets) {
   assert(!Budgets.empty() && "at least one register class required");
-  // Freeze point (see fromChordalGraph).
-  G.compress();
   AllocationProblem P;
   P.Budgets = std::move(Budgets);
   P.ClassOf = std::move(ClassOf);

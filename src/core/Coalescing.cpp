@@ -132,13 +132,11 @@ layra::coalesceConservative(const Graph &G,
   // repeat an edge; the stable dedup keeps each one's first occurrence.
   Out.CoalescedIndex.assign(N, ~0u);
   std::vector<Weight> Weights;
-  std::vector<std::string> Names;
   for (VertexId V = 0; V < N; ++V) {
     VertexId Rep = Find(V);
     if (Out.CoalescedIndex[Rep] == ~0u) {
       Out.CoalescedIndex[Rep] = static_cast<VertexId>(Weights.size());
       Weights.push_back(0);
-      Names.push_back(G.name(Rep));
     }
   }
   for (VertexId V = 0; V < N; ++V) {
@@ -154,7 +152,7 @@ layra::coalesceConservative(const Graph &G,
         Edges.push_back({A, B});
     }
   removeRepeatedEdges(Edges, static_cast<unsigned>(Weights.size()));
-  Out.Coalesced = Graph(std::move(Weights), Edges, std::move(Names));
+  Out.Coalesced = Graph(std::move(Weights), Edges);
   // Flatten representatives for the caller.
   for (VertexId V = 0; V < N; ++V)
     Out.Representative[V] = Find(V);

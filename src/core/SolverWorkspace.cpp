@@ -84,7 +84,4 @@ void SolverWorkspace::releaseMemory() {
 
   release(ClassSplit.ToGlobal);
   release(ClassSplit.MergedFlags);
-
-  LastClearedCapacity.clear();
-  Stats = WorkspaceStats();
 }

@@ -37,15 +37,6 @@
 ///    that share one workspace (layered -> stable set, BnB -> ILP -> LP)
 ///    only ever touch their own sections.
 ///
-/// The Stats block feeds `layra-bench --workspace-stats`: BytesReused
-/// counts checkout bytes served from retained capacity, BytesAllocated
-/// those that forced fresh heap growth (for push_back-filled buffers the
-/// growth is attributed at the *next* checkout of the same buffer, when
-/// the final capacity is known).  The split is a capacity-based accounting
-/// estimate, not a malloc trace, and with multiple threads it varies run
-/// to run with the steal schedule -- which is why it is reported out of
-/// band and never part of a DriverReport.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef LAYRA_CORE_SOLVERWORKSPACE_H
@@ -53,34 +44,12 @@
 
 #include "graph/Graph.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace layra {
-
-/// Buffer-checkout accounting of one workspace (see file comment).
-struct WorkspaceStats {
-  uint64_t BytesReused = 0;    ///< Checkout bytes served from capacity.
-  uint64_t BytesAllocated = 0; ///< Checkout bytes requiring heap growth.
-  uint64_t Acquires = 0;       ///< Buffer checkouts performed.
-
-  uint64_t bytesTotal() const { return BytesReused + BytesAllocated; }
-  /// Fraction of checkout bytes served from retained capacity, in [0, 1].
-  double reuseFraction() const {
-    uint64_t Total = bytesTotal();
-    return Total == 0 ? 0.0 : static_cast<double>(BytesReused) /
-                                  static_cast<double>(Total);
-  }
-  void merge(const WorkspaceStats &Other) {
-    BytesReused += Other.BytesReused;
-    BytesAllocated += Other.BytesAllocated;
-    Acquires += Other.Acquires;
-  }
-};
 
 /// Owns reusable scratch buffers for the whole solver stack.  Cheap to
 /// construct (no allocation until first use); intended to live for many
@@ -96,48 +65,31 @@ public:
   /// set to \p Init.  Reuses retained capacity; never shrinks it.
   template <typename T>
   std::vector<T> &acquire(std::vector<T> &Buffer, size_t N, const T &Init) {
-    account(Buffer.capacity(), N, sizeof(T));
     Buffer.assign(N, Init);
     return Buffer;
   }
 
   /// Checks out an empty buffer that keeps its capacity (for push_back
-  /// fills whose final size is unknown).  The fill's heap growth is only
-  /// observable at the *next* checkout of the same buffer, so capacity
-  /// gained since the previous checkout is attributed to BytesAllocated
-  /// then, and only capacity already present last time counts as reused.
+  /// fills whose final size is unknown).
   template <typename T>
   std::vector<T> &acquireCleared(std::vector<T> &Buffer) {
-    size_t &Prev = LastClearedCapacity[&Buffer];
-    size_t Now = Buffer.capacity();
-    account(/*Capacity=*/Prev, /*Requested=*/Now, sizeof(T));
-    Prev = Now;
     Buffer.clear();
     return Buffer;
   }
 
   /// Checks out a vector-of-vectors with \p N empty inner vectors, each
   /// keeping its capacity.  (A plain `Outer.assign(N, {})` would free every
-  /// inner buffer -- exactly the churn this class exists to avoid.)  Inner
-  /// growth is attributed like acquireCleared: capacity gained since a
-  /// buffer's previous checkout counts as freshly allocated.
+  /// inner buffer -- exactly the churn this class exists to avoid.)
   template <typename T>
   std::vector<std::vector<T>> &
   acquireNested(std::vector<std::vector<T>> &Outer, size_t N) {
     if (Outer.size() > N)
       Outer.resize(N);
-    for (std::vector<T> &Inner : Outer) {
-      size_t &Prev = LastClearedCapacity[&Inner];
-      account(/*Capacity=*/Prev, /*Requested=*/Inner.capacity(), sizeof(T));
-      Prev = Inner.capacity();
+    for (std::vector<T> &Inner : Outer)
       Inner.clear();
-    }
     Outer.resize(N);
     return Outer;
   }
-
-  /// Checkout accounting.
-  WorkspaceStats Stats;
 
   //===--------------------------------------------------------------------===//
   // Per-subsystem scratch sections.  Members are plain buffers; the owning
@@ -289,27 +241,10 @@ public:
     std::vector<char> MergedFlags;
   } ClassSplit;
 
-  /// Frees every retained buffer (capacity included) and zeroes the stats.
+  /// Frees every retained buffer (capacity included).
   /// For long-lived owners that want to give arena memory back between
   /// batches; never required for correctness.
   void releaseMemory();
-
-private:
-  void account(size_t Capacity, size_t Requested, size_t ElemSize) {
-    uint64_t Need = static_cast<uint64_t>(Requested) * ElemSize;
-    uint64_t Have = static_cast<uint64_t>(Capacity) * ElemSize;
-    Stats.BytesReused += std::min(Need, Have);
-    Stats.BytesAllocated += Need > Have ? Need - Have : 0;
-    ++Stats.Acquires;
-  }
-
-  /// Capacity each acquireCleared/acquireNested buffer had at its previous
-  /// checkout, keyed by buffer address.  Direct members have stable
-  /// addresses; pooled inner vectors (Step.Nodes) can
-  /// move when their pool grows, which merely re-classifies their retained
-  /// capacity as cold once.  Pure accounting state -- never affects buffer
-  /// contents.
-  std::unordered_map<const void *, size_t> LastClearedCapacity;
 };
 
 /// Resolves an optional caller-supplied workspace to a usable one without

@@ -197,13 +197,6 @@ BatchDriver::BatchDriver(unsigned Threads) : Pool(Threads) {
     Workspaces.push_back(std::make_unique<SolverWorkspace>());
 }
 
-WorkspaceStats BatchDriver::workspaceStats() const {
-  WorkspaceStats Total;
-  for (const auto &WS : Workspaces)
-    Total.merge(WS->Stats);
-  return Total;
-}
-
 void BatchDriver::setCacheCapacity(size_t MaxEntries) {
   PipelineCache.setCapacity(MaxEntries);
 }

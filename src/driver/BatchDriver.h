@@ -142,7 +142,7 @@ struct DriverReport {
 /// Lifetime counters of a BatchDriver's pipeline-outcome cache.
 /// Cumulative across run() calls; the allocation server
 /// surfaces them through its `stats` request, and `layra-bench
-/// --workspace-stats` prints them alongside the arena accounting.
+/// --metrics` prints them as the `layra.driver.cache.*` gauges.
 struct DriverCacheCounters {
   uint64_t Hits = 0;      ///< Tasks served from the cache or a batch twin.
   uint64_t Misses = 0;    ///< Tasks that required a solve.
@@ -204,7 +204,7 @@ uint64_t hashPipelineTask(uint64_t FunctionHash, const TargetDesc &Target,
 
 /// Stable content hash of a spill-everywhere instance: graph weights and
 /// adjacency, register count, point constraints, and (when present) the
-/// flattened live intervals.  Vertex names are excluded.
+/// flattened live intervals.
 uint64_t hashProblem(const AllocationProblem &P);
 
 /// Schedules per-function allocation problems over a work-stealing pool.
@@ -243,9 +243,9 @@ public:
   /// unaffected.
   ///
   /// run() sets no gauges in the metrics registry: a front end that wants
-  /// the workspace and cache gauges publishes them from workspaceStats()
-  /// and pipelineCacheCounters() itself (layra-bench does), so concurrent
-  /// drivers never overwrite each other's.
+  /// the cache gauges publishes them from pipelineCacheCounters() itself
+  /// (layra-bench does), so concurrent drivers never overwrite each
+  /// other's.
   DriverReport run(const std::vector<BatchJob> &Jobs,
                    bool CacheTransparent = false);
 
@@ -292,13 +292,6 @@ public:
 
   /// Lifetime hit/miss/eviction counters of the pipeline-outcome cache.
   DriverCacheCounters pipelineCacheCounters() const;
-
-  /// Aggregated buffer-checkout accounting over every per-worker
-  /// workspace, cumulative across run()/solveProblems() calls.  Feeds
-  /// `layra-bench --workspace-stats`.  NOT part of the determinism
-  /// contract: the reuse/allocated split depends on the thread count and
-  /// the steal schedule, which is why it lives outside DriverReport.
-  WorkspaceStats workspaceStats() const;
 
 private:
   ThreadPool Pool;

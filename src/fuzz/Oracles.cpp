@@ -414,7 +414,7 @@ const std::vector<Oracle> &layra::oracleRegistry() {
        "shared-SolverWorkspace runs are byte-equal to fresh runs",
        checkWorkspacePure, false},
       {"build-vs-reference",
-       "CSR problem build equals addEdge/compress + RTL + Fulkerson-Gross",
+       "CSR problem build equals incremental lists + RTL + Fulkerson-Gross",
        checkBuildVsReference, false},
       {"parse-roundtrip",
        "textual IR print/parse round trip is stable and hash-preserving",

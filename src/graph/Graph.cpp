@@ -58,12 +58,9 @@ void layra::removeRepeatedEdges(std::vector<GraphEdge> &Edges,
 }
 
 Graph::Graph(std::vector<Weight> VertexWeights,
-             const std::vector<GraphEdge> &Edges,
-             std::vector<std::string> VertexNames)
-    : Weights(std::move(VertexWeights)), Names(std::move(VertexNames)),
-      EdgeCount(Edges.size()), Compressed(true) {
+             const std::vector<GraphEdge> &Edges)
+    : Weights(std::move(VertexWeights)), EdgeCount(Edges.size()) {
   unsigned N = numVertices();
-  assert((Names.empty() || Names.size() == N) && "one name per vertex");
   assert(2 * EdgeCount <= UINT32_MAX && "edge count overflows CSR offsets");
   // Degrees into CsrOffsets[V + 1], prefix-summed into start offsets.
   CsrOffsets.assign(N + 1, 0);
@@ -87,37 +84,14 @@ Graph::Graph(std::vector<Weight> VertexWeights,
   CsrOffsets[0] = 0;
 #ifndef NDEBUG
   std::vector<VertexId> Seen(N, ~0u);
-  for (VertexId V = 0; V < N; ++V)
+  for (VertexId V = 0; V < N; ++V) {
+    assert(Weights[V] >= 0 && "spill costs are non-negative");
     for (VertexId U : neighbors(V)) {
       assert(Seen[U] != V && "duplicate edge in the edge list");
       Seen[U] = V;
     }
-#endif
-}
-
-VertexId Graph::addVertex(Weight W, std::string Name) {
-  assert(W >= 0 && "spill costs are non-negative");
-  assert(!Compressed && "addVertex on a compressed graph");
-  VertexId Id = numVertices();
-  Adjacency.emplace_back();
-  Weights.push_back(W);
-  if (!Name.empty()) {
-    Names.resize(Id + 1);
-    Names[Id] = std::move(Name);
   }
-  return Id;
-}
-
-bool Graph::addEdge(VertexId U, VertexId V) {
-  assert(U < numVertices() && V < numVertices() && "vertex out of range");
-  assert(U != V && "self-loops are not interference edges");
-  assert(!Compressed && "addEdge on a compressed graph");
-  if (hasEdge(U, V))
-    return false;
-  Adjacency[U].push_back(V);
-  Adjacency[V].push_back(U);
-  ++EdgeCount;
-  return true;
+#endif
 }
 
 bool Graph::hasEdge(VertexId U, VertexId V) const {
@@ -126,39 +100,6 @@ bool Graph::hasEdge(VertexId U, VertexId V) const {
     std::swap(U, V);
   NeighborRange Smaller = neighbors(U);
   return std::find(Smaller.begin(), Smaller.end(), V) != Smaller.end();
-}
-
-void Graph::compress() {
-  if (Compressed)
-    return;
-  unsigned N = numVertices();
-  assert(2 * EdgeCount <= UINT32_MAX && "edge count overflows CSR offsets");
-  CsrOffsets.resize(N + 1);
-  CsrNeighbors.resize(2 * EdgeCount);
-  uint32_t Offset = 0;
-  for (VertexId V = 0; V < N; ++V) {
-    CsrOffsets[V] = Offset;
-    std::copy(Adjacency[V].begin(), Adjacency[V].end(),
-              CsrNeighbors.begin() + Offset);
-    Offset += static_cast<uint32_t>(Adjacency[V].size());
-  }
-  CsrOffsets[N] = Offset;
-  // Release the per-vertex lists; the CSR is the view from now on.
-  std::vector<std::vector<VertexId>>().swap(Adjacency);
-  Compressed = true;
-}
-
-const std::string &Graph::name(VertexId V) const {
-  assert(V < numVertices() && "vertex out of range");
-  static const std::string Empty;
-  return V < Names.size() ? Names[V] : Empty;
-}
-
-void Graph::setName(VertexId V, std::string Name) {
-  assert(V < numVertices() && "vertex out of range");
-  if (Names.size() <= V)
-    Names.resize(V + 1);
-  Names[V] = std::move(Name);
 }
 
 Weight Graph::totalWeight() const {
@@ -192,13 +133,11 @@ Graph Graph::inducedSubgraph(const std::vector<VertexId> &Keep,
                              std::vector<VertexId> *OldToNew) const {
   std::vector<VertexId> Map(numVertices(), ~0u);
   std::vector<Weight> SubWeights;
-  std::vector<std::string> SubNames;
   for (VertexId V : Keep) {
     assert(V < numVertices() && "vertex out of range");
     assert(Map[V] == ~0u && "duplicate vertex in induced subgraph request");
     Map[V] = static_cast<VertexId>(SubWeights.size());
     SubWeights.push_back(weight(V));
-    SubNames.push_back(name(V));
   }
   // Each kept edge once, from its lower-id endpoint: no repeats to drop.
   std::vector<GraphEdge> Edges;
@@ -208,7 +147,7 @@ Graph Graph::inducedSubgraph(const std::vector<VertexId> &Keep,
         Edges.push_back({Map[V], Map[U]});
   if (OldToNew)
     *OldToNew = std::move(Map);
-  return Graph(std::move(SubWeights), Edges, std::move(SubNames));
+  return Graph(std::move(SubWeights), Edges);
 }
 
 std::string Graph::toDot(const std::vector<VertexId> &Highlight) const {
@@ -217,8 +156,7 @@ std::string Graph::toDot(const std::vector<VertexId> &Highlight) const {
     Hot[V] = 1;
   std::string Dot = "graph interference {\n  node [shape=circle];\n";
   for (VertexId V = 0; V < numVertices(); ++V) {
-    Dot += "  n" + std::to_string(V) + " [label=\"";
-    Dot += name(V).empty() ? ("v" + std::to_string(V)) : name(V);
+    Dot += "  n" + std::to_string(V) + " [label=\"v" + std::to_string(V);
     Dot += ':';
     Dot += std::to_string(weight(V));
     Dot += '"';

@@ -11,25 +11,23 @@
 /// interpreted as its estimated spill cost (paper §3: "A spill cost
 /// represents the access frequency of a variable").
 ///
-/// Every graph the library builds comes out of one path and ends in one
-/// frozen CSR view (offsets + one packed neighbor array) that every
-/// neighbor walk in MCS, Frank's algorithm and the clique-tree DP streams:
-/// the producer appends edges in discovery order to a flat list,
-/// removeRepeatedEdges() drops any repeats -- stably, the first occurrence
-/// wins -- and the edge-list constructor lays out the CSR directly.
-/// ir/Interference, inducedSubgraph(), core/Coalescing and the random
-/// generators all build this way; no per-vertex lists are allocated and
-/// there is no vertex-count cap.
+/// A Graph is built one way and is immutable afterwards, except for
+/// setWeight(): the producer appends edges in discovery order to a flat
+/// list, removeRepeatedEdges() drops any repeats -- stably, the first
+/// occurrence wins -- and the edge-list constructor lays out a CSR view
+/// (offsets + one packed neighbor array) that every neighbor walk in MCS,
+/// Frank's algorithm and the clique-tree DP streams.  ir/Interference,
+/// inducedSubgraph(), core/Coalescing, the random generators and
+/// hand-built test graphs all build this way; there is no vertex-count
+/// cap.  A graph holds weights and adjacency only: vertex V of an
+/// interference graph is value V of its function, so value names stay
+/// with the function.
 ///
-/// addVertex()/addEdge() serve hand-built test graphs and the incremental
-/// reference of fuzz/BuildReference.h: they keep per-vertex adjacency
-/// lists, addEdge() deduplicates by scanning the smaller list, and
-/// compress() flattens the lists into the same CSR and releases them.
 /// Neighbor order is load-bearing -- MCS bucket tie-breaking and with it
-/// every PEO, clique cover and DP result depends on it -- and it is the
-/// same either way: a vertex's neighbors appear in the order of the first
-/// occurrences of its edges.  addEdge() in list order followed by
-/// compress() and the edge-list constructor give identical graphs.
+/// every PEO, clique cover and DP result depends on it: a vertex's
+/// neighbors appear in the order of the first occurrences of its edges.
+/// fuzz/BuildReference.h checks that order against per-vertex lists it
+/// fills itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,10 +52,8 @@ using VertexId = unsigned;
 /// exact; the IR cost model produces integers (accesses x block frequency).
 using Weight = long long;
 
-/// A non-owning view of one vertex's neighbor list, valid over both the
-/// mutable adjacency-list storage and the compressed CSR storage.  Iterates
-/// in edge-insertion order in both cases.  Invalidated by addVertex /
-/// addEdge / compress on the owning graph.
+/// A non-owning view of one vertex's neighbor list in the CSR, in
+/// edge-list order; valid as long as the owning graph.
 class NeighborRange {
 public:
   using value_type = VertexId;
@@ -102,40 +98,17 @@ struct GraphEdge {
 void removeRepeatedEdges(std::vector<GraphEdge> &Edges, unsigned NumVertices,
                          SolverWorkspace *WS = nullptr);
 
-/// An undirected graph with per-vertex weights and optional vertex names.
-///
-/// addEdge() deduplicates edges and rejects self-loops; the edge-list
-/// constructor requires a list free of both (see removeRepeatedEdges).
-/// Adjacency is kept in insertion order -- algorithms that need determinism
-/// across runs get it because the whole library is deterministic (no
-/// pointer ordering anywhere).
+/// An undirected graph with per-vertex weights; its edges are fixed at
+/// construction.
 class Graph {
 public:
   Graph() = default;
 
-  /// Creates a mutable graph with \p NumVertices vertices of weight 0.
-  explicit Graph(unsigned NumVertices)
-      : Adjacency(NumVertices), Weights(NumVertices, 0) {}
-
-  /// Builds a frozen graph with one vertex per entry of \p VertexWeights
-  /// straight into the CSR view from \p Edges, which must be free of
-  /// duplicates and self-loops.  Each vertex's neighbors come out in the
-  /// order its edges appear in \p Edges: exactly the graph that addEdge()
-  /// over \p Edges in order followed by compress() would give.
-  /// \p VertexNames is empty or holds one (possibly empty) name per vertex.
-  Graph(std::vector<Weight> VertexWeights, const std::vector<GraphEdge> &Edges,
-        std::vector<std::string> VertexNames = {});
-
-  /// Adds a vertex with weight \p W and returns its id.
-  /// \pre the graph is not compressed.
-  VertexId addVertex(Weight W = 0, std::string Name = {});
-
-  /// Adds the undirected edge {U, V} unless it already exists (found by
-  /// hasEdge's scan).
-  /// \returns true if the edge was inserted, false if it was present.
-  /// \pre U != V, both are valid vertex ids, and the graph is not
-  /// compressed.
-  bool addEdge(VertexId U, VertexId V);
+  /// Builds a graph with one vertex per entry of \p VertexWeights straight
+  /// into the CSR view from \p Edges, which must be free of repeats and
+  /// self-loops (see removeRepeatedEdges).  Each vertex's neighbors come
+  /// out in the order its edges appear in \p Edges.
+  Graph(std::vector<Weight> VertexWeights, const std::vector<GraphEdge> &Edges);
 
   /// Returns true if the undirected edge {U, V} exists: a scan of the
   /// smaller neighbor list.
@@ -146,33 +119,15 @@ public:
   }
   size_t numEdges() const { return EdgeCount; }
 
-  /// Freezes the edge set and flattens adjacency into a CSR (offsets +
-  /// packed neighbor array) so neighbor walks stream contiguous memory.
-  /// Iteration order -- and with it every downstream result -- is
-  /// unchanged.  Releases the adjacency lists.  Idempotent; addVertex/
-  /// addEdge are no longer allowed.  Called at problem-construction freeze
-  /// points (AllocationProblem::fromChordalGraph / fromGeneralGraph);
-  /// graphs from the edge-list constructor are born frozen.
-  void compress();
-
-  /// True once compress() ran.
-  bool compressed() const { return Compressed; }
-
   NeighborRange neighbors(VertexId V) const {
     assert(V < numVertices() && "vertex out of range");
-    if (Compressed) {
-      const VertexId *Base = CsrNeighbors.data();
-      return {Base + CsrOffsets[V], Base + CsrOffsets[V + 1]};
-    }
-    const std::vector<VertexId> &List = Adjacency[V];
-    return {List.data(), List.data() + List.size()};
+    const VertexId *Base = CsrNeighbors.data();
+    return {Base + CsrOffsets[V], Base + CsrOffsets[V + 1]};
   }
 
   unsigned degree(VertexId V) const {
     assert(V < numVertices() && "vertex out of range");
-    if (Compressed)
-      return CsrOffsets[V + 1] - CsrOffsets[V];
-    return static_cast<unsigned>(Adjacency[V].size());
+    return CsrOffsets[V + 1] - CsrOffsets[V];
   }
 
   Weight weight(VertexId V) const {
@@ -186,10 +141,6 @@ public:
     Weights[V] = W;
   }
 
-  /// Optional human-readable name; empty when never set.
-  const std::string &name(VertexId V) const;
-  void setName(VertexId V, std::string Name);
-
   /// Sum of all vertex weights (the cost of spilling everything).
   Weight totalWeight() const;
 
@@ -199,32 +150,26 @@ public:
   /// Returns true if \p Subset contains no two adjacent vertices.
   bool isStableSet(const std::vector<VertexId> &Subset) const;
 
-  /// Builds the subgraph induced by \p Keep (weights and names carried
-  /// over) through the edge-list constructor, so the result is frozen.
-  /// New vertex I is Keep[I].
+  /// Builds the subgraph induced by \p Keep (weights carried over) through
+  /// the edge-list constructor.  New vertex I is Keep[I].
   /// \param [out] OldToNew if non-null, receives a map of size numVertices()
   ///   with the new id of each kept vertex and ~0u for dropped ones.
   Graph inducedSubgraph(const std::vector<VertexId> &Keep,
                         std::vector<VertexId> *OldToNew = nullptr) const;
 
-  /// Renders the graph in Graphviz DOT syntax (used by the examples).
-  /// Vertices in \p Highlight are drawn filled.
+  /// Renders the graph in Graphviz DOT syntax (used by the examples),
+  /// labelling vertex V "vV:weight".  Vertices in \p Highlight are drawn
+  /// filled.
   std::string toDot(const std::vector<VertexId> &Highlight = {}) const;
 
 private:
-  /// Insertion-order adjacency lists; emptied (storage released) by
-  /// compress().
-  std::vector<std::vector<VertexId>> Adjacency;
   std::vector<Weight> Weights;
-  std::vector<std::string> Names;
   size_t EdgeCount = 0;
 
-  /// CSR view, valid once Compressed: CsrOffsets has numVertices()+1
-  /// entries; vertex V's neighbors are CsrNeighbors[CsrOffsets[V] ..
-  /// CsrOffsets[V+1]).
+  /// CsrOffsets has numVertices()+1 entries; vertex V's neighbors are
+  /// CsrNeighbors[CsrOffsets[V] .. CsrOffsets[V+1]).
   std::vector<uint32_t> CsrOffsets;
   std::vector<VertexId> CsrNeighbors;
-  bool Compressed = false;
 };
 
 } // namespace layra

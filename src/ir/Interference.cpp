@@ -67,8 +67,8 @@ InterferenceInfo layra::buildInterference(const Function &F,
   WS = LocalScope.get();
   InterferenceInfo Info;
   // Edges are appended in discovery order, repeats included; one stable
-  // dedup and the edge-list Graph constructor turn them into the frozen
-  // CSR graph (graph/Graph.h).
+  // dedup and the edge-list Graph constructor turn them into the CSR graph
+  // (graph/Graph.h).
   std::vector<GraphEdge> &Edges = WS->acquireCleared(WS->Interference.Edges);
   auto AddEdge = [&](VertexId A, VertexId B) { Edges.push_back({A, B}); };
 
@@ -156,10 +156,7 @@ InterferenceInfo layra::buildInterference(const Function &F,
   if (Discovered)
     *Discovered = Edges;
   removeRepeatedEdges(Edges, F.numValues(), WS);
-  std::vector<std::string> Names(F.numValues());
-  for (ValueId V = 0; V < F.numValues(); ++V)
-    Names[V] = F.valueName(V);
-  Info.G = Graph(Costs, Edges, std::move(Names));
+  Info.G = Graph(Costs, Edges);
 
   if (!MultiClass)
     Info.MaxLiveByClass[0] = Info.MaxLive;

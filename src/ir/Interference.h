@@ -59,12 +59,12 @@ struct InterferenceInfo {
 std::vector<Weight> computeSpillCosts(const Function &F,
                                       const TargetDesc &Target);
 
-/// Builds the interference graph of \p F with \p Costs as vertex weights.
-/// Vertex names are taken from value names.  The backward walk appends
-/// edges in discovery order to a flat list; one stable dedup (the first
-/// occurrence of each edge wins) and Graph's edge-list constructor then
-/// lay out the frozen CSR graph, with neighbor order identical to adding
-/// the edges one by one through Graph::addEdge.
+/// Builds the interference graph of \p F with \p Costs as vertex weights;
+/// vertex V is value V.  The backward walk appends edges in discovery
+/// order to a flat list; one stable dedup (the first occurrence of each
+/// edge wins) and Graph's edge-list constructor then lay out the CSR
+/// graph, so each vertex's neighbors come in the order their edges were
+/// first discovered.
 ///
 /// \p WS optionally supplies the walk's scratch and the edge list.
 /// \p CollectPointSets controls whether PointLiveSets is filled: chordal

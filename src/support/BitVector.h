@@ -65,8 +65,7 @@ public:
   }
 
   /// Ensures capacity for bit indices below \p MinNumBits without ever
-  /// shrinking -- the incremental-growth form addVertex-style call sites
-  /// want.
+  /// shrinking.
   void growTo(std::size_t MinNumBits) {
     if (MinNumBits > NumBits)
       resize(MinNumBits);

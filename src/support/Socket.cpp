@@ -14,7 +14,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -214,41 +213,6 @@ uint16_t layra::boundTcpPort(const SocketFd &Listener) {
   return ntohs(Addr.sin_port);
 }
 
-SocketFd layra::acceptConnection(const SocketFd &Listener, int TimeoutMs,
-                                 bool *TimedOut) {
-  if (TimedOut)
-    *TimedOut = false;
-  pollfd Poll;
-  Poll.fd = Listener.fd();
-  Poll.events = POLLIN;
-  Poll.revents = 0;
-  int Ready = ::poll(&Poll, 1, TimeoutMs);
-  if (Ready == 0) {
-    if (TimedOut)
-      *TimedOut = true;
-    return SocketFd();
-  }
-  if (Ready < 0) {
-    // An interrupted poll is a retry, not a dead listener.
-    if (TimedOut && errno == EINTR)
-      *TimedOut = true;
-    return SocketFd();
-  }
-  int Fd = ::accept(Listener.fd(), nullptr, nullptr);
-  if (Fd < 0) {
-    // A connection that was reset between poll and accept is a timeout
-    // from the caller's point of view: keep looping.
-    if (TimedOut &&
-        (errno == ECONNABORTED || errno == EAGAIN || errno == EWOULDBLOCK ||
-         errno == EINTR))
-      *TimedOut = true;
-    return SocketFd();
-  }
-  SocketFd Out(Fd);
-  setTcpNoDelay(Out.fd());
-  return Out;
-}
-
 bool layra::sendAll(int Fd, const void *Data, size_t Size) {
   const char *Cursor = static_cast<const char *>(Data);
   while (Size > 0) {
@@ -262,36 +226,6 @@ bool layra::sendAll(int Fd, const void *Data, size_t Size) {
       return false;
     Cursor += Sent;
     Size -= static_cast<size_t>(Sent);
-  }
-  return true;
-}
-
-bool layra::sendAllWithTimeout(int Fd, const void *Data, size_t Size,
-                               int IdleTimeoutMs) {
-  const char *Cursor = static_cast<const char *>(Data);
-  while (Size > 0) {
-    ssize_t Sent = ::send(Fd, Cursor, Size, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (Sent > 0) {
-      Cursor += Sent;
-      Size -= static_cast<size_t>(Sent);
-      continue;
-    }
-    if (Sent == 0)
-      return false;
-    if (errno == EINTR)
-      continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK)
-      return false;
-    // Send buffer full: wait for the peer to drain some of it, bounded.
-    pollfd Poll;
-    Poll.fd = Fd;
-    Poll.events = POLLOUT;
-    Poll.revents = 0;
-    int Ready = ::poll(&Poll, 1, IdleTimeoutMs);
-    if (Ready == 0)
-      return false; // No progress within the idle bound.
-    if (Ready < 0 && errno != EINTR)
-      return false;
   }
   return true;
 }

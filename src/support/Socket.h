@@ -8,8 +8,7 @@
 /// \file
 /// Thin RAII wrappers over the POSIX socket API for the allocation service
 /// (service/Server.h, service/Client.h): TCP and Unix-domain listeners and
-/// connectors, full-buffer send/recv loops, and a poll-based accept with
-/// timeout so accept loops can observe a stop flag.  Loopback-oriented by
+/// connectors and full-buffer send/recv loops.  Loopback-oriented by
 /// design -- TCP hosts are numeric addresses (or "localhost"), name
 /// resolution is out of scope.
 ///
@@ -86,12 +85,6 @@ SocketFd connectUnix(const std::string &Path, std::string *Error);
 /// The port a TCP listener actually bound (resolves port 0); 0 on error.
 uint16_t boundTcpPort(const SocketFd &Listener);
 
-/// Waits up to \p TimeoutMs for a connection on \p Listener and accepts it.
-/// Returns an invalid SocketFd on timeout or error; *TimedOut (optional)
-/// distinguishes the two so accept loops can keep polling a stop flag.
-SocketFd acceptConnection(const SocketFd &Listener, int TimeoutMs,
-                          bool *TimedOut);
-
 /// Switches \p Fd's O_NONBLOCK flag.  The event-loop server and the
 /// multiplexed load generator run every connection non-blocking; blocking
 /// callers (the simple Client) never need this.  False when fcntl failed.
@@ -113,14 +106,6 @@ unsigned raiseFdLimit(unsigned Want);
 /// Writes all \p Size bytes to \p Fd, looping over short writes.  False on
 /// any error (including a closed peer).
 bool sendAll(int Fd, const void *Data, size_t Size);
-
-/// Like sendAll, but gives up when the peer accepts no bytes for
-/// \p IdleTimeoutMs (a client that stopped reading).  The timeout is on
-/// *progress*, not the whole transfer: a slow-but-draining peer is fine.
-/// False on error or timeout; the caller decides whether to drop the
-/// connection.
-bool sendAllWithTimeout(int Fd, const void *Data, size_t Size,
-                        int IdleTimeoutMs);
 
 /// Reads exactly \p Size bytes unless the stream ends first.  Returns the
 /// number of bytes actually read (< Size when the peer closed cleanly, 0

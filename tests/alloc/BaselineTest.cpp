@@ -47,12 +47,10 @@ TEST(GraphColoringTest, ProducesProperColoringWithinR) {
 
 TEST(GraphColoringTest, ColorsEverythingWhenDegreesAreLow) {
   // A tree has degeneracy 1: 2 registers always suffice.
-  Graph G(10);
-  for (VertexId V = 1; V < 10; ++V) {
-    G.addEdge(V, (V - 1) / 2);
-    G.setWeight(V, 5);
-  }
-  G.setWeight(0, 5);
+  std::vector<GraphEdge> Edges;
+  for (VertexId V = 1; V < 10; ++V)
+    Edges.push_back({V, (V - 1) / 2});
+  Graph G(std::vector<Weight>(10, 5), Edges);
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
   GraphColoringAllocator GC;
   EXPECT_EQ(GC.allocate(P).SpillCost, 0);
@@ -61,14 +59,11 @@ TEST(GraphColoringTest, ColorsEverythingWhenDegreesAreLow) {
 TEST(GraphColoringTest, SpillsOnKPlusOneClique) {
   // K4 with 3 registers: exactly one vertex must spill, the cheapest one
   // by cost/degree (all degrees equal => cheapest cost).
-  Graph G(4);
-  G.setWeight(0, 10);
-  G.setWeight(1, 2);
-  G.setWeight(2, 8);
-  G.setWeight(3, 9);
+  std::vector<GraphEdge> Edges;
   for (VertexId A = 0; A < 4; ++A)
     for (VertexId B = A + 1; B < 4; ++B)
-      G.addEdge(A, B);
+      Edges.push_back({A, B});
+  Graph G({10, 2, 8, 9}, Edges);
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 3);
   GraphColoringAllocator GC;
   AllocationResult Result = GC.allocate(P);
@@ -79,13 +74,7 @@ TEST(GraphColoringTest, SpillsOnKPlusOneClique) {
 TEST(GraphColoringTest, OptimisticColoringBeatsPessimism) {
   // Diamond (C4 + no chord is 2-colorable but Chaitin's rule would push a
   // node at R=2 since all degrees are 2): optimism must color everything.
-  Graph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 0);
-  for (VertexId V = 0; V < 4; ++V)
-    G.setWeight(V, 7);
+  Graph G({7, 7, 7, 7}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   AllocationProblem P = AllocationProblem::fromGeneralGraph(G, 2, {});
   GraphColoringAllocator GC;
   EXPECT_EQ(GC.allocate(P).SpillCost, 0);
@@ -151,16 +140,18 @@ namespace {
 /// instance is self-consistent.
 AllocationProblem intervalProblem(std::vector<LiveInterval> Ivs,
                                   unsigned Regs) {
-  Graph G(static_cast<unsigned>(Ivs.size()));
+  std::vector<Weight> Weights(Ivs.size());
+  std::vector<GraphEdge> Edges;
   unsigned MaxEnd = 0;
   for (size_t I = 0; I < Ivs.size(); ++I) {
-    G.setWeight(Ivs[I].V, Ivs[I].Cost);
+    Weights[Ivs[I].V] = Ivs[I].Cost;
     MaxEnd = std::max(MaxEnd, Ivs[I].End);
     for (size_t J = 0; J < I; ++J)
       if (Ivs[I].overlaps(Ivs[J]))
-        G.addEdge(Ivs[I].V, Ivs[J].V);
+        Edges.push_back({Ivs[I].V, Ivs[J].V});
   }
-  AllocationProblem P = AllocationProblem::fromGeneralGraph(G, Regs, {});
+  AllocationProblem P = AllocationProblem::fromGeneralGraph(
+      Graph(std::move(Weights), Edges), Regs, {});
   LiveIntervalTable Table;
   Table.Intervals = std::move(Ivs);
   Table.NumPoints = MaxEnd + 1;
@@ -269,8 +260,6 @@ TEST(AllocatorRegistryTest, EveryAllocatorIsFeasibleOnAnSsaInstance) {
   Rng R(65);
   AllocationProblem P = ssaProblem(R, 4);
   for (const std::string &Name : allAllocatorNames()) {
-    if (Name == "brute" && P.graph().numVertices() > 24)
-      continue;
     auto A = makeAllocator(Name);
     AllocationResult Result = A->allocate(P);
     EXPECT_TRUE(isFeasibleAllocation(P, Result.Allocated)) << Name;

@@ -71,14 +71,14 @@ TEST(OptimalTest, FlowSolverAgreesOnIntervalInstances) {
   for (int Round = 0; Round < 30; ++Round) {
     unsigned N = 5 + static_cast<unsigned>(R.nextBelow(30));
     std::vector<LiveInterval> Intervals(N);
-    Graph G;
+    std::vector<Weight> Weights(N);
     for (unsigned I = 0; I < N; ++I) {
       Intervals[I].V = I;
       Intervals[I].Start = static_cast<unsigned>(R.nextBelow(40));
       Intervals[I].End =
           Intervals[I].Start + static_cast<unsigned>(R.nextBelow(12));
       Intervals[I].Cost = static_cast<Weight>(R.nextInRange(1, 25));
-      G.addVertex(Intervals[I].Cost);
+      Weights[I] = Intervals[I].Cost;
     }
     // Point constraints: live sets at every coordinate.
     std::vector<std::vector<VertexId>> Sets;
@@ -90,10 +90,12 @@ TEST(OptimalTest, FlowSolverAgreesOnIntervalInstances) {
       if (Live.size() > 1)
         Sets.push_back(std::move(Live));
     }
+    std::vector<GraphEdge> Edges;
     for (unsigned A = 0; A < N; ++A)
       for (unsigned B = A + 1; B < N; ++B)
         if (Intervals[A].overlaps(Intervals[B]))
-          G.addEdge(A, B);
+          Edges.push_back({A, B});
+    Graph G(std::move(Weights), Edges);
 
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(5));
     std::vector<char> Keep = selectIntervalsOptimal(Intervals, Regs);
@@ -148,11 +150,7 @@ TEST(OptimalTest, NodeLimitReportsUnproven) {
 
 TEST(OptimalTest, FreeVerticesAlwaysAllocated) {
   // Constraints of size <= R never bind: everything is allocated.
-  Graph G(5);
-  for (VertexId V = 0; V < 5; ++V)
-    G.setWeight(V, 1 + V);
-  G.addEdge(0, 1);
-  G.addEdge(2, 3);
+  Graph G({1, 2, 3, 4, 5}, {{0, 1}, {2, 3}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
   OptimalBnBAllocator BnB;
   AllocationResult Result = BnB.allocate(P);

@@ -51,8 +51,7 @@ TEST(AssignmentTest, SpilledVerticesGetNoRegister) {
 }
 
 TEST(AssignmentTest, EmptyAllocationUsesNoRegisters) {
-  Graph G(4);
-  G.addEdge(0, 1);
+  Graph G({0, 0, 0, 0}, {{0, 1}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
   Assignment A = assignRegisters(P, std::vector<char>(4, 0));
   EXPECT_EQ(A.RegistersUsed, 0u);
@@ -61,11 +60,10 @@ TEST(AssignmentTest, EmptyAllocationUsesNoRegisters) {
 
 TEST(AssignmentTest, GeneralGraphsMayNeedMoreThanRAndReportIt) {
   // C5 is 3-chromatic; keeping all of it with R = 2 must report failure.
-  Graph C5(5);
-  for (unsigned I = 0; I < 5; ++I) {
-    C5.addEdge(I, (I + 1) % 5);
-    C5.setWeight(I, 1);
-  }
+  std::vector<GraphEdge> Cycle;
+  for (VertexId I = 0; I < 5; ++I)
+    Cycle.push_back({I, (I + 1) % 5});
+  Graph C5(std::vector<Weight>(5, 1), Cycle);
   std::vector<std::vector<VertexId>> Sets;
   for (VertexId V = 0; V < 5; ++V)
     Sets.push_back({V, (V + 1) % 5});

@@ -119,11 +119,11 @@ TEST(BuildReferenceTest, MixedClassesOnArmv7VfpMatchTheReference) {
   EXPECT_GT(Builds, 0u);
 }
 
-TEST(BuildReferenceTest, GeneralBuildDropsRediscoveredEdgesLikeAddEdge) {
+TEST(BuildReferenceTest, GeneralBuildDropsRediscoveredEdgesLikeTheReference) {
   // Non-SSA: x is defined at three points, each with y and z live after
   // it, so the walk rediscovers {x,y} and {x,z}; the stable dedup must
-  // drop exactly what Graph::addEdge drops and keep first-occurrence
-  // order.
+  // drop exactly what the reference's list scan drops and keep
+  // first-occurrence order.
   Function F("redefs");
   BlockId B = F.makeBlock("entry");
   ValueId X = F.makeValue("x"), Y = F.makeValue("y"), Z = F.makeValue("z");
@@ -146,7 +146,7 @@ TEST(BuildReferenceTest, GeneralBuildDropsRediscoveredEdgesLikeAddEdge) {
   ASSERT_TRUE(verifyFunction(F));
 
   size_t Repeats = 0;
-  Graph Reference = referenceInterferenceGraph(F, ST231, &Repeats);
+  ReferenceGraph Reference = referenceInterferenceGraph(F, ST231, &Repeats);
   EXPECT_GT(Repeats, 0u);
   AllocationProblem P = buildGeneralProblem(F, ST231, 2);
   EXPECT_FALSE(P.Chordal);

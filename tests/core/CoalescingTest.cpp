@@ -68,10 +68,7 @@ TEST(CoalescingTest, RepeatedCopiesMergeBenefits) {
 
 TEST(CoalescingTest, ConservativeCoalescingNeverMergesInterfering) {
   // a and b overlap: the affinity between them must be rejected.
-  Graph G(2);
-  G.setWeight(0, 5);
-  G.setWeight(1, 5);
-  G.addEdge(0, 1);
+  Graph G({5, 5}, {{0, 1}});
   CoalescingResult Out =
       coalesceConservative(G, {{0, 1, 10}}, /*NumRegisters=*/4);
   EXPECT_EQ(Out.Merged, 0u);
@@ -79,11 +76,7 @@ TEST(CoalescingTest, ConservativeCoalescingNeverMergesInterfering) {
 }
 
 TEST(CoalescingTest, MergesNonInterferingPairAndSumsWeights) {
-  Graph G(3);
-  G.setWeight(0, 5);
-  G.setWeight(1, 7);
-  G.setWeight(2, 1);
-  G.addEdge(1, 2); // 0 and 1 do not interfere.
+  Graph G({5, 7, 1}, {{1, 2}}); // 0 and 1 do not interfere.
   CoalescingResult Out = coalesceConservative(G, {{0, 1, 3}}, 4);
   EXPECT_EQ(Out.Merged, 1u);
   EXPECT_EQ(Out.BenefitRealized, 3);
@@ -99,16 +92,12 @@ TEST(CoalescingTest, BriggsTestBlocksRiskyMerges) {
   // K4 plus two pendant vertices x, y with an affinity: merging x and y
   // would create a node with 4 significant (degree >= 2) neighbors at
   // R = 2, so the conservative test must refuse.
-  Graph G(6);
+  std::vector<GraphEdge> Edges;
   for (VertexId V = 0; V < 4; ++V)
     for (VertexId U = V + 1; U < 4; ++U)
-      G.addEdge(V, U);
-  G.addEdge(4, 0);
-  G.addEdge(4, 1);
-  G.addEdge(5, 2);
-  G.addEdge(5, 3);
-  for (VertexId V = 0; V < 6; ++V)
-    G.setWeight(V, 1);
+      Edges.push_back({V, U});
+  Edges.insert(Edges.end(), {{4, 0}, {4, 1}, {5, 2}, {5, 3}});
+  Graph G(std::vector<Weight>(6, 1), Edges);
   CoalescingResult Out = coalesceConservative(G, {{4, 5, 100}}, 2);
   EXPECT_EQ(Out.Merged, 0u);
   // With plenty of registers the same merge is fine.

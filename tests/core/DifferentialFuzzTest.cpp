@@ -169,7 +169,7 @@ TEST(DifferentialFuzz, WorkspaceReuseIsByteIdenticalToFreshRuns) {
 
 TEST(DifferentialFuzz, ReleaseMemoryResetsArenasWithoutChangingResults) {
   // releaseMemory is the give-back valve for long-lived owners: dropping
-  // every arena mid-stream must zero the accounting and leave subsequent
+  // every arena mid-stream must free the buffers and leave subsequent
   // solves byte-identical (capacity is the only thing a workspace keeps).
   Function F = makeProgram(3);
   SsaConversion Ssa = convertToSsa(F);
@@ -177,18 +177,14 @@ TEST(DifferentialFuzz, ReleaseMemoryResetsArenasWithoutChangingResults) {
 
   SolverWorkspace WS;
   AllocationResult Before = layeredAllocate(P, LayeredOptions::bfpl(), &WS);
-  EXPECT_GT(WS.Stats.Acquires, 0u);
+  EXPECT_GT(WS.Layered.Candidates.capacity(), 0u);
 
   WS.releaseMemory();
-  EXPECT_EQ(WS.Stats.Acquires, 0u);
-  EXPECT_EQ(WS.Stats.bytesTotal(), 0u);
+  EXPECT_EQ(WS.Layered.Candidates.capacity(), 0u);
 
   AllocationResult After = layeredAllocate(P, LayeredOptions::bfpl(), &WS);
   EXPECT_EQ(Before.Allocated, After.Allocated);
   EXPECT_EQ(Before.SpillCost, After.SpillCost);
-  // The post-release run started from cold arenas, so its checkouts must
-  // register fresh allocation, not phantom reuse.
-  EXPECT_GT(WS.Stats.BytesAllocated, 0u);
 }
 
 TEST(DifferentialFuzz, ScalarEraEqualsOneClassTableBehavior) {

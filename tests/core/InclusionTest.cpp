@@ -27,18 +27,8 @@ namespace {
 /// A 5-vertex counter-example in the spirit of Figure 2: path a-b-c-d-e
 /// plus chord b-d, weights a=3 b=4 c=2 d=4 e=3.
 Graph counterExampleGraph() {
-  Graph G;
-  G.addVertex(3, "a"); // 0
-  G.addVertex(4, "b"); // 1
-  G.addVertex(2, "c"); // 2
-  G.addVertex(4, "d"); // 3
-  G.addVertex(3, "e"); // 4
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
-  G.addEdge(1, 3);
-  return G;
+  // a..e are vertices 0..4.
+  return Graph({3, 4, 2, 4, 3}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 3}});
 }
 
 std::set<VertexId> optimalSpillSet(const Graph &G, unsigned R) {

@@ -20,48 +20,18 @@ namespace {
 /// The paper's Figure 5/6 graph (vertices a..g = 0..6, weights
 /// 1,2,2,5,2,6,1).
 Graph figure6Graph() {
-  Graph G;
-  G.addVertex(1, "a");
-  G.addVertex(2, "b");
-  G.addVertex(2, "c");
-  G.addVertex(5, "d");
-  G.addVertex(2, "e");
-  G.addVertex(6, "f");
-  G.addVertex(1, "g");
-  G.addEdge(0, 3);
-  G.addEdge(0, 5);
-  G.addEdge(3, 5);
-  G.addEdge(3, 4);
-  G.addEdge(4, 5);
-  G.addEdge(2, 3);
-  G.addEdge(2, 4);
-  G.addEdge(1, 2);
-  G.addEdge(1, 6);
-  G.addEdge(6, 2);
-  return G;
+  return Graph({1, 2, 2, 5, 2, 6, 1},
+               {{0, 3}, {0, 5}, {3, 5}, {3, 4}, {4, 5},
+                {2, 3}, {2, 4}, {1, 2}, {1, 6}, {6, 2}});
 }
 
 /// The paper's Figure 7 graph: six vertices a..f with maximal cliques
 /// {a,d,f}, {b,c,e}, {c,d,e}, {d,e,f}.  Weights chosen so NL allocates
 /// {a,b,d} and stops, while the fixed point can still add c or e.
 Graph figure7Graph() {
-  Graph G;
-  G.addVertex(4, "a"); // 0
-  G.addVertex(5, "b"); // 1
-  G.addVertex(1, "c"); // 2
-  G.addVertex(3, "d"); // 3
-  G.addVertex(1, "e"); // 4
-  G.addVertex(1, "f"); // 5
-  G.addEdge(0, 3);
-  G.addEdge(0, 5);
-  G.addEdge(3, 5);
-  G.addEdge(1, 2);
-  G.addEdge(1, 4);
-  G.addEdge(2, 4);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
-  G.addEdge(4, 5);
-  return G;
+  // a..f are vertices 0..5.
+  return Graph({4, 5, 1, 3, 1, 1}, {{0, 3}, {0, 5}, {3, 5}, {1, 2}, {1, 4},
+                                    {2, 4}, {2, 3}, {3, 4}, {4, 5}});
 }
 } // namespace
 
@@ -212,11 +182,7 @@ TEST(LayeredTest, StepTwoIsFeasibleAndNoWorseAggregate) {
 }
 
 TEST(LayeredTest, ZeroWeightVerticesSpillForFree) {
-  Graph G(3);
-  G.setWeight(0, 0);
-  G.setWeight(1, 0);
-  G.setWeight(2, 0);
-  G.addEdge(0, 1);
+  Graph G({0, 0, 0}, {{0, 1}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
   AllocationResult Result = layeredAllocate(P, LayeredOptions::bfpl());
   EXPECT_EQ(Result.SpillCost, 0);

@@ -170,9 +170,7 @@ TEST(ProblemBuilderTest, MaxLiveMatchesLargestConstraint) {
 }
 
 TEST(ProblemBuilderTest, SingletonConstraintAddedForIsolatedVertices) {
-  Graph G(3);
-  G.setWeight(2, 5); // Vertex 2 is isolated.
-  G.addEdge(0, 1);
+  Graph G({0, 0, 5}, {{0, 1}}); // Vertex 2 is isolated.
   AllocationProblem P =
       AllocationProblem::fromGeneralGraph(std::move(G), 2, {{0, 1}});
   bool Found = false;

@@ -51,12 +51,7 @@ TEST(RegClassEdgeTest, ProjectClassWithNoMembersYieldsAnEmptyProblem) {
   // A two-class problem whose second class has no vertices: projecting
   // it must yield a well-formed empty problem, and solving must treat
   // the class as trivially satisfied.
-  Graph G;
-  VertexId A = G.addVertex(5, "a");
-  VertexId B = G.addVertex(3, "b");
-  VertexId C = G.addVertex(2, "c");
-  G.addEdge(A, B);
-  G.addEdge(B, C);
+  Graph G({5, 3, 2}, {{0, 1}, {1, 2}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(
       G, {2, 4}, std::vector<RegClassId>(3, 0));
 

@@ -70,13 +70,7 @@ TEST(StepLayerTest, MatchesBruteForceForBoundTwoAndThree) {
 
 TEST(StepLayerTest, MaskExcludesVertices) {
   // Triangle with one masked vertex: the layer may only use the others.
-  Graph G(3);
-  G.setWeight(0, 10);
-  G.setWeight(1, 5);
-  G.setWeight(2, 3);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(0, 2);
+  Graph G({10, 5, 3}, {{0, 1}, {1, 2}, {0, 2}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
   std::vector<char> Mask{0, 1, 1}; // Vertex 0 not a candidate.
   std::vector<VertexId> Layer =
@@ -86,13 +80,7 @@ TEST(StepLayerTest, MaskExcludesVertices) {
 
 TEST(StepLayerTest, DisconnectedComponentsAllContribute) {
   // Two disjoint edges: bound 1 takes the heavier endpoint of each.
-  Graph G(4);
-  G.setWeight(0, 2);
-  G.setWeight(1, 9);
-  G.setWeight(2, 7);
-  G.setWeight(3, 1);
-  G.addEdge(0, 1);
-  G.addEdge(2, 3);
+  Graph G({2, 9, 7, 1}, {{0, 1}, {2, 3}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
   std::vector<char> Mask(4, 1);
   std::vector<VertexId> Layer =

@@ -353,11 +353,7 @@ TEST(BatchDriverTest, SolveProblemsRejectsIntervalAllocatorsOnGraphOnlyInput) {
   // Problems built straight from a graph carry no interval table; linear
   // scan must be refused up front with a diagnostic, not a process abort
   // from inside the worker pool.
-  Graph G(6);
-  for (VertexId V = 0; V < 6; ++V)
-    G.setWeight(V, 1 + V);
-  for (VertexId V = 1; V < 6; ++V)
-    G.addEdge(V - 1, V);
+  Graph G({1, 2, 3, 4, 5, 6}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
   AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
   ASSERT_FALSE(P.Intervals.has_value());
   std::vector<const AllocationProblem *> Ptrs{&P};

@@ -54,58 +54,37 @@ std::vector<std::set<VertexId>> referenceMaximalCliques(const Graph &G) {
 /// The paper's Figure 5 graph: seven vertices a..g with weights
 /// 1,2,2,5,2,6,1 and the chordal structure of Figure 4.
 Graph figure5Graph() {
-  Graph G;
-  VertexId A = G.addVertex(1, "a");
-  VertexId B = G.addVertex(2, "b");
-  VertexId C = G.addVertex(2, "c");
-  VertexId D = G.addVertex(5, "d");
-  VertexId E = G.addVertex(2, "e");
-  VertexId F = G.addVertex(6, "f");
-  VertexId H = G.addVertex(1, "g");
-  G.addEdge(A, D);
-  G.addEdge(A, F);
-  G.addEdge(D, F);
-  G.addEdge(D, E);
-  G.addEdge(E, F);
-  G.addEdge(C, D);
-  G.addEdge(C, E);
-  G.addEdge(B, C);
-  G.addEdge(B, H);
-  G.addEdge(H, C);
-  return G;
+  constexpr VertexId A = 0, B = 1, C = 2, D = 3, E = 4, F = 5, H = 6;
+  return Graph({1, 2, 2, 5, 2, 6, 1},
+               {{A, D}, {A, F}, {D, F}, {D, E}, {E, F},
+                {C, D}, {C, E}, {B, C}, {B, H}, {H, C}});
 }
 } // namespace
 
 TEST(ChordalTest, EmptyAndSingletonAreChordal) {
   Graph Empty;
   EXPECT_TRUE(isChordal(Empty));
-  Graph One(1);
+  Graph One({0}, {});
   EXPECT_TRUE(isChordal(One));
 }
 
 TEST(ChordalTest, TriangleIsChordalC4IsNot) {
-  Graph Triangle(3);
-  Triangle.addEdge(0, 1);
-  Triangle.addEdge(1, 2);
-  Triangle.addEdge(2, 0);
+  Graph Triangle({0, 0, 0}, {{0, 1}, {1, 2}, {2, 0}});
   EXPECT_TRUE(isChordal(Triangle));
 
-  Graph C4(4);
-  C4.addEdge(0, 1);
-  C4.addEdge(1, 2);
-  C4.addEdge(2, 3);
-  C4.addEdge(3, 0);
+  Graph C4({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   EXPECT_FALSE(isChordal(C4));
 
   // Adding a chord makes it chordal again.
-  C4.addEdge(0, 2);
-  EXPECT_TRUE(isChordal(C4));
+  Graph C4Chord({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
+  EXPECT_TRUE(isChordal(C4Chord));
 }
 
 TEST(ChordalTest, C5IsNotChordal) {
-  Graph C5(5);
-  for (unsigned I = 0; I < 5; ++I)
-    C5.addEdge(I, (I + 1) % 5);
+  std::vector<GraphEdge> Cycle;
+  for (VertexId I = 0; I < 5; ++I)
+    Cycle.push_back({I, (I + 1) % 5});
+  Graph C5(std::vector<Weight>(5, 0), Cycle);
   EXPECT_FALSE(isChordal(C5));
 }
 

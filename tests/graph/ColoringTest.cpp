@@ -40,8 +40,7 @@ TEST(ColoringTest, ChordalColoringUsesMaxCliqueColors) {
 }
 
 TEST(ColoringTest, PartialSequenceLeavesRestUncolored) {
-  Graph G(3);
-  G.addEdge(0, 1);
+  Graph G({0, 0, 0}, {{0, 1}});
   std::vector<unsigned> Colors = greedyColoring(G, {0, 1});
   EXPECT_NE(Colors[0], kNoColor);
   EXPECT_NE(Colors[1], kNoColor);
@@ -56,8 +55,7 @@ TEST(ColoringTest, NumColorsUsedOnEmpty) {
 }
 
 TEST(ColoringTest, ImproperColoringDetected) {
-  Graph G(2);
-  G.addEdge(0, 1);
+  Graph G({0, 0}, {{0, 1}});
   EXPECT_FALSE(isProperColoring(G, {0u, 0u}));
   EXPECT_TRUE(isProperColoring(G, {0u, 1u}));
 }

@@ -25,25 +25,10 @@ std::vector<Weight> weightsOf(const Graph &G) {
 
 /// The paper's Figure 5 graph (see ChordalTest.cpp for the layout).
 Graph figure5Graph() {
-  Graph G;
-  G.addVertex(1, "a"); // 0
-  G.addVertex(2, "b"); // 1
-  G.addVertex(2, "c"); // 2
-  G.addVertex(5, "d"); // 3
-  G.addVertex(2, "e"); // 4
-  G.addVertex(6, "f"); // 5
-  G.addVertex(1, "g"); // 6
-  G.addEdge(0, 3);
-  G.addEdge(0, 5);
-  G.addEdge(3, 5);
-  G.addEdge(3, 4);
-  G.addEdge(4, 5);
-  G.addEdge(2, 3);
-  G.addEdge(2, 4);
-  G.addEdge(1, 2);
-  G.addEdge(1, 6);
-  G.addEdge(6, 2);
-  return G;
+  // a..g are vertices 0..6.
+  return Graph({1, 2, 2, 5, 2, 6, 1},
+               {{0, 3}, {0, 5}, {3, 5}, {3, 4}, {4, 5},
+                {2, 3}, {2, 4}, {1, 2}, {1, 6}, {6, 2}});
 }
 } // namespace
 
@@ -56,8 +41,7 @@ TEST(StableSetTest, EmptyGraph) {
 }
 
 TEST(StableSetTest, SingleVertex) {
-  Graph G;
-  G.addVertex(7);
+  Graph G({7}, {});
   StableSetResult R = maximumWeightedStableSetChordal(
       G, maximumCardinalitySearch(G), weightsOf(G));
   EXPECT_EQ(R.Set, std::vector<VertexId>{0});
@@ -91,11 +75,7 @@ TEST(StableSetTest, PaperFigure5WithPaperPeoReproducesTrace) {
 }
 
 TEST(StableSetTest, ZeroWeightVerticesAreNeverChosen) {
-  Graph G(3);
-  G.setWeight(0, 0);
-  G.setWeight(1, 5);
-  G.setWeight(2, 0);
-  G.addEdge(0, 1);
+  Graph G({0, 5, 0}, {{0, 1}});
   StableSetResult R = maximumWeightedStableSetChordal(
       G, maximumCardinalitySearch(G), weightsOf(G));
   EXPECT_EQ(R.Set, std::vector<VertexId>{1});
@@ -104,12 +84,7 @@ TEST(StableSetTest, ZeroWeightVerticesAreNeverChosen) {
 TEST(StableSetTest, MaskRestrictsTheComputation) {
   // Path a-b-c with weights 1, 10, 1: unmasked optimum is {b}; masking out
   // b must yield {a, c}.
-  Graph G(3);
-  G.setWeight(0, 1);
-  G.setWeight(1, 10);
-  G.setWeight(2, 1);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
+  Graph G({1, 10, 1}, {{0, 1}, {1, 2}});
   EliminationOrder Peo = maximumCardinalitySearch(G);
   StableSetResult Full =
       maximumWeightedStableSetChordal(G, Peo, weightsOf(G));

@@ -144,7 +144,7 @@ TEST(MotivatingExampleTest, PressureAwareAllocationSparesTheLoop) {
   for (VertexId V = 0; V < P.graph().numVertices(); ++V) {
     if (Best.Allocated[V])
       continue;
-    const std::string &Name = P.graph().name(V);
+    const std::string &Name = Conv.Ssa.valueName(V);
     EXPECT_NE(Name.substr(0, 1), "h")
         << "spilled loop value " << Name;
     EXPECT_NE(Name.substr(0, 2), "a2")

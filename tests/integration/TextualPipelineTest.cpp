@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "alloc/Allocator.h"
+#include "alloc/BruteForce.h"
 #include "alloc/Pipeline.h"
 #include "core/ProblemBuilder.h"
 #include "ir/Parser.h"
@@ -67,6 +68,10 @@ TEST(TextualPipelineTest, EveryAllocatorHandlesTheParsedFunction) {
       EXPECT_TRUE(isFeasibleAllocation(Problem, Result.Allocated))
           << Name << " at R=" << Regs;
     }
+    // The exhaustive solver is not registered by name; check it directly.
+    AllocationResult Brute = BruteForceAllocator().allocate(Problem);
+    EXPECT_TRUE(isFeasibleAllocation(Problem, Brute.Allocated))
+        << "brute at R=" << Regs;
   }
 }
 

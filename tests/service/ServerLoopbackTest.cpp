@@ -633,6 +633,31 @@ TEST(ServerLoopbackTest, MalformedTrafficGetsErrorsWithoutKillingServer) {
   EXPECT_GT(Stats.RequestsFailed, 0u);
 }
 
+TEST(ServerLoopbackTest, BruteAllocatorIsUnknownAndServerSurvives) {
+  TempDir Dir;
+  ServerOptions Opt;
+  Opt.UnixPath = Dir.socketPath("brute.sock");
+  Opt.Threads = kServerThreads;
+  Server S(Opt);
+  std::string Error;
+  ASSERT_TRUE(S.start(&Error)) << Error;
+
+  // The exhaustive test solver aborts above 24 vertices (lao-kernels at 4
+  // registers has larger functions), so no front end accepts its name.
+  Client Conn = Client::connectToUnix(Opt.UnixPath, &Error);
+  ASSERT_TRUE(Conn.valid()) << Error;
+  std::string Response;
+  ASSERT_TRUE(Conn.call("{\"type\":\"allocate\",\"suite\":\"lao-kernels\","
+                        "\"regs\":4,\"options\":{\"allocator\":\"brute\"}}",
+                        Response, &Error))
+      << Error;
+  EXPECT_NE(Response.find("layra-serve-error/v1"), std::string::npos)
+      << Response;
+  EXPECT_NE(Response.find("unknown allocator 'brute'"), std::string::npos)
+      << Response;
+  EXPECT_TRUE(Conn.ping(&Error)) << Error;
+}
+
 TEST(ServerLoopbackTest, UnixListenerRefusesToClobberFilesOrLiveServers) {
   TempDir Dir;
   std::string Error;
