@@ -32,9 +32,10 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
   P.ClassOf = std::move(ClassOf);
   P.ClassOf.resize(G.numVertices(), 0);
   // MCS fixes the PEO, and through its tie-breaking every clique index and
-  // spill decision downstream.  The RTL check is the only guard that the
-  // order is a PEO, so it runs in every build, fused with the clique
-  // extraction into one pass over the later neighbors.
+  // spill decision downstream; it also records each vertex's later
+  // neighbors.  The RTL check is the only guard that the order is a PEO,
+  // so it runs in every build, fused with the clique extraction into one
+  // pass over those lists.
   P.Peo = maximumCardinalitySearch(G, WS);
   if (!maximalCliquesIfPeo(G, P.Peo, P.Cliques, WS))
     layraFatalError("fromChordalGraph called with a non-chordal graph");

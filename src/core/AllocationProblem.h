@@ -58,7 +58,8 @@ struct AllocationProblem {
   std::vector<RegClassId> ClassOf;
   /// True when G is chordal and the constraints are its maximal cliques.
   bool Chordal = false;
-  /// Perfect elimination order (chordal instances only).
+  /// Perfect elimination order with each vertex's later neighbors
+  /// (chordal instances only); core/Layered reads the lists.
   EliminationOrder Peo;
   /// The pressure constraints: constraint K keeps at most
   /// constraintBudget(K) of Cliques.clique(K) in registers.  Every vertex

@@ -25,8 +25,10 @@ namespace {
 /// the candidates stay in PEO order and are compacted once per layer, each
 /// vertex's candidate degree (the §4.1 bias) is kept exact as vertices
 /// leave the candidate set, Frank's phase 1 charges only later neighbors
-/// (an earlier neighbor's residual is already 0), and blue-adjacent marks
-/// are layer stamps, so no N-sized buffer is refilled per layer.
+/// (an earlier neighbor's residual is already 0) and reads them from the
+/// problem's PEO, so a run builds no adjacency of its own, and
+/// blue-adjacent marks are layer stamps, so no N-sized buffer is refilled
+/// per layer.
 /// fuzz/LayeredReference.h keeps the per-layer recount as the reference.
 struct LayeredState {
   const AllocationProblem &P;
@@ -39,8 +41,6 @@ struct LayeredState {
   std::vector<char> &CliqueClosed;     // Clique reached R allocated vertices.
   std::vector<VertexId> &Order;        // Candidates, in PEO order.
   std::vector<unsigned> &Degree;       // Candidate neighbors (Biased only).
-  std::vector<uint32_t> &LaterStart;   // Later-neighbor CSR offsets.
-  std::vector<VertexId> &Later;        // Later neighbors in the PEO.
   std::vector<Weight> &Residual;       // Frank's residual weights.
   std::vector<VertexId> &Red;          // Frank's red stack.
   std::vector<unsigned> &BlueStamp;    // Layer that last marked a vertex.
@@ -61,28 +61,12 @@ struct LayeredState {
         Order(WS.acquireCleared(WS.Layered.Order)),
         Degree(WS.acquire(WS.Layered.Degree, Opt.Biased ? G.numVertices() : 0,
                           0u)),
-        LaterStart(WS.acquire(WS.Layered.LaterStart, G.numVertices() + 1, 0u)),
-        Later(WS.acquireCleared(WS.Layered.Later)),
         Residual(WS.acquire(WS.Layered.Residual, G.numVertices(), Weight(0))),
         Red(WS.acquireCleared(WS.Layered.Red)),
         BlueStamp(WS.acquire(WS.Layered.BlueStamp, G.numVertices(), 0u)) {
-    unsigned N = G.numVertices();
     Order.assign(P.Peo.Order.begin(), P.Peo.Order.end());
-    const std::vector<unsigned> &Position = P.Peo.Position;
-    Later.reserve(G.numEdges());
-    for (VertexId V = 0; V < N; ++V) {
-      LaterStart[V] = static_cast<uint32_t>(Later.size());
-      for (VertexId U : G.neighbors(V))
-        if (Position[U] > Position[V])
-          Later.push_back(U);
-    }
-    LaterStart[N] = static_cast<uint32_t>(Later.size());
     for (VertexId V = 0; V < Degree.size(); ++V)
       Degree[V] = static_cast<unsigned>(G.neighbors(V).size());
-  }
-
-  NeighborRange laterNeighbors(VertexId V) const {
-    return {Later.data() + LaterStart[V], Later.data() + LaterStart[V + 1]};
   }
 
   /// The layer weight of candidate \p V: raw, or biased by its remaining
@@ -112,7 +96,7 @@ struct LayeredState {
       if (Charge <= 0)
         continue;
       Red.push_back(V);
-      for (VertexId U : laterNeighbors(V))
+      for (VertexId U : P.Peo.laterOf(V))
         if (Candidates[U])
           Residual[U] = std::max<Weight>(0, Residual[U] - Charge);
     }

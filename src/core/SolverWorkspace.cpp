@@ -23,11 +23,7 @@ void SolverWorkspace::releaseMemory() {
   release(Chordal.BucketHead);
   release(Chordal.BucketNodes);
   release(Chordal.Count);
-  release(Chordal.Visited);
-  release(Chordal.Later);
-  release(Chordal.LaterStart);
   release(Chordal.LaterCount);
-  release(Chordal.Parent);
   release(Chordal.ChildEnd);
   release(Chordal.Children);
   release(Chordal.Stamp);
@@ -41,8 +37,6 @@ void SolverWorkspace::releaseMemory() {
   release(Layered.LayerWeights);
   release(Layered.Order);
   release(Layered.Degree);
-  release(Layered.LaterStart);
-  release(Layered.Later);
   release(Layered.Residual);
   release(Layered.Red);
   release(Layered.BlueStamp);
@@ -74,8 +68,8 @@ void SolverWorkspace::releaseMemory() {
   release(Pipeline.Pinned);
   release(Pipeline.Spilled);
 
-  release(Interference.Point);
   release(Interference.Entry);
+  release(Interference.Live);
   release(Interference.Edges);
 
   release(EdgeDedup.BucketEnd);

@@ -9,7 +9,7 @@
 /// A SolverWorkspace owns every piece of scratch state the allocation hot
 /// path would otherwise reallocate per layer and per task: candidate masks
 /// and weight vectors (core/Layered), Frank's-algorithm residuals
-/// (graph/StableSet), MCS buckets and later-neighbor buffers
+/// (graph/StableSet), MCS buckets and the clique pass's buckets
 /// (graph/Chordal), the edge-list dedup (graph/Graph), the interference
 /// edge list (ir/Interference), clique-tree DP tables (core/StepLayer),
 /// shortest-path state of the residual network (flow/MinCostFlow), the
@@ -111,28 +111,24 @@ public:
   };
 
   /// Chordal machinery (graph/Chordal.cpp): MCS bucket stacks, the
-  /// later-neighbor buffers of the fused PEO-check + clique pass, and the
-  /// reference RTL check's batches.
+  /// fused PEO-check + clique pass's child buckets, stamps and flags (the
+  /// later lists themselves live on the EliminationOrder), and the
+  /// reference passes' counts and batches.
   struct ChordalScratch {
     std::vector<uint32_t> BucketHead;
     std::vector<McsNode> BucketNodes;
     std::vector<unsigned> Count;
-    std::vector<char> Visited;
-    std::vector<VertexId> Later;
-    std::vector<uint32_t> LaterStart;
     std::vector<unsigned> LaterCount;
-    std::vector<VertexId> Parent;
     std::vector<uint32_t> ChildEnd;
-    std::vector<VertexId> Children;
-    std::vector<VertexId> Stamp;
+    std::vector<uint32_t> Children;
+    std::vector<unsigned> Stamp;
     std::vector<char> Flags;
     std::vector<std::vector<VertexId>> MustBeAdjacentTo;
   } Chordal;
 
   /// Layered allocator per-run state (core/Layered.cpp): flags, clique
-  /// counts, the PEO-ordered candidates with their kept degrees, the
-  /// later-neighbor CSR and Frank's per-layer residuals, red stack and
-  /// blue stamps.
+  /// counts, the PEO-ordered candidates with their kept degrees, and
+  /// Frank's per-layer residuals, red stack and blue stamps.
   struct LayeredScratch {
     std::vector<char> Candidates;
     std::vector<char> Allocated;
@@ -141,8 +137,6 @@ public:
     std::vector<Weight> LayerWeights;
     std::vector<VertexId> Order;
     std::vector<unsigned> Degree;
-    std::vector<uint32_t> LaterStart;
-    std::vector<VertexId> Later;
     std::vector<Weight> Residual;
     std::vector<VertexId> Red;
     std::vector<unsigned> BlueStamp;
@@ -215,12 +209,12 @@ public:
     std::vector<char> Spilled;
   } Pipeline;
 
-  /// Interference-graph construction (ir/Interference.cpp): the per-point
-  /// live-index buffers the backward walk re-fills per instruction and the
+  /// Interference-graph construction (ir/Interference.cpp): the block
+  /// entry set, the sorted live list the backward walk keeps, and the
   /// discovered edge list.
   struct InterferenceScratch {
-    std::vector<VertexId> Point;
     std::vector<VertexId> Entry;
+    std::vector<VertexId> Live;
     std::vector<GraphEdge> Edges;
   } Interference;
 

@@ -6,16 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental problem construction, kept as the reference the CSR
-/// build must reproduce byte for byte.  The reference graph replays the
-/// interference walk's discovered edges into per-vertex neighbor lists of
-/// its own, dropping a repeat by scanning the smaller of the two lists, so
-/// it shares no fill code with Graph's edge-list constructor.  The
-/// production path -- stable edge dedup, the edge-list Graph constructor
-/// and the fused maximalCliquesIfPeo -- must agree with it on weights and
-/// every neighbor list in order; over the graph so verified, the
-/// reference passes maximumCardinalitySearch, isPerfectEliminationOrder
-/// and maximalCliquesChordal must reproduce the PEO, the clique lists and
+/// The problem construction the production build must reproduce byte for
+/// byte, computed with code of its own: the dense liveness dataflow with
+/// one bit vector per block and summary, the per-instruction bit-vector
+/// walk over it, and an incremental graph that appends each discovered
+/// edge to per-vertex neighbor lists, dropping a repeat by scanning the
+/// smaller of the two lists.  The production path -- flat liveness
+/// summaries, the sorted-live-list walk, stable edge dedup, the edge-list
+/// Graph constructor, MCS's later lists and the fused maximalCliquesIfPeo
+/// -- must agree with it on every block's live-in and live-out sets, the
+/// discovered edge sequence, weights and every neighbor list in order.
+/// Over the graph so verified, the PEO's later lists and parents must
+/// equal a scan of the graph, and the reference passes
+/// maximumCardinalitySearch, isPerfectEliminationOrder and
+/// maximalCliquesChordal must reproduce the PEO, the clique lists and
 /// cliquesOf().  The `build-vs-reference` fuzz oracle and
 /// tests/core/BuildReferenceTest.cpp check it.
 ///
@@ -27,6 +31,7 @@
 #include "core/AllocationProblem.h"
 #include "ir/Program.h"
 #include "ir/Target.h"
+#include "support/BitVector.h"
 
 #include <cstddef>
 #include <string>
@@ -34,27 +39,35 @@
 
 namespace layra {
 
-/// An interference graph as per-vertex lists: vertex V's neighbors in the
-/// order their edges were first discovered.
+/// A function's problem built the reference way: per-block liveness, the
+/// walk's discovered edges, and the interference graph as per-vertex
+/// lists, vertex V's neighbors in the order their edges were first
+/// discovered.
 struct ReferenceGraph {
+  std::vector<BitVector> LiveIn;
+  std::vector<BitVector> LiveOut;
+  /// Every edge the walk discovered, in order, repeats included.
+  std::vector<GraphEdge> Discovered;
   std::vector<Weight> Weights;
   std::vector<std::vector<VertexId>> Neighbors;
   size_t NumEdges = 0;
 };
 
-/// The interference graph of \p F built the incremental way: each
-/// discovered edge, in discovery order, is appended to both endpoints'
-/// lists unless the smaller list already holds it.  \p Repeats, when
-/// non-null, receives the number of rediscovered edges dropped.
+/// Builds \p F's problem the reference way.  Each discovered edge, in
+/// discovery order, is appended to both endpoints' lists unless the
+/// smaller list already holds it.  \p Repeats, when non-null, receives the
+/// number of rediscovered edges dropped.
 ReferenceGraph referenceInterferenceGraph(const Function &F,
                                           const TargetDesc &Target,
                                           size_t *Repeats = nullptr);
 
-/// Compares \p P with the reference path over \p Reference: vertex
-/// weights, every neighbor list in order, and for a chordal \p P also the
-/// PEO, the PEO certificate and the clique cover.  Returns an empty string
-/// when they agree, else the first difference.
-std::string diffAgainstReference(const AllocationProblem &P,
+/// Compares the production build of \p F with \p Reference: ir/Liveness
+/// on every block, ir/Interference's discovered edge sequence, and for the
+/// problem \p P built from \p F the vertex weights, every neighbor list in
+/// order, and for a chordal \p P also the PEO, its later lists and
+/// parents, the PEO certificate and the clique cover.  Returns an empty
+/// string when they agree, else the first difference.
+std::string diffAgainstReference(const Function &F, const AllocationProblem &P,
                                  const ReferenceGraph &Reference);
 
 } // namespace layra

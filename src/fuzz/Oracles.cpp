@@ -196,18 +196,21 @@ OracleOutcome checkWorkspacePure(const OracleContext &Ctx) {
   return {};
 }
 
-/// The allocation-free problem build must equal the incremental reference
-/// (fuzz/BuildReference.h): on the SSA form adjacency order, PEO, clique
-/// lists and cliquesOf; on the case's own function, typically not SSA and
-/// defining values at several points, the general build's adjacency, where
-/// the stable dedup drops rediscovered edges.
+/// The problem build must equal the reference (fuzz/BuildReference.h):
+/// on the SSA form liveness, discovered edges, adjacency order, PEO, later
+/// lists, clique lists and cliquesOf; on the case's own function,
+/// typically not SSA and defining values at several points, the general
+/// build's liveness, discovered edges and adjacency, where the stable
+/// dedup drops rediscovered edges.
 OracleOutcome checkBuildVsReference(const OracleContext &Ctx) {
   std::string Diff = diffAgainstReference(
+      *Ctx.Ssa,
       buildSsaProblem(*Ctx.Ssa, *Ctx.Target, Ctx.Case->Budgets, Ctx.WS),
       referenceInterferenceGraph(*Ctx.Ssa, *Ctx.Target));
   if (!Diff.empty())
     return fail("SSA build: " + Diff);
   Diff = diffAgainstReference(
+      Ctx.Case->F,
       buildGeneralProblem(Ctx.Case->F, *Ctx.Target, Ctx.Case->Budgets),
       referenceInterferenceGraph(Ctx.Case->F, *Ctx.Target));
   if (!Diff.empty())

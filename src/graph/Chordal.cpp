@@ -18,15 +18,36 @@
 
 using namespace layra;
 
-EliminationOrder EliminationOrder::fromOrder(std::vector<VertexId> Order) {
+EliminationOrder EliminationOrder::fromOrder(const Graph &G,
+                                             std::vector<VertexId> Order) {
+  unsigned N = G.numVertices();
+  assert(Order.size() == N && "order must list every vertex once");
   EliminationOrder Result;
-  Result.Position.resize(Order.size(), ~0u);
-  for (unsigned I = 0; I < Order.size(); ++I) {
-    assert(Order[I] < Order.size() && "order mentions unknown vertex");
+  Result.Position.resize(N, ~0u);
+  for (unsigned I = 0; I < N; ++I) {
+    assert(Order[I] < N && "order mentions unknown vertex");
     assert(Result.Position[Order[I]] == ~0u && "duplicate vertex in order");
     Result.Position[Order[I]] = I;
   }
   Result.Order = std::move(Order);
+  Result.LaterStart.resize(N + 1);
+  Result.Later.reserve(G.numEdges());
+  Result.Parent.assign(N, kNoParent);
+  for (unsigned I = 0; I < N; ++I) {
+    Result.LaterStart[I] = static_cast<uint32_t>(Result.Later.size());
+    unsigned Earliest = ~0u;
+    for (VertexId U : G.neighbors(Result.Order[I])) {
+      unsigned At = Result.Position[U];
+      if (At <= I)
+        continue;
+      Result.Later.push_back(U);
+      if (At < Earliest) {
+        Earliest = At;
+        Result.Parent[I] = U;
+      }
+    }
+  }
+  Result.LaterStart[N] = static_cast<uint32_t>(Result.Later.size());
   return Result;
 }
 
@@ -52,38 +73,63 @@ EliminationOrder layra::maximumCardinalitySearch(const Graph &G,
     Head[Bucket] = static_cast<uint32_t>(Nodes.size() - 1);
   };
   std::vector<unsigned> &Count = WS->acquire(WS->Chordal.Count, N, 0u);
-  std::vector<char> &Visited = WS->acquire(WS->Chordal.Visited, N, char(0));
   for (VertexId V = 0; V < N; ++V)
     Push(0, V);
 
-  std::vector<VertexId> Visit;
-  Visit.reserve(N);
+  // The reverse of the visit order is the PEO, so the I-th visited vertex
+  // takes position N-1-I and the order fills from its back.  A vertex's
+  // visited neighbors are exactly its later neighbors: Count[V] of them,
+  // known before the scan, so each list is written in place, right below
+  // the one visited before it, and its parent is the most recently
+  // visited of them.  A vertex is visited once it has a position.
+  EliminationOrder Result;
+  Result.Order.resize(N);
+  Result.Position.assign(N, ~0u);
+  Result.LaterStart.resize(N + 1);
+  Result.Later.resize(G.numEdges());
+  Result.Parent.assign(N, EliminationOrder::kNoParent);
+  std::vector<unsigned> &Position = Result.Position;
+  uint32_t Fill = static_cast<uint32_t>(G.numEdges());
   unsigned Top = 0;
-  while (Visit.size() < N) {
-    while (Head[Top] == kNil) {
-      assert(Top > 0 && "MCS ran out of vertices before visiting all");
-      --Top;
+  for (unsigned At = N; At-- > 0;) {
+    VertexId V;
+    for (;;) {
+      while (Head[Top] == kNil) {
+        assert(Top > 0 && "MCS ran out of vertices before visiting all");
+        --Top;
+      }
+      V = Nodes[Head[Top]].V;
+      Head[Top] = Nodes[Head[Top]].Next;
+      // Skip stale entries: the vertex was visited already, or a later
+      // push moved it to a higher bucket.
+      if (Position[V] == ~0u && Count[V] == Top)
+        break;
     }
-    VertexId V = Nodes[Head[Top]].V;
-    Head[Top] = Nodes[Head[Top]].Next;
-    if (Visited[V])
-      continue; // Stale bucket entry; the vertex moved to a higher bucket.
-    if (Count[V] != Top)
-      continue; // Stale: superseded by a later push at the correct level.
-    Visited[V] = 1;
-    Visit.push_back(V);
+    Position[V] = At;
+    Result.Order[At] = V;
+    Fill -= Count[V];
+    Result.LaterStart[At] = Fill;
+    uint32_t Out = Fill;
+    unsigned Earliest = ~0u;
     for (VertexId U : G.neighbors(V)) {
-      if (Visited[U])
+      unsigned UAt = Position[U];
+      if (UAt != ~0u) {
+        Result.Later[Out++] = U;
+        if (UAt < Earliest) {
+          Earliest = UAt;
+          Result.Parent[At] = U;
+        }
         continue;
+      }
       ++Count[U];
       Push(Count[U], U);
       Top = std::max(Top, Count[U]);
     }
+    assert(Out - Fill == Count[V] && "visited-neighbor count out of sync");
   }
-
-  // The reverse of the MCS visit order is a PEO on chordal graphs.
-  std::reverse(Visit.begin(), Visit.end());
-  return EliminationOrder::fromOrder(std::move(Visit));
+  assert(Fill == 0 && "every edge is later for exactly one endpoint");
+  Result.LaterStart[N] = static_cast<uint32_t>(G.numEdges());
+  return Result;
 }
 
 EliminationOrder layra::lexBfs(const Graph &G) {
@@ -129,7 +175,7 @@ EliminationOrder layra::lexBfs(const Graph &G) {
   }
 
   std::reverse(Visit.begin(), Visit.end());
-  return EliminationOrder::fromOrder(std::move(Visit));
+  return EliminationOrder::fromOrder(G, std::move(Visit));
 }
 
 /// Later neighbors of \p V (the "monotone adjacency set" of the RTL
@@ -157,7 +203,7 @@ bool layra::isPerfectEliminationOrder(const Graph &G,
   // batch the membership checks per u.
   std::vector<std::vector<VertexId>> &MustBeAdjacentTo =
       WS->acquireNested(WS->Chordal.MustBeAdjacentTo, N);
-  std::vector<VertexId> &Later = WS->acquireCleared(WS->Chordal.Later);
+  std::vector<VertexId> Later;
   for (VertexId V : Order.Order) {
     laterNeighbors(G, Order, V, Later);
     if (Later.empty())
@@ -236,9 +282,8 @@ CliqueCover layra::maximalCliquesChordal(const Graph &G,
   // Blair-Peyton detection used in clique-tree construction.
   std::vector<unsigned> &LaterCount =
       WS->acquire(WS->Chordal.LaterCount, N, 0u);
-  std::vector<VertexId> &Parent =
-      WS->acquire(WS->Chordal.Parent, N, VertexId(~0u));
-  std::vector<VertexId> &Later = WS->acquireCleared(WS->Chordal.Later);
+  std::vector<VertexId> Parent(N, EliminationOrder::kNoParent);
+  std::vector<VertexId> Later;
   for (VertexId V = 0; V < N; ++V) {
     laterNeighbors(G, Peo, V, Later);
     LaterCount[V] = static_cast<unsigned>(Later.size());
@@ -275,65 +320,42 @@ bool layra::maximalCliquesIfPeo(const Graph &G, const EliminationOrder &Order,
   unsigned N = G.numVertices();
   if (Order.Order.size() != N)
     return false;
+  assert(Order.LaterStart.size() == N + 1 &&
+         Order.LaterStart[N] == G.numEdges() &&
+         "later lists do not belong to this graph");
   const std::vector<unsigned> &Position = Order.Position;
+  const std::vector<VertexId> &Parent = Order.Parent;
+  constexpr VertexId kNoParent = EliminationOrder::kNoParent;
 
-  // Later neighbors of every vertex, packed in neighbor order (each edge is
-  // later for exactly one endpoint), and each vertex's parent: its
-  // earliest later neighbor.
-  std::vector<uint32_t> &LaterStart =
-      WS->acquire(WS->Chordal.LaterStart, N + 1, 0u);
-  std::vector<VertexId> &Later = WS->acquireCleared(WS->Chordal.Later);
-  Later.reserve(G.numEdges());
-  std::vector<VertexId> &Parent =
-      WS->acquire(WS->Chordal.Parent, N, VertexId(~0u));
-  for (VertexId V = 0; V < N; ++V) {
-    LaterStart[V] = static_cast<uint32_t>(Later.size());
-    unsigned Earliest = ~0u;
-    for (VertexId U : G.neighbors(V)) {
-      if (Position[U] <= Position[V])
-        continue;
-      Later.push_back(U);
-      if (Position[U] < Earliest) {
-        Earliest = Position[U];
-        Parent[V] = U;
-      }
-    }
-  }
-  LaterStart[N] = static_cast<uint32_t>(Later.size());
-  auto LaterOf = [&](VertexId V) {
-    return NeighborRange(Later.data() + LaterStart[V],
-                         Later.data() + LaterStart[V + 1]);
-  };
-
-  // Rose-Tarjan-Lueker: every later neighbor of V other than its parent P
-  // must be a later neighbor of P.  Bucket the vertices by parent, then
-  // stamp later(P) once and test all of P's children against it.
+  // Rose-Tarjan-Lueker: every later neighbor of the vertex at position I
+  // other than its parent P must be a later neighbor of P.  Bucket the
+  // positions by their parent's position, then stamp later(P) once and
+  // test all of P's children against it.
   std::vector<uint32_t> &ChildEnd =
       WS->acquire(WS->Chordal.ChildEnd, N, 0u);
-  for (VertexId V = 0; V < N; ++V)
-    if (Parent[V] != ~0u)
-      ++ChildEnd[Parent[V]];
+  for (unsigned I = 0; I < N; ++I)
+    if (Parent[I] != kNoParent)
+      ++ChildEnd[Position[Parent[I]]];
   uint32_t Sum = 0;
-  for (VertexId P = 0; P < N; ++P) {
+  for (unsigned P = 0; P < N; ++P) {
     Sum += ChildEnd[P];
     ChildEnd[P] = Sum - ChildEnd[P]; // Start for now; the fill ends it.
   }
-  std::vector<VertexId> &Children =
-      WS->acquire(WS->Chordal.Children, Sum, VertexId(0));
-  for (VertexId V = 0; V < N; ++V)
-    if (Parent[V] != ~0u)
-      Children[ChildEnd[Parent[V]]++] = V;
-  std::vector<VertexId> &Stamp =
-      WS->acquire(WS->Chordal.Stamp, N, VertexId(~0u));
+  std::vector<uint32_t> &Children =
+      WS->acquire(WS->Chordal.Children, Sum, 0u);
+  for (unsigned I = 0; I < N; ++I)
+    if (Parent[I] != kNoParent)
+      Children[ChildEnd[Position[Parent[I]]]++] = I;
+  std::vector<unsigned> &Stamp = WS->acquire(WS->Chordal.Stamp, N, ~0u);
   uint32_t Begin = 0;
-  for (VertexId P = 0; P < N; ++P) {
+  for (unsigned P = 0; P < N; ++P) {
     uint32_t End = ChildEnd[P];
     if (Begin != End) {
-      for (VertexId W : LaterOf(P))
+      for (VertexId W : Order.laterAt(P))
         Stamp[W] = P;
-      for (uint32_t I = Begin; I < End; ++I)
-        for (VertexId U : LaterOf(Children[I]))
-          if (U != P && Stamp[U] != P)
+      for (uint32_t C = Begin; C < End; ++C)
+        for (VertexId U : Order.laterAt(Children[C]))
+          if (U != Order.Order[P] && Stamp[U] != P)
             return false;
     }
     Begin = End;
@@ -342,28 +364,30 @@ bool layra::maximalCliquesIfPeo(const Graph &G, const EliminationOrder &Order,
   // Fulkerson-Gross, as in maximalCliquesChordal: C_v = later(v) + {v} is
   // non-maximal iff a child u of v has |later(u)| == |later(v)| + 1.
   std::vector<char> &Absorbed = WS->acquire(WS->Chordal.Flags, N, char(0));
+  for (unsigned I = 0; I < N; ++I)
+    if (Parent[I] != kNoParent) {
+      unsigned P = Position[Parent[I]];
+      if (Order.laterAt(I).size() == Order.laterAt(P).size() + 1)
+        Absorbed[P] = 1;
+    }
   size_t NumMembers = 0;
   unsigned NumCliques = 0;
-  for (VertexId U = 0; U < N; ++U)
-    if (Parent[U] != ~0u &&
-        LaterOf(U).size() == LaterOf(Parent[U]).size() + 1)
-      Absorbed[Parent[U]] = 1;
-  for (VertexId V = 0; V < N; ++V)
-    if (!Absorbed[V]) {
+  for (unsigned I = 0; I < N; ++I)
+    if (!Absorbed[I]) {
       ++NumCliques;
-      NumMembers += LaterOf(V).size() + 1;
+      NumMembers += Order.laterAt(I).size() + 1;
     }
   std::vector<uint32_t> Offsets;
   Offsets.reserve(NumCliques + 1);
   Offsets.push_back(0);
   std::vector<VertexId> Members;
   Members.reserve(NumMembers);
-  for (VertexId V : Order.Order) {
-    if (Absorbed[V])
+  for (unsigned I = 0; I < N; ++I) {
+    if (Absorbed[I])
       continue;
-    NeighborRange Clique = LaterOf(V);
+    NeighborRange Clique = Order.laterAt(I);
     Members.insert(Members.end(), Clique.begin(), Clique.end());
-    Members.push_back(V);
+    Members.push_back(Order.Order[I]);
     Offsets.push_back(static_cast<uint32_t>(Members.size()));
   }
   Out = CliqueCover(N, std::move(Offsets), std::move(Members));

@@ -29,21 +29,45 @@ namespace layra {
 
 class SolverWorkspace;
 
-/// A vertex elimination order together with its inverse permutation.
-/// Order[i] is the i-th vertex eliminated; Position[v] is v's index in Order.
+/// A vertex elimination order of a graph, its inverse permutation and each
+/// vertex's later neighbors.  Order[I] is the I-th vertex eliminated;
+/// Position[V] is V's index in Order.  The neighbors of Order[I] that come
+/// after it (its "monotone adjacency set") are laterAt(I), in the graph's
+/// neighbor order, packed in CSR form indexed by position; Parent[I] is the
+/// earliest of them, or kNoParent.  The lists cost E + 2N + 1 words, and
+/// the clique pass and the layered allocator read them instead of
+/// rescanning the graph.
 struct EliminationOrder {
+  static constexpr VertexId kNoParent = ~0u;
+
   std::vector<VertexId> Order;
   std::vector<unsigned> Position;
+  std::vector<uint32_t> LaterStart;
+  std::vector<VertexId> Later;
+  std::vector<VertexId> Parent;
 
-  /// Builds the inverse permutation from \p Order.
-  static EliminationOrder fromOrder(std::vector<VertexId> Order);
+  /// Later neighbors of the vertex at position \p I.
+  NeighborRange laterAt(unsigned I) const {
+    assert(I + 1 < LaterStart.size() && "position out of range");
+    return {Later.data() + LaterStart[I], Later.data() + LaterStart[I + 1]};
+  }
+
+  /// Later neighbors of vertex \p V.
+  NeighborRange laterOf(VertexId V) const { return laterAt(Position[V]); }
+
+  /// Builds the inverse permutation of \p Order, a permutation of \p G's
+  /// vertices, and the later lists with one scan of \p G.
+  static EliminationOrder fromOrder(const Graph &G,
+                                    std::vector<VertexId> Order);
 };
 
 /// Computes an elimination order via Maximum Cardinality Search.
 /// For a chordal graph the *reverse* of the MCS visit order is a perfect
 /// elimination order; the returned order is already reversed, i.e. it is a
-/// PEO whenever \p G is chordal.  \p WS optionally supplies the bucket
-/// scratch (core/SolverWorkspace.h); results are identical either way.
+/// PEO whenever \p G is chordal.  The later lists are recorded during the
+/// search: a vertex's already visited neighbors are exactly its later
+/// neighbors.  \p WS optionally supplies the bucket scratch
+/// (core/SolverWorkspace.h); results are identical either way.
 EliminationOrder maximumCardinalitySearch(const Graph &G,
                                           SolverWorkspace *WS = nullptr);
 
@@ -52,7 +76,8 @@ EliminationOrder maximumCardinalitySearch(const Graph &G,
 EliminationOrder lexBfs(const Graph &G);
 
 /// Returns true if \p Order is a perfect elimination order of \p G: each
-/// vertex's later neighbors form a clique.  Linear-time RTL check.
+/// vertex's later neighbors form a clique.  Linear-time RTL check that
+/// scans \p G for the later neighbors instead of reading \p Order's lists.
 bool isPerfectEliminationOrder(const Graph &G, const EliminationOrder &Order,
                                SolverWorkspace *WS = nullptr);
 
@@ -117,15 +142,16 @@ private:
 };
 
 /// Enumerates all maximal cliques of chordal \p G given a PEO
-/// (Fulkerson-Gross).  Runs in O(V + E) time plus output size.  Together
-/// with isPerfectEliminationOrder() this is the reference that
+/// (Fulkerson-Gross), scanning \p G for the later neighbors.  Runs in
+/// O(V + E) time plus output size.  Together with
+/// isPerfectEliminationOrder() this is the reference that
 /// maximalCliquesIfPeo() must reproduce.
 /// \pre \p Peo is a perfect elimination order of \p G.
 CliqueCover maximalCliquesChordal(const Graph &G, const EliminationOrder &Peo,
                                   SolverWorkspace *WS = nullptr);
 
 /// isPerfectEliminationOrder() and maximalCliquesChordal() fused into one
-/// pass: each vertex's later neighbors and parent are collected once, the
+/// pass over \p Order's later lists and parents (G is not rescanned): the
 /// Rose-Tarjan-Lueker check runs over them, and the cover is emitted from
 /// them.  Returns false, leaving \p Out untouched, when \p Order is not a
 /// PEO of \p G; otherwise \p Out equals maximalCliquesChordal(G, Order).

@@ -83,9 +83,10 @@ InterferenceInfo layra::buildInterference(const Function &F,
   };
 
   // With CollectPointSets off only the pressure maximum is tracked; the
-  // per-point sort/hash/dedup is what the SSA fast path skips.
+  // per-point sort/hash/dedup is what the SSA fast path skips, and a
+  // single-class point costs only its size.
   std::unordered_set<std::vector<VertexId>, LiveSetHash> SeenSets;
-  auto RecordPoint = [&](std::vector<VertexId> &Set) {
+  auto RecordPoint = [&](const std::vector<VertexId> &Set) {
     if (!MultiClass) {
       Info.MaxLive = std::max(Info.MaxLive,
                               static_cast<unsigned>(Set.size()));
@@ -106,7 +107,7 @@ InterferenceInfo layra::buildInterference(const Function &F,
   };
 
   std::vector<VertexId> &EntrySet = WS->acquireCleared(WS->Interference.Entry);
-  std::vector<VertexId> &Point = WS->acquireCleared(WS->Interference.Point);
+  std::vector<VertexId> &LiveList = WS->acquireCleared(WS->Interference.Live);
   for (BlockId B = 0; B < F.numBlocks(); ++B) {
     const BasicBlock &BB = F.block(B);
 
@@ -127,31 +128,59 @@ InterferenceInfo layra::buildInterference(const Function &F,
     }
     RecordPoint(EntrySet);
 
-    // Body: at each instruction, defs interfere with everything live right
-    // after it (and with each other).
-    Live.walkBlockBackward(F, B, [&](unsigned I, const BitVector &LiveAfter) {
+    // Body: walk the block backwards with the live set as a sorted list,
+    // seeded from LiveOut, so each def meets the values live right after
+    // it in ascending id order.  At each instruction, defs interfere with
+    // everything live right after it (and with each other); then defs
+    // leave the list and uses join it.  Phis are block-boundary effects,
+    // handled above.
+    LiveList.clear();
+    Live.liveOut(B).forEach([&](std::size_t Bit) {
+      LiveList.push_back(static_cast<VertexId>(Bit));
+    });
+    for (unsigned I = static_cast<unsigned>(BB.Instrs.size()); I-- > 0;) {
       const Instruction &Instr = BB.Instrs[I];
-      Point.clear();
-      LiveAfter.forEach([&](std::size_t Bit) {
-        Point.push_back(static_cast<VertexId>(Bit));
-      });
+      if (Instr.isPhi())
+        break;
+      // The point right after Instr is the list plus Instr's dead defs: a
+      // def that is never used still occupies a register at its definition
+      // point.  They are appended past the sorted part while the defs are
+      // visited and dropped again below.
+      const size_t NumLive = LiveList.size();
+      auto IsLive = [&](ValueId V) {
+        return std::binary_search(LiveList.begin(), LiveList.begin() + NumLive,
+                                  V);
+      };
       for (ValueId D : Instr.Defs) {
-        for (VertexId X : Point)
+        for (VertexId X : LiveList)
           if (X != D && SameClass(D, X))
             AddEdge(D, X);
         for (ValueId D2 : Instr.Defs)
           if (D2 != D && SameClass(D, D2))
             AddEdge(D, D2);
-        // A dead def still occupies a register at its definition point.
-        if (!LiveAfter.test(D))
-          Point.push_back(D);
+        if (!IsLive(D))
+          LiveList.push_back(D);
       }
-      RecordPoint(Point);
+      RecordPoint(LiveList);
+      LiveList.resize(NumLive);
+
+      for (ValueId D : Instr.Defs) {
+        auto It = std::lower_bound(LiveList.begin(), LiveList.end(), D);
+        if (It != LiveList.end() && *It == D)
+          LiveList.erase(It);
+      }
+      for (ValueId U : Instr.Uses) {
+        if (U == kNoValue)
+          continue;
+        auto It = std::lower_bound(LiveList.begin(), LiveList.end(), U);
+        if (It == LiveList.end() || *It != U)
+          LiveList.insert(It, U);
+      }
 
       unsigned Operands =
           static_cast<unsigned>(Instr.Defs.size() + Instr.Uses.size());
       Info.MinRegisters = std::max(Info.MinRegisters, Operands);
-    });
+    }
   }
   if (Discovered)
     *Discovered = Edges;

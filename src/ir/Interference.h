@@ -60,11 +60,12 @@ std::vector<Weight> computeSpillCosts(const Function &F,
                                       const TargetDesc &Target);
 
 /// Builds the interference graph of \p F with \p Costs as vertex weights;
-/// vertex V is value V.  The backward walk appends edges in discovery
-/// order to a flat list; one stable dedup (the first occurrence of each
-/// edge wins) and Graph's edge-list constructor then lay out the CSR
-/// graph, so each vertex's neighbors come in the order their edges were
-/// first discovered.
+/// vertex V is value V.  The backward walk keeps each block's live set as
+/// a sorted list, seeded from LiveOut, so a def meets the values live
+/// after it in ascending id order, and appends edges in discovery order to
+/// a flat list; one stable dedup (the first occurrence of each edge wins)
+/// and Graph's edge-list constructor then lay out the CSR graph, so each
+/// vertex's neighbors come in the order their edges were first discovered.
 ///
 /// \p WS optionally supplies the walk's scratch and the edge list.
 /// \p CollectPointSets controls whether PointLiveSets is filled: chordal

@@ -9,7 +9,11 @@
 /// Per-block live-in/live-out sets via the classic backward dataflow fixed
 /// point, with SSA-aware phi semantics: a phi's operand is live out of the
 /// corresponding predecessor (not live into the phi's block), and a phi's
-/// result is defined at the top of its block.
+/// result is defined at the top of its block.  The block summaries
+/// (upward-exposed uses, kills, phi defs, and phi uses per incoming edge)
+/// are flat word arrays, and each sweep of the fixed point is one fused
+/// word loop per CFG edge and per block.  fuzz/BuildReference.h keeps the
+/// per-block bit-vector dataflow as the reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +48,7 @@ public:
   /// Phi instructions at the top are skipped (their defs/uses live at block
   /// boundaries); after the walk Live equals liveIn(B) minus phi defs.
   ///
-  /// This is the primitive both the interference builder and the pressure
-  /// computation share.
+  /// maxLive() and pressureAfter() are built on it.
   template <typename VisitorT>
   void walkBlockBackward(const Function &F, BlockId B, VisitorT Visit) const {
     BitVector Live = liveOut(B);

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace layra {
 
@@ -227,38 +226,6 @@ std::string MetricsSnapshot::toPrometheusText() const {
     Out += N + "_sum ";
     appendNumber(Out, H.sumMs());
     Out += "\n" + N + "_count " + std::to_string(H.Count) + "\n";
-  }
-  return Out;
-}
-
-static bool startsWith(const std::string &S, const std::string &Prefix) {
-  return S.size() >= Prefix.size() &&
-         std::memcmp(S.data(), Prefix.data(), Prefix.size()) == 0;
-}
-
-std::string MetricsSnapshot::toText(const std::string &Prefix) const {
-  std::string Out;
-  for (const auto &C : Counters) {
-    if (!startsWith(C.first, Prefix))
-      continue;
-    Out += C.first + " = " + std::to_string(C.second) + "\n";
-  }
-  for (const auto &G : Gauges) {
-    if (!startsWith(G.first, Prefix))
-      continue;
-    Out += G.first + " = ";
-    appendNumber(Out, G.second);
-    Out += "\n";
-  }
-  for (const HistogramSnapshot &H : Histograms) {
-    if (!startsWith(H.Name, Prefix))
-      continue;
-    char Buf[160];
-    std::snprintf(Buf, sizeof(Buf),
-                  "%s: count=%llu sum_ms=%.3f p50=%.3f p95=%.3f p99=%.3f\n",
-                  H.Name.c_str(), (unsigned long long)H.Count, H.sumMs(),
-                  H.percentile(0.50), H.percentile(0.95), H.percentile(0.99));
-    Out += Buf;
   }
   return Out;
 }

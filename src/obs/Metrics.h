@@ -130,11 +130,6 @@ struct MetricsSnapshot {
   /// Prometheus text exposition format (metric names sanitized to
   /// [a-zA-Z0-9_:]; histograms emit cumulative _bucket/_sum/_count series).
   std::string toPrometheusText() const;
-
-  /// Human-readable "name value" lines for metrics whose name starts with
-  /// \p Prefix (empty prefix selects everything).  Histograms print count
-  /// and p50/p95/p99.
-  std::string toText(const std::string &Prefix = std::string()) const;
 };
 
 /// Registry of named metrics with per-thread sharded collection.  Metric

@@ -32,6 +32,12 @@ public:
 
   std::size_t size() const { return NumBits; }
 
+  /// The packed words, bit I at word I / 64, for loops that combine
+  /// several vectors word by word (ir/Liveness.cpp).
+  std::size_t numWords() const { return Words.size(); }
+  uint64_t *words() { return Words.data(); }
+  const uint64_t *words() const { return Words.data(); }
+
   bool test(std::size_t Bit) const {
     assert(Bit < NumBits && "bit index out of range");
     return (Words[Bit >> 6] >> (Bit & 63)) & 1;
@@ -62,13 +68,6 @@ public:
       Words[NewNumBits >> 6] &=
           (uint64_t(1) << (NewNumBits & 63)) - 1;
     NumBits = NewNumBits;
-  }
-
-  /// Ensures capacity for bit indices below \p MinNumBits without ever
-  /// shrinking.
-  void growTo(std::size_t MinNumBits) {
-    if (MinNumBits > NumBits)
-      resize(MinNumBits);
   }
 
   /// This |= Other.  \returns true if any bit changed.

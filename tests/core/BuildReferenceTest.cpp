@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The allocation-free problem build (stable edge dedup, edge-list Graph
-/// constructor, fused PEO check + CSR clique cover) must reproduce the
-/// incremental reference of fuzz/BuildReference.h exactly: adjacency
-/// order, PEO, clique lists and cliquesOf.  Checked on every build of one
+/// The problem build (flat liveness, sorted-live-list walk, stable edge
+/// dedup, edge-list Graph constructor, MCS's later lists, fused PEO check
+/// + CSR clique cover) must reproduce the reference of
+/// fuzz/BuildReference.h exactly: live-in and live-out of every block, the
+/// discovered edge sequence, adjacency order, PEO, later lists and
+/// parents, clique lists and cliquesOf.  Checked on every build of one
 /// paper-shaped register sweep, on the multi-class suite, and on a non-SSA
 /// function whose repeated definitions make the dedup drop edges.
 ///
@@ -50,7 +52,7 @@ unsigned checkEveryBuild(const Function &F, const TargetDesc &Target,
     AllocationProblem P = buildSsaProblem(Rewritten, Target, Budgets, &WS,
                                           /*WithIntervals=*/false);
     EXPECT_EQ(diffAgainstReference(
-                  P, referenceInterferenceGraph(Rewritten, Target)),
+                  Rewritten, P, referenceInterferenceGraph(Rewritten, Target)),
               "")
         << F.name() << " budget " << Budgets[0] << " build " << Builds;
     return P;
@@ -150,6 +152,6 @@ TEST(BuildReferenceTest, GeneralBuildDropsRediscoveredEdgesLikeTheReference) {
   EXPECT_GT(Repeats, 0u);
   AllocationProblem P = buildGeneralProblem(F, ST231, 2);
   EXPECT_FALSE(P.Chordal);
-  EXPECT_EQ(diffAgainstReference(P, Reference), "");
+  EXPECT_EQ(diffAgainstReference(F, P, Reference), "");
   EXPECT_EQ(P.graph().numEdges(), 3u);
 }

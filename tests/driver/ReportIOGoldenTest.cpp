@@ -10,12 +10,13 @@
 /// JSON/CSV output of a fixed deterministic batch is compared byte-for-byte
 /// against fixtures committed under tests/driver/golden/.  Any schema or
 /// formatting drift then shows up as a reviewable fixture diff instead of
-/// silently breaking BENCH_*.json trajectory tooling.  One more fixture
-/// pins the eembc sweep behind BENCH_driver.json, so a change in any
-/// allocation result fails here too.
+/// silently breaking BENCH_*.json trajectory tooling.  Two more fixtures
+/// pin the eembc sweep behind BENCH_driver.json (BFPL) and the same sweep
+/// under NL, BL and FPL, so a change in any allocation result of the
+/// layered family fails here too.
 ///
 /// Regenerating after an *intentional* schema change:
-///   LAYRA_UPDATE_GOLDEN=1 ./tests_driver_ReportIOGoldenTest
+///   LAYRA_UPDATE_GOLDEN=1 ./build/driver_ReportIOGoldenTest
 /// then commit the rewritten fixtures.
 ///
 //===----------------------------------------------------------------------===//
@@ -230,4 +231,26 @@ TEST(ReportIOGolden, EembcSweepWithoutTimingMatchesFixture) {
                                           /*IncludeTasks=*/false);
                   }),
                   "eembc_sweep.json");
+}
+
+TEST(ReportIOGolden, EembcSweepOfTheOtherLayeredVariantsMatchesFixture) {
+  // The same sweep under NL, BL and FPL (BFPL is eembc_sweep.json), in one
+  // run: each job is `layra-bench --suite=eembc --regs=4..16 --threads=1
+  // --no-timing --allocator=NAME --json`'s job for that register count.
+  std::vector<BatchJob> Jobs;
+  for (const char *Name : {"nl", "bl", "fpl"})
+    for (unsigned Regs = 4; Regs <= 16; ++Regs) {
+      BatchJob Job;
+      Job.SuiteName = "eembc";
+      Job.NumRegisters = Regs;
+      Job.Options.AllocatorName = Name;
+      Jobs.push_back(Job);
+    }
+  BatchDriver Driver(1);
+  DriverReport Report = Driver.run(Jobs);
+  compareToGolden(capture([&](std::FILE *Out) {
+                    writeDriverReportJson(Out, Report, /*IncludeTiming=*/false,
+                                          /*IncludeTasks=*/false);
+                  }),
+                  "eembc_layered_variants.json");
 }

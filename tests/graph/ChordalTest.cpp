@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
 
 using namespace layra;
 
@@ -59,6 +61,55 @@ Graph figure5Graph() {
                {{A, D}, {A, F}, {D, F}, {D, E}, {E, F},
                 {C, D}, {C, E}, {B, C}, {B, H}, {H, C}});
 }
+
+/// The chordless cycle C_Length.
+Graph cycleGraph(unsigned Length) {
+  std::vector<GraphEdge> Edges;
+  for (VertexId I = 0; I < Length; ++I)
+    Edges.push_back({I, (I + 1) % Length});
+  return Graph(std::vector<Weight>(Length, 0), Edges);
+}
+
+/// Expects \p Order's later lists and parents to equal a scan of \p G
+/// under it: at each position, the neighbors that come later, in neighbor
+/// order, and the earliest of them.
+void expectLaterListsMatchAScan(const Graph &G, const EliminationOrder &Order,
+                                const std::string &What) {
+  unsigned N = G.numVertices();
+  ASSERT_EQ(Order.Order.size(), N) << What;
+  ASSERT_EQ(Order.LaterStart.size(), N + 1) << What;
+  ASSERT_EQ(Order.Parent.size(), N) << What;
+  EXPECT_EQ(Order.Later.size(), G.numEdges()) << What;
+  for (unsigned I = 0; I < N; ++I) {
+    std::vector<VertexId> Want;
+    VertexId Parent = EliminationOrder::kNoParent;
+    for (VertexId U : G.neighbors(Order.Order[I])) {
+      if (Order.Position[U] <= I)
+        continue;
+      Want.push_back(U);
+      if (Parent == EliminationOrder::kNoParent ||
+          Order.Position[U] < Order.Position[Parent])
+        Parent = U;
+    }
+    NeighborRange Got = Order.laterAt(I);
+    EXPECT_EQ(std::vector<VertexId>(Got.begin(), Got.end()), Want)
+        << What << ", position " << I;
+    EXPECT_EQ(Order.laterOf(Order.Order[I]), Got) << What;
+    EXPECT_EQ(Order.Parent[I], Parent) << What << ", position " << I;
+  }
+}
+
+/// Expects MCS's lists to equal a scan of \p G, and fromOrder over MCS's
+/// order to rebuild them exactly.
+void expectMcsListsMatchFromOrder(const Graph &G, const std::string &What) {
+  EliminationOrder Mcs = maximumCardinalitySearch(G);
+  expectLaterListsMatchAScan(G, Mcs, What);
+  EliminationOrder Scanned = EliminationOrder::fromOrder(G, Mcs.Order);
+  EXPECT_EQ(Scanned.Position, Mcs.Position) << What;
+  EXPECT_EQ(Scanned.LaterStart, Mcs.LaterStart) << What;
+  EXPECT_EQ(Scanned.Later, Mcs.Later) << What;
+  EXPECT_EQ(Scanned.Parent, Mcs.Parent) << What;
+}
 } // namespace
 
 TEST(ChordalTest, EmptyAndSingletonAreChordal) {
@@ -93,11 +144,12 @@ TEST(ChordalTest, Figure4GraphIsChordalWithExpectedPeo) {
   EXPECT_TRUE(isChordal(G));
   // The paper's example PEO [a, f, d, e, b, g, c] must validate.
   EliminationOrder PaperPeo =
-      EliminationOrder::fromOrder({0, 5, 3, 4, 1, 6, 2});
+      EliminationOrder::fromOrder(G, {0, 5, 3, 4, 1, 6, 2});
   EXPECT_TRUE(isPerfectEliminationOrder(G, PaperPeo));
   // A clearly wrong order: eliminate d first (neighbors a,f,e,c are not a
   // clique: a-e missing).
-  EliminationOrder Bad = EliminationOrder::fromOrder({3, 0, 5, 4, 1, 6, 2});
+  EliminationOrder Bad =
+      EliminationOrder::fromOrder(G, {3, 0, 5, 4, 1, 6, 2});
   EXPECT_FALSE(isPerfectEliminationOrder(G, Bad));
 }
 
@@ -177,7 +229,7 @@ TEST(ChordalTest, FusedPassAgreesWithTheSeparateCheckAndExtraction) {
     std::vector<VertexId> Shuffled = Mcs.Order;
     R.shuffle(Shuffled);
     for (const EliminationOrder &Order :
-         {Mcs, EliminationOrder::fromOrder(Shuffled)}) {
+         {Mcs, EliminationOrder::fromOrder(G, Shuffled)}) {
       CliqueCover Fused;
       bool Ok = maximalCliquesIfPeo(G, Order, Fused);
       ASSERT_EQ(Ok, isPerfectEliminationOrder(G, Order)) << "round " << Round;
@@ -191,8 +243,10 @@ TEST(ChordalTest, FusedPassAgreesWithTheSeparateCheckAndExtraction) {
   EXPECT_GT(Rejected, 0u);
 
   CliqueCover Untouched;
-  EliminationOrder Bad = EliminationOrder::fromOrder({3, 0, 5, 4, 1, 6, 2});
-  EXPECT_FALSE(maximalCliquesIfPeo(figure5Graph(), Bad, Untouched));
+  Graph Figure5 = figure5Graph();
+  EliminationOrder Bad =
+      EliminationOrder::fromOrder(Figure5, {3, 0, 5, 4, 1, 6, 2});
+  EXPECT_FALSE(maximalCliquesIfPeo(Figure5, Bad, Untouched));
   EXPECT_EQ(Untouched.numCliques(), 0u);
 }
 
@@ -269,4 +323,76 @@ TEST(ChordalTest, IntervalGraphsAreChordal) {
     Graph G = randomIntervalGraph(R, 40, 100, 25, 50);
     EXPECT_TRUE(isChordal(G));
   }
+}
+
+TEST(ChordalTest, McsRecordsTheLaterListsOfItsOrder) {
+  // On chordal and non-chordal graphs alike, the lists MCS writes while it
+  // visits equal a scan of the graph under the order it returns, and
+  // fromOrder's scan of the same order produces the same lists.
+  expectMcsListsMatchFromOrder(Graph(), "empty graph");
+  expectMcsListsMatchFromOrder(figure5Graph(), "figure 5");
+  for (unsigned Length = 4; Length <= 8; ++Length)
+    expectMcsListsMatchFromOrder(cycleGraph(Length),
+                                 "C" + std::to_string(Length));
+  Rng R(1010);
+  for (int Round = 0; Round < 40; ++Round) {
+    ChordalGenOptions Opt;
+    Opt.NumVertices = 1 + static_cast<unsigned>(R.nextBelow(60));
+    Opt.TreeSize = 5 + static_cast<unsigned>(R.nextBelow(40));
+    expectMcsListsMatchFromOrder(randomChordalGraph(R, Opt),
+                                 "chordal round " + std::to_string(Round));
+    unsigned N = 2 + static_cast<unsigned>(R.nextBelow(20));
+    expectMcsListsMatchFromOrder(randomGraph(R, N, 0.3, 10),
+                                 "random round " + std::to_string(Round));
+  }
+}
+
+TEST(ChordalTest, FromOrderListsMatchAScanForAnyOrder) {
+  Rng R(1111);
+  for (int Round = 0; Round < 20; ++Round) {
+    ChordalGenOptions Opt;
+    Opt.NumVertices = 2 + static_cast<unsigned>(R.nextBelow(40));
+    Graph G = Round % 2 ? randomGraph(R, Opt.NumVertices, 0.3, 10)
+                        : randomChordalGraph(R, Opt);
+    std::string What = "round " + std::to_string(Round);
+    expectLaterListsMatchAScan(G, lexBfs(G), What + ", lexBfs");
+    std::vector<VertexId> Shuffled(G.numVertices());
+    std::iota(Shuffled.begin(), Shuffled.end(), 0);
+    R.shuffle(Shuffled);
+    expectLaterListsMatchAScan(G, EliminationOrder::fromOrder(G, Shuffled),
+                               What + ", shuffled");
+  }
+}
+
+TEST(ChordalTest, FusedPassRejectsEveryNonChordalGraph) {
+  // No order of a non-chordal graph is a PEO, so the fused pass must
+  // refuse MCS's order and any other, leaving the cover untouched.
+  auto ExpectRejected = [](const Graph &G, const EliminationOrder &Order,
+                           const std::string &What) {
+    CliqueCover Untouched;
+    EXPECT_FALSE(maximalCliquesIfPeo(G, Order, Untouched)) << What;
+    EXPECT_EQ(Untouched.numCliques(), 0u) << What;
+  };
+  Rng R(1212);
+  auto ExpectAllRejected = [&](const Graph &G, const std::string &What) {
+    ExpectRejected(G, maximumCardinalitySearch(G), What + ", MCS");
+    ExpectRejected(G, lexBfs(G), What + ", lexBfs");
+    std::vector<VertexId> Shuffled(G.numVertices());
+    std::iota(Shuffled.begin(), Shuffled.end(), 0);
+    R.shuffle(Shuffled);
+    ExpectRejected(G, EliminationOrder::fromOrder(G, Shuffled),
+                   What + ", shuffled");
+  };
+  for (unsigned Length = 4; Length <= 8; ++Length)
+    ExpectAllRejected(cycleGraph(Length), "C" + std::to_string(Length));
+  unsigned NonChordal = 0;
+  for (int Round = 0; Round < 60; ++Round) {
+    unsigned N = 6 + static_cast<unsigned>(R.nextBelow(14));
+    Graph G = randomGraph(R, N, 0.3, 10);
+    if (isChordal(G))
+      continue;
+    ++NonChordal;
+    ExpectAllRejected(G, "random round " + std::to_string(Round));
+  }
+  EXPECT_GT(NonChordal, 20u) << "too few non-chordal random graphs";
 }

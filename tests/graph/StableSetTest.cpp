@@ -66,7 +66,7 @@ TEST(StableSetTest, PaperFigure5WithPaperPeoReproducesTrace) {
   // reproduces the trace of Figure 5: red = {b, f, a}, blue = {f, b}.
   Graph G = figure5Graph();
   EliminationOrder PaperPeo =
-      EliminationOrder::fromOrder({0, 5, 3, 4, 1, 6, 2});
+      EliminationOrder::fromOrder(G, {0, 5, 3, 4, 1, 6, 2});
   StableSetResult R =
       maximumWeightedStableSetChordal(G, PaperPeo, weightsOf(G));
   std::set<VertexId> Got(R.Set.begin(), R.Set.end());

@@ -250,12 +250,3 @@ TEST(MetricsSnapshotTest, PrometheusTextSanitizesAndCumulates) {
   EXPECT_NE(Text.find("layra_test_latency_ms_sum"), std::string::npos);
   EXPECT_NE(Text.find("} 3\n"), std::string::npos);
 }
-
-TEST(MetricsSnapshotTest, TextViewFiltersByPrefix) {
-  MetricsRegistry R;
-  R.add(R.counter("alpha.one"), 1);
-  R.add(R.counter("beta.two"), 2);
-  std::string Alpha = R.snapshot().toText("alpha.");
-  EXPECT_NE(Alpha.find("alpha.one"), std::string::npos);
-  EXPECT_EQ(Alpha.find("beta.two"), std::string::npos);
-}

@@ -83,15 +83,3 @@ TEST(BitVectorTest, ResizePreservesBitsAndClearsDroppedTail) {
   EXPECT_FALSE(B.test(150));
   EXPECT_EQ(B.count(), 2u);
 }
-
-TEST(BitVectorTest, GrowToNeverShrinks) {
-  BitVector B(100);
-  B.set(80);
-  B.growTo(50);
-  EXPECT_EQ(B.size(), 100u);
-  EXPECT_TRUE(B.test(80));
-  B.growTo(300);
-  EXPECT_EQ(B.size(), 300u);
-  EXPECT_TRUE(B.test(80));
-  EXPECT_FALSE(B.test(299));
-}
