@@ -234,11 +234,6 @@ public:
     std::vector<VertexId> ToGlobal;
     std::vector<char> MergedFlags;
   } ClassSplit;
-
-  /// Frees every retained buffer (capacity included).
-  /// For long-lived owners that want to give arena memory back between
-  /// batches; never required for correctness.
-  void releaseMemory();
 };
 
 /// Resolves an optional caller-supplied workspace to a usable one without

@@ -8,14 +8,14 @@
 /// \file
 /// JSON and CSV serialization of DriverReport (support/Json.h carries the
 /// generic emitter; support/Table.h the CSV renderer).  The JSON schema is
-/// versioned ("layra-driver-report/v1") and stable: BENCH_*.json trajectory
-/// files and downstream tooling key on it.  Changes within v1 are strictly
-/// additive (cache_evictions joined the top level when the caches became
-/// bounded); removing or renaming a field requires a version bump.  Timing
-/// fields (wall_ms and the per-job percentile block) are the only
-/// non-deterministic content and can be omitted wholesale with
-/// IncludeTiming = false, which makes the output of two runs over the same
-/// jobs byte-identical regardless of thread count.
+/// versioned ("layra-driver-report/v1") and stable: the golden fixtures,
+/// the service's responses and downstream tooling key on it.  Changes
+/// within v1 are strictly additive (cache_evictions joined the top level
+/// when the caches became bounded); removing or renaming a field requires
+/// a version bump.  Timing fields (wall_ms and the per-job percentile
+/// block) are the only non-deterministic content and can be omitted
+/// wholesale with IncludeTiming = false, which makes the output of two runs
+/// over the same jobs byte-identical regardless of thread count.
 ///
 /// The allocation service (service/Server.h) reuses these serializers
 /// verbatim: an `allocate` response payload is exactly the bytes

@@ -73,31 +73,18 @@ InterferenceInfo layra::buildInterference(const Function &F,
   auto AddEdge = [&](VertexId A, VertexId B) { Edges.push_back({A, B}); };
 
   // Register classes partition the values: only same-class values compete
-  // for registers, so cross-class pairs never interfere and pressure is
-  // tracked per class.  Single-class functions take the exact historical
-  // path (MultiClass is false, SameClass is constant-true).
+  // for registers, so cross-class pairs never interfere.  Single-class
+  // functions take the exact historical path (MultiClass is false,
+  // SameClass is constant-true).
   const bool MultiClass = F.maxValueClass() > 0;
-  Info.MaxLiveByClass.assign(F.maxValueClass() + 1, 0);
   auto SameClass = [&](ValueId A, ValueId B) {
     return !MultiClass || F.valueClass(A) == F.valueClass(B);
   };
 
-  // With CollectPointSets off only the pressure maximum is tracked; the
-  // per-point sort/hash/dedup is what the SSA fast path skips, and a
-  // single-class point costs only its size.
+  // The per-point sort/hash/dedup is what the SSA path skips
+  // (CollectPointSets off).
   std::unordered_set<std::vector<VertexId>, LiveSetHash> SeenSets;
   auto RecordPoint = [&](const std::vector<VertexId> &Set) {
-    if (!MultiClass) {
-      Info.MaxLive = std::max(Info.MaxLive,
-                              static_cast<unsigned>(Set.size()));
-    } else {
-      unsigned PerClass[kMaxRegClasses] = {};
-      for (VertexId V : Set)
-        ++PerClass[F.valueClass(V)];
-      for (unsigned C = 0; C < Info.MaxLiveByClass.size(); ++C)
-        Info.MaxLiveByClass[C] = std::max(Info.MaxLiveByClass[C],
-                                          PerClass[C]);
-    }
     if (!CollectPointSets)
       return;
     std::vector<VertexId> Sorted(Set.begin(), Set.end());
@@ -176,21 +163,11 @@ InterferenceInfo layra::buildInterference(const Function &F,
         if (It == LiveList.end() || *It != U)
           LiveList.insert(It, U);
       }
-
-      unsigned Operands =
-          static_cast<unsigned>(Instr.Defs.size() + Instr.Uses.size());
-      Info.MinRegisters = std::max(Info.MinRegisters, Operands);
     }
   }
   if (Discovered)
     *Discovered = Edges;
   removeRepeatedEdges(Edges, F.numValues(), WS);
   Info.G = Graph(Costs, Edges);
-
-  if (!MultiClass)
-    Info.MaxLiveByClass[0] = Info.MaxLive;
-  else
-    for (unsigned PerClass : Info.MaxLiveByClass)
-      Info.MaxLive = std::max(Info.MaxLive, PerClass);
   return Info;
 }

@@ -28,8 +28,10 @@ namespace layra {
 
 class SolverWorkspace;
 
-/// Interference graph plus the pressure facts the allocators need.
-/// Vertex V of the graph corresponds 1:1 to ValueId V of the function.
+/// Interference graph plus the program-point live sets.  Vertex V of the
+/// graph corresponds 1:1 to ValueId V of the function.  Pressure (the
+/// paper's MaxLive) is Liveness::maxLive, or AllocationProblem::maxLive
+/// once a problem is built.
 struct InterferenceInfo {
   Graph G;
   /// Deduplicated live sets, one per distinct program point (sorted vertex
@@ -38,18 +40,6 @@ struct InterferenceInfo {
   /// On multi-class functions each set may mix classes -- consumers that
   /// build per-class budgets split them (core/ProblemBuilder.cpp).
   std::vector<std::vector<VertexId>> PointLiveSets;
-  /// Register pressure per class: MaxLiveByClass[c] is the largest number
-  /// of class-c values simultaneously live at one program point.  Size
-  /// F.maxValueClass() + 1; single-class functions get the one-element
-  /// vector {MaxLive}.
-  std::vector<unsigned> MaxLiveByClass;
-  /// max over classes of MaxLiveByClass -- the paper's MaxLive on
-  /// single-class functions.  Values of different classes never compete
-  /// for a register, so the cross-class sum is deliberately not tracked.
-  unsigned MaxLive = 0;
-  /// Largest operand count of a single instruction: a lower bound on the
-  /// registers required to emit code even when everything is spilled.
-  unsigned MinRegisters = 0;
 };
 
 /// Estimated spill-everywhere cost of each value: for every definition,
@@ -70,10 +60,9 @@ std::vector<Weight> computeSpillCosts(const Function &F,
 /// \p WS optionally supplies the walk's scratch and the edge list.
 /// \p CollectPointSets controls whether PointLiveSets is filled: chordal
 /// (SSA) consumers derive the constraints from the maximal cliques instead
-/// and can skip the per-point sort/dedup entirely -- G, MaxLive and
-/// MinRegisters are computed either way.  \p Discovered, when non-null,
-/// receives the edge list as discovered, repeats included (the input of
-/// the reference construction in fuzz/BuildReference.h).
+/// and skip the per-point sort/dedup entirely.  \p Discovered, when
+/// non-null, receives the edge list as discovered, repeats included (the
+/// input of the reference construction in fuzz/BuildReference.h).
 InterferenceInfo
 buildInterference(const Function &F, const Liveness &Live,
                   const std::vector<Weight> &Costs,

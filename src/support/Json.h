@@ -10,8 +10,7 @@
 /// allocation-service wire protocol (service/Protocol.h).  Object keys keep
 /// insertion order and numbers format deterministically, so two runs
 /// producing the same values serialize to byte-identical text -- the
-/// property the batch driver's determinism checks (and the BENCH_*.json
-/// trajectory files) rely on.
+/// property the driver's determinism checks and golden fixtures rely on.
 ///
 /// parseJson() is the matching strict reader: RFC 8259 grammar with a
 /// recursion-depth bound, full string-escape handling (including surrogate

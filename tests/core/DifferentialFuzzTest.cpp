@@ -167,26 +167,6 @@ TEST(DifferentialFuzz, WorkspaceReuseIsByteIdenticalToFreshRuns) {
   }
 }
 
-TEST(DifferentialFuzz, ReleaseMemoryResetsArenasWithoutChangingResults) {
-  // releaseMemory is the give-back valve for long-lived owners: dropping
-  // every arena mid-stream must free the buffers and leave subsequent
-  // solves byte-identical (capacity is the only thing a workspace keeps).
-  Function F = makeProgram(3);
-  SsaConversion Ssa = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, 4);
-
-  SolverWorkspace WS;
-  AllocationResult Before = layeredAllocate(P, LayeredOptions::bfpl(), &WS);
-  EXPECT_GT(WS.Layered.Candidates.capacity(), 0u);
-
-  WS.releaseMemory();
-  EXPECT_EQ(WS.Layered.Candidates.capacity(), 0u);
-
-  AllocationResult After = layeredAllocate(P, LayeredOptions::bfpl(), &WS);
-  EXPECT_EQ(Before.Allocated, After.Allocated);
-  EXPECT_EQ(Before.SpillCost, After.SpillCost);
-}
-
 TEST(DifferentialFuzz, ScalarEraEqualsOneClassTableBehavior) {
   // The register-class refactor's compatibility contract: the scalar
   // entry points (one R) and the class-table entry points (budgets {R})

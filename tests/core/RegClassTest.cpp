@@ -152,12 +152,22 @@ TEST(RegClassTest, InterferenceNeverCrossesClasses) {
       for (VertexId U : Info.G.neighbors(V))
         EXPECT_EQ(F.valueClass(V), F.valueClass(U))
             << "cross-class interference edge (" << V << "," << U << ")";
-    // Per-class pressure is tracked separately and bounds the global max.
-    ASSERT_EQ(Info.MaxLiveByClass.size(), 2u);
-    EXPECT_EQ(Info.MaxLive, std::max(Info.MaxLiveByClass[0],
-                                     Info.MaxLiveByClass[1]));
-    EXPECT_GT(Info.MaxLiveByClass[0], 0u);
-    EXPECT_GT(Info.MaxLiveByClass[1], 0u);
+    // Each class has its own pressure: every constraint of the built
+    // problem lies within one class, both classes carry one, and the
+    // larger per-class maximum is the problem's MaxLive.
+    AllocationProblem P = buildSsaProblem(F, ARMv7_VFP, 8);
+    unsigned MaxByClass[2] = {0, 0};
+    for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
+      RegClassId Class = P.constraintClass(K);
+      for (VertexId V : P.Cliques.clique(K))
+        EXPECT_EQ(P.classOf(V), Class) << "constraint " << K;
+      MaxByClass[Class] =
+          std::max(MaxByClass[Class],
+                   static_cast<unsigned>(P.Cliques.clique(K).size()));
+    }
+    EXPECT_GT(MaxByClass[0], 0u);
+    EXPECT_GT(MaxByClass[1], 0u);
+    EXPECT_EQ(P.maxLive(), std::max(MaxByClass[0], MaxByClass[1]));
   }
 }
 

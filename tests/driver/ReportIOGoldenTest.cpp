@@ -10,10 +10,10 @@
 /// JSON/CSV output of a fixed deterministic batch is compared byte-for-byte
 /// against fixtures committed under tests/driver/golden/.  Any schema or
 /// formatting drift then shows up as a reviewable fixture diff instead of
-/// silently breaking BENCH_*.json trajectory tooling.  Two more fixtures
-/// pin the eembc sweep behind BENCH_driver.json (BFPL) and the same sweep
+/// silently breaking report consumers.  Two more fixtures pin the eembc
+/// register sweep under the default BFPL (on one and on four threads) and
 /// under NL, BL and FPL, so a change in any allocation result of the
-/// layered family fails here too.
+/// layered family, or a dependence on the thread count, fails here too.
 ///
 /// Regenerating after an *intentional* schema change:
 ///   LAYRA_UPDATE_GOLDEN=1 ./build/driver_ReportIOGoldenTest
@@ -214,9 +214,10 @@ TEST(ReportIOGolden, TimedReportCarriesPhaseBreakdowns) {
 }
 
 TEST(ReportIOGolden, EembcSweepWithoutTimingMatchesFixture) {
-  // The sweep of BENCH_driver.json -- eembc on st231 at 4..16 registers,
-  // default options, one thread -- is `layra-bench --suite=eembc
-  // --regs=4..16 --threads=1 --no-timing --json` byte for byte.
+  // The eembc register sweep -- st231 at 4..16 registers, default options
+  // -- is `layra-bench --suite=eembc --regs=4..16 --threads=1 --no-timing
+  // --json` byte for byte.  On four threads it must give the same bytes
+  // once the "threads" member is set aside.
   std::vector<BatchJob> Jobs;
   for (unsigned Regs = 4; Regs <= 16; ++Regs) {
     BatchJob Job;
@@ -224,13 +225,20 @@ TEST(ReportIOGolden, EembcSweepWithoutTimingMatchesFixture) {
     Job.NumRegisters = Regs;
     Jobs.push_back(Job);
   }
-  BatchDriver Driver(1);
-  DriverReport Report = Driver.run(Jobs);
-  compareToGolden(capture([&](std::FILE *Out) {
-                    writeDriverReportJson(Out, Report, /*IncludeTiming=*/false,
-                                          /*IncludeTasks=*/false);
-                  }),
-                  "eembc_sweep.json");
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    BatchDriver Driver(Threads);
+    DriverReport Report = Driver.run(Jobs);
+    std::string Json = capture([&](std::FILE *Out) {
+      writeDriverReportJson(Out, Report, /*IncludeTiming=*/false,
+                            /*IncludeTasks=*/false);
+    });
+    const std::string Member = "\"threads\": " + std::to_string(Threads);
+    size_t At = Json.find(Member);
+    ASSERT_NE(At, std::string::npos) << "no " << Member << " member";
+    compareToGolden(Json.replace(At, Member.size(), "\"threads\": 1"),
+                    "eembc_sweep.json");
+  }
 }
 
 TEST(ReportIOGolden, EembcSweepOfTheOtherLayeredVariantsMatchesFixture) {

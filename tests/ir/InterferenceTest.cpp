@@ -37,7 +37,7 @@ TEST(InterferenceTest, OverlappingValuesInterfere) {
   // c is born as a and b die: no interference with either.
   EXPECT_FALSE(Info.G.hasEdge(A, C));
   EXPECT_FALSE(Info.G.hasEdge(Bv, C));
-  EXPECT_EQ(Info.MaxLive, 2u);
+  EXPECT_EQ(Live.maxLive(F), 2u);
 }
 
 TEST(InterferenceTest, SpillCostsWeightedByFrequency) {
@@ -140,22 +140,7 @@ TEST(InterferenceTest, MaximalCliquesAppearAmongPointLiveSets) {
       EXPECT_TRUE(PointSets.count(Clique))
           << "round " << Round << ": maximal clique not a live set";
     }
-    EXPECT_EQ(Cover.maxCliqueSize(), Info.MaxLive) << "round " << Round;
+    EXPECT_EQ(Cover.maxCliqueSize(), Live.maxLive(Conv.Ssa))
+        << "round " << Round;
   }
-}
-
-TEST(InterferenceTest, MinRegistersTracksWidestInstruction) {
-  Function F("f");
-  BlockId B = F.makeBlock();
-  ValueId A = F.makeValue(), Bv = F.makeValue(), C = F.makeValue(),
-          D = F.makeValue();
-  op(F, B, A);
-  op(F, B, Bv);
-  op(F, B, C);
-  op(F, B, D, {A, Bv, C}); // 3 uses + 1 def.
-  ret(F, B, {D});
-  Liveness Live(F);
-  std::vector<Weight> Costs(F.numValues(), 1);
-  InterferenceInfo Info = buildInterference(F, Live, Costs);
-  EXPECT_EQ(Info.MinRegisters, 4u);
 }

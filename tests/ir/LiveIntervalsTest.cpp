@@ -103,9 +103,8 @@ TEST(LiveIntervalsTest, MaxOverlapUpperBoundsMaxLive) {
     Function F = generateFunction(R, Opt);
     Liveness Live(F);
     std::vector<Weight> Costs = computeSpillCosts(F, ST231);
-    InterferenceInfo Info = buildInterference(F, Live, Costs);
     LiveIntervalTable Table = computeLiveIntervals(F, Live, Costs);
-    EXPECT_GE(Table.maxOverlap(), Info.MaxLive) << "round " << Round;
+    EXPECT_GE(Table.maxOverlap(), Live.maxLive(F)) << "round " << Round;
   }
 }
 
