@@ -60,10 +60,11 @@ FigureData layra::bench::measureFigure(const FigureSpec &Spec) {
   // re-budget per sweep point with withBudgets, which *shares* the
   // immutable graph instead of re-deriving liveness + interference per R
   // (and instead of the withRegisters-era full graph copy).
+  std::vector<unsigned> Budgets =
+      resolveClassBudgets(Spec.Target, Spec.RegisterCounts[0], {});
   std::vector<NamedProblem> Problems =
-      Spec.ChordalPipeline
-          ? chordalProblems(S, Spec.Target, Spec.RegisterCounts[0])
-          : generalProblems(S, Spec.Target, Spec.RegisterCounts[0]);
+      Spec.ChordalPipeline ? chordalProblems(S, Spec.Target, Budgets)
+                           : generalProblems(S, Spec.Target, Budgets);
 
   for (unsigned RIndex = 0; RIndex < Spec.RegisterCounts.size(); ++RIndex) {
     unsigned Regs = Spec.RegisterCounts[RIndex];

@@ -42,7 +42,7 @@ int main() {
       for (const SuiteProgram &Prog : S.Programs)
         for (const Function &F : Prog.Functions) {
           SsaConversion Conv = convertToSsa(F);
-          AllocationProblem P = buildSsaProblem(Conv.Ssa, X86_64, Regs);
+          AllocationProblem P = buildSsaProblem(Conv.Ssa, X86_64, {Regs});
           AllocationResult Alloc = layeredAllocate(P, LayeredOptions::bfpl());
           std::vector<char> Spilled(Conv.Ssa.numValues(), 0);
           for (VertexId V = 0; V < P.graph().numVertices(); ++V)

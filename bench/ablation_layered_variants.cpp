@@ -42,7 +42,7 @@ int main() {
   for (const char *SuiteName : {"spec2000int", "eembc", "lao-kernels"}) {
     Suite S = makeSuite(SuiteName);
     for (unsigned Regs : {2u, 4u, 8u, 16u}) {
-      std::vector<NamedProblem> Problems = chordalProblems(S, ST231, Regs);
+      std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {Regs});
       for (NamedProblem &NP : Problems) {
         ++Instances;
         Weight NlCost =

@@ -40,7 +40,7 @@ int main() {
       for (const SuiteProgram &Prog : S.Programs)
         for (const Function &F : Prog.Functions) {
           SsaConversion Conv = convertToSsa(F);
-          AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, Regs);
+          AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {Regs});
           AllocationResult Alloc =
               layeredAllocate(P, LayeredOptions::bfpl());
           std::vector<char> Spilled(Conv.Ssa.numValues(), 0);

@@ -38,7 +38,7 @@ int main() {
   for (const char *SuiteName : {"eembc", "lao-kernels"}) {
     Suite S = makeSuite(SuiteName);
     for (unsigned Regs : {2u, 3u, 4u, 6u, 8u}) {
-      std::vector<NamedProblem> Problems = chordalProblems(S, ST231, Regs);
+      std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {Regs});
       for (NamedProblem &NP : Problems) {
         ++Instances;
         OptimalBnBAllocator BnB(10'000'000);

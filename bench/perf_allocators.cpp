@@ -32,7 +32,7 @@ AllocationProblem makeProblem(unsigned NumVertices, unsigned Regs) {
   Opt.TreeSize = NumVertices;
   Opt.SubtreeSpread = 0.15;
   Graph G = randomChordalGraph(R, Opt);
-  return AllocationProblem::fromChordalGraph(std::move(G), Regs);
+  return AllocationProblem::fromChordalGraph(std::move(G), {Regs});
 }
 } // namespace
 
@@ -123,7 +123,7 @@ static void BM_OptimalBnB(benchmark::State &State) {
   Opt.TreeSize = Opt.NumVertices * 2;
   Opt.SubtreeSpread = 0.06;
   AllocationProblem P = AllocationProblem::fromChordalGraph(
-      randomChordalGraph(R, Opt), static_cast<unsigned>(State.range(1)));
+      randomChordalGraph(R, Opt), {static_cast<unsigned>(State.range(1))});
   OptimalBnBAllocator Optimal(/*NodeLimit=*/2'000'000);
   for (auto _ : State) {
     AllocationResult Result = Optimal.allocate(P);

@@ -135,7 +135,7 @@ void sweepNestedChain(const NamedProblem &NP, unsigned Top,
 int main() {
   Suite S = makeSpecJvm98();
   // Build once at a placeholder R; re-target per register count below.
-  std::vector<NamedProblem> Problems = generalProblems(S, ARMv7, 1);
+  std::vector<NamedProblem> Problems = generalProblems(S, ARMv7, {1});
 
   InclusionStats Arbitrary, Nested;
   for (NamedProblem &NP : Problems) {

@@ -109,7 +109,7 @@ int main() {
   SsaConversion Conv = convertToSsa(F);
 
   constexpr unsigned Regs = 4;
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, X86_64, Regs);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, X86_64, {Regs});
   AllocationResult Alloc = layeredAllocate(P, LayeredOptions::bfpl());
   std::printf("kernel with %u SSA values, MaxLive %u, allocated with R=%u\n",
               Conv.Ssa.numValues(), P.maxLive(), Regs);

@@ -37,7 +37,7 @@ int main() {
   Loops.annotate(Method);
 
   unsigned Regs = 6;
-  AllocationProblem P = buildGeneralProblem(Method, ARMv7, Regs);
+  AllocationProblem P = buildGeneralProblem(Method, ARMv7, {Regs});
   std::printf("method %s: %u blocks, %u variables, MaxLive=%u, "
               "interference %s\n\n",
               Method.name().c_str(), Method.numBlocks(), Method.numValues(),

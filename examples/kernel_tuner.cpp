@@ -34,7 +34,7 @@ int main(int ArgC, char **ArgV) {
   std::printf("%-5s %-9s %-38s %-9s\n", "R", "MaxLive",
               "spill cost: nl / bl / fpl / bfpl / gc", "optimal");
   for (unsigned Regs = 1; Regs <= 10; ++Regs) {
-    AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, Regs);
+    AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {Regs});
     Weight Nl = layeredAllocate(P, LayeredOptions::nl()).SpillCost;
     Weight Bl = layeredAllocate(P, LayeredOptions::bl()).SpillCost;
     Weight Fpl = layeredAllocate(P, LayeredOptions::fpl()).SpillCost;
@@ -47,7 +47,7 @@ int main(int ArgC, char **ArgV) {
   }
 
   // Dump the graph with the optimal allocation at the sweet spot R = 4.
-  AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, 4);
+  AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {4});
   AllocationResult Optimal = makeAllocator("optimal")->allocate(P);
   std::string Dot = P.graph().toDot(Optimal.allocated());
   const char *Path = ArgC > 1 ? ArgV[1] : "kernel_interference.dot";

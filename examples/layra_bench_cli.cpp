@@ -279,7 +279,7 @@ void runGraphSuite(BatchDriver &Driver, const CliOptions &Opt) {
     G.NumVertices = 24 + I * 8;
     G.TreeSize = 20 + I * 6;
     Base.push_back(AllocationProblem::fromChordalGraph(
-        randomChordalGraph(R, G), Opt.Regs.front()));
+        randomChordalGraph(R, G), {Opt.Regs.front()}));
   }
 
   Table T({"suite", "regs", "instances", "spill cost"});

@@ -84,7 +84,7 @@ int main() {
               Ssa.Ssa.toString().c_str());
 
   // 3. The spill-everywhere instance for 2 registers on the ST231 model.
-  AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, /*NumRegisters=*/2);
+  AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {2});
   std::printf("interference graph: %u values, %zu edges, MaxLive=%u\n\n",
               P.graph().numVertices(), P.graph().numEdges(), P.maxLive());
 

@@ -63,9 +63,6 @@ public:
   LayeredAdapter(const char *Name, LayeredOptions Options)
       : AdapterName(Name), Options(Options) {}
 
-  AllocationResult allocate(const AllocationProblem &P) override {
-    return allocate(P, nullptr);
-  }
   AllocationResult allocate(const AllocationProblem &P,
                             SolverWorkspace *WS) override {
     return layeredAllocate(P, Options, WS);
@@ -80,9 +77,6 @@ private:
 /// Adapts the layered heuristic (general graphs).
 class LayeredHeuristicAdapter : public Allocator {
 public:
-  AllocationResult allocate(const AllocationProblem &P) override {
-    return allocate(P, nullptr);
-  }
   AllocationResult allocate(const AllocationProblem &P,
                             SolverWorkspace *WS) override {
     return layeredHeuristicAllocate(P, WS).Allocation;

@@ -32,19 +32,20 @@ class Allocator {
 public:
   virtual ~Allocator();
 
-  /// Solves \p P.  Results of all allocators are feasible w.r.t. the point
-  /// constraints (isFeasibleAllocation); exact solvers set Result.Proven.
-  virtual AllocationResult allocate(const AllocationProblem &P) = 0;
-
-  /// Workspace-aware entry point: solves \p P reusing \p WS's scratch
-  /// arenas (core/SolverWorkspace.h).  The default forwards to the plain
-  /// overload; allocators with reusable scratch override it.  Results are
-  /// bit-identical across the two entry points and across workspace
+  /// Solves \p P, reusing \p WS's scratch arenas (core/SolverWorkspace.h)
+  /// when given; allocators without reusable scratch ignore it.  Results
+  /// of all allocators are feasible w.r.t. the point constraints
+  /// (isFeasibleAllocation); exact solvers set Result.Proven.  Results are
+  /// bit-identical with and without a workspace and across workspace
   /// histories -- a workspace only carries capacity, never state.
   virtual AllocationResult allocate(const AllocationProblem &P,
-                                    SolverWorkspace *WS) {
-    (void)WS;
-    return allocate(P);
+                                    SolverWorkspace *WS) = 0;
+
+  /// Solves \p P with scratch of its own.  An override hides this
+  /// overload, so subclasses that callers name directly re-export it with
+  /// `using Allocator::allocate`.
+  AllocationResult allocate(const AllocationProblem &P) {
+    return allocate(P, nullptr);
   }
 
   /// Class-aware entry point -- what the pipeline and the batch driver

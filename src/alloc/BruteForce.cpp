@@ -11,7 +11,8 @@
 
 using namespace layra;
 
-AllocationResult BruteForceAllocator::allocate(const AllocationProblem &P) {
+AllocationResult BruteForceAllocator::allocate(const AllocationProblem &P,
+                                               SolverWorkspace *) {
   unsigned N = P.graph().numVertices();
   if (N > 24)
     layraFatalError("brute-force allocator limited to 24 vertices");

@@ -22,7 +22,9 @@ namespace layra {
 /// Exhaustive optimal allocator.  \pre N <= 24 vertices.
 class BruteForceAllocator : public Allocator {
 public:
-  AllocationResult allocate(const AllocationProblem &P) override;
+  using Allocator::allocate;
+  AllocationResult allocate(const AllocationProblem &P,
+                            SolverWorkspace *WS) override;
   const char *name() const override { return "brute"; }
 };
 

@@ -11,7 +11,8 @@
 
 using namespace layra;
 
-AllocationResult GraphColoringAllocator::allocate(const AllocationProblem &P) {
+AllocationResult GraphColoringAllocator::allocate(const AllocationProblem &P,
+                                                  SolverWorkspace *) {
   const Graph &G = P.graph();
   unsigned N = G.numVertices();
   unsigned R = P.uniformBudget();

@@ -26,7 +26,9 @@ namespace layra {
 /// Chaitin-Briggs with optimistic coloring and cost/degree spill choice.
 class GraphColoringAllocator : public Allocator {
 public:
-  AllocationResult allocate(const AllocationProblem &P) override;
+  using Allocator::allocate;
+  AllocationResult allocate(const AllocationProblem &P,
+                            SolverWorkspace *WS) override;
   const char *name() const override { return "gc"; }
 
   /// The coloring produced by the last allocate() call (register per vertex,

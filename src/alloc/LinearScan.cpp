@@ -13,7 +13,8 @@
 
 using namespace layra;
 
-AllocationResult LinearScanAllocator::allocate(const AllocationProblem &P) {
+AllocationResult LinearScanAllocator::allocate(const AllocationProblem &P,
+                                               SolverWorkspace *) {
   if (!P.Intervals)
     layraFatalError("linear scan requires live intervals on the problem");
   const LiveIntervalTable &Table = *P.Intervals;

@@ -35,7 +35,9 @@ public:
   explicit LinearScanAllocator(PolicyKind Policy, double Threshold = 0.25)
       : Policy(Policy), Threshold(Threshold) {}
 
-  AllocationResult allocate(const AllocationProblem &P) override;
+  using Allocator::allocate;
+  AllocationResult allocate(const AllocationProblem &P,
+                            SolverWorkspace *WS) override;
   const char *name() const override {
     return Policy == PolicyKind::FurthestEnd ? "ls" : "bls";
   }

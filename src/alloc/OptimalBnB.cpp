@@ -231,15 +231,10 @@ private:
 };
 } // namespace
 
-AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P) {
-  return allocate(P, nullptr);
-}
-
 AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P,
                                                SolverWorkspace *WS) {
   const Graph &G = P.graph();
   unsigned N = G.numVertices();
-  NodesUsed = 0;
 
   // --- Preprocessing ------------------------------------------------------
   // Budgets are per constraint (the multi-class generalization: one budget
@@ -377,7 +372,7 @@ AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P,
     if (P.Chordal) {
       Graph Sub = G.inducedSubgraph(CompVertices);
       AllocationProblem SubP =
-          AllocationProblem::fromChordalGraph(std::move(Sub), R, WS);
+          AllocationProblem::fromChordalGraph(std::move(Sub), {R}, {}, WS);
       std::vector<char> FullMask(SubP.graph().numVertices(), 1);
       if (estimateBoundedLayerStates(SubP, FullMask, R) <= kDpStateLimit) {
         std::vector<Weight> W(SubP.graph().numVertices());
@@ -454,7 +449,6 @@ AllocationResult OptimalBnBAllocator::allocate(const AllocationProblem &P,
       if (Solver.bestChosen()[I])
         Flags[C.Vertices[I]] = 1;
   }
-  NodesUsed = NodeLimit - Budget;
 
   AllocationResult Result = AllocationResult::fromFlags(G, std::move(Flags));
   Result.Proven = Proven;

@@ -38,21 +38,17 @@ public:
   explicit OptimalBnBAllocator(uint64_t NodeLimit = 50'000'000)
       : NodeLimit(NodeLimit) {}
 
+  using Allocator::allocate;
   /// Solves to proven optimality unless the node budget is exhausted, in
-  /// which case the best incumbent is returned with Proven == false.
-  AllocationResult allocate(const AllocationProblem &P) override;
-  /// Workspace-aware entry: the warm-start heuristics, the exact clique-tree
-  /// DP and the ILP relaxations all reuse \p WS's arenas.
+  /// which case the best incumbent is returned with Proven == false.  The
+  /// warm-start heuristics, the exact clique-tree DP and the ILP
+  /// relaxations all reuse \p WS's arenas.
   AllocationResult allocate(const AllocationProblem &P,
                             SolverWorkspace *WS) override;
   const char *name() const override { return "optimal"; }
 
-  /// Search nodes expanded by the last allocate() call.
-  uint64_t lastNodeCount() const { return NodesUsed; }
-
 private:
   uint64_t NodeLimit;
-  uint64_t NodesUsed = 0;
 };
 
 } // namespace layra

@@ -18,16 +18,6 @@
 
 using namespace layra;
 
-PipelineResult layra::runAllocationPipeline(const Function &F,
-                                            const TargetDesc &Target,
-                                            unsigned NumRegisters,
-                                            const PipelineOptions &Options,
-                                            SolverWorkspace *WS) {
-  std::vector<unsigned> Budgets =
-      resolveClassBudgets(Target, NumRegisters, {});
-  return runAllocationPipeline(F, Target, Budgets, Options, WS);
-}
-
 PipelineResult layra::runAllocationPipeline(
     const Function &F, const TargetDesc &Target,
     const std::vector<unsigned> &Budgets, const PipelineOptions &Options,

@@ -67,14 +67,18 @@ struct PipelineResult {
   unsigned Rounds = 0;
   /// MaxLive of the rewritten function.
   unsigned FinalMaxLive = 0;
-  /// True when the final pressure fits NumRegisters and the assignment
-  /// succeeded within the register budget.
+  /// True when the final pressure fits the budgets and the assignment
+  /// succeeded within them.
   bool Fits = false;
 };
 
-/// Runs the full decoupled pipeline on strict-SSA \p F with \p NumRegisters
-/// registers in class 0 and the target's architectural counts in any other
-/// class (ir/Target.h register classes).
+/// Runs the full decoupled pipeline on strict-SSA \p F.  \p Budgets holds
+/// one register count per target class: {R} on a one-class target,
+/// resolveClassBudgets (ir/Target.h) to give every class but class 0 its
+/// architectural count.  Each round allocates every class -- the
+/// allocator decomposes multi-class instances per class -- and rewrites
+/// all spills at once; spill temporaries inherit their value's class, so
+/// reload pressure stays within the file that caused it.
 /// \pre verifyFunction(F, /*ExpectSsa=*/true).
 ///
 /// \p WS optionally supplies the solver scratch shared by every round's
@@ -82,17 +86,6 @@ struct PipelineResult {
 /// BatchDriver passes one workspace per pool worker, so consecutive tasks
 /// on a worker reuse the same arenas; results are bit-identical with and
 /// without a workspace.
-PipelineResult runAllocationPipeline(const Function &F,
-                                     const TargetDesc &Target,
-                                     unsigned NumRegisters,
-                                     const PipelineOptions &Options = {},
-                                     SolverWorkspace *WS = nullptr);
-
-/// Per-class budget form: \p Budgets holds one register count per target
-/// class (resolveClassBudgets).  Each round allocates every class -- the
-/// allocator decomposes multi-class instances per class -- and rewrites
-/// all spills at once; spill temporaries inherit their value's class, so
-/// reload pressure stays within the file that caused it.
 ///
 /// \p Round0 optionally supplies the problem of \p F itself, built by
 /// buildSsaProblem with \p Target's spill costs at *any* budgets, and with

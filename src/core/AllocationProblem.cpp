@@ -15,13 +15,6 @@
 
 using namespace layra;
 
-AllocationProblem AllocationProblem::fromChordalGraph(Graph G,
-                                                      unsigned NumRegisters,
-                                                      SolverWorkspace *WS) {
-  return fromChordalGraph(std::move(G), std::vector<unsigned>{NumRegisters},
-                          {}, WS);
-}
-
 AllocationProblem
 AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
                                     std::vector<RegClassId> ClassOf,
@@ -51,13 +44,6 @@ AllocationProblem::fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
   P.Chordal = true;
   P.G = std::make_shared<Graph>(std::move(G));
   return P;
-}
-
-AllocationProblem AllocationProblem::fromGeneralGraph(
-    Graph G, unsigned NumRegisters,
-    std::vector<std::vector<VertexId>> PointLiveSets) {
-  return fromGeneralGraph(std::move(G), std::vector<unsigned>{NumRegisters},
-                          {}, std::move(PointLiveSets));
 }
 
 AllocationProblem AllocationProblem::fromGeneralGraph(
@@ -157,7 +143,7 @@ AllocationProblem::projectClass(RegClassId Class,
     // An induced subgraph of a chordal graph is chordal; its maximal
     // cliques are exactly this class's constraints (cliques never span
     // classes), so the standard construction rebuilds them.
-    P = fromChordalGraph(std::move(Sub), budgetOf(Class), WS);
+    P = fromChordalGraph(std::move(Sub), {budgetOf(Class)}, {}, WS);
   } else {
     std::vector<std::vector<VertexId>> Sets;
     for (unsigned K = 0; K < Cliques.numCliques(); ++K) {
@@ -168,7 +154,8 @@ AllocationProblem::projectClass(RegClassId Class,
         Local.push_back(LocalOf[V]);
       Sets.push_back(std::move(Local));
     }
-    P = fromGeneralGraph(std::move(Sub), budgetOf(Class), std::move(Sets));
+    P = fromGeneralGraph(std::move(Sub), {budgetOf(Class)}, {},
+                         std::move(Sets));
   }
 
   if (Intervals) {

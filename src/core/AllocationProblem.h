@@ -112,31 +112,25 @@ struct AllocationProblem {
     return Budgets.empty() ? 0 : Budgets[0];
   }
 
-  /// Builds a single-class chordal instance from a chordal graph: computes
-  /// the PEO (MCS), checks it and extracts the maximal cliques in one pass
-  /// (maximalCliquesIfPeo).  Aborts if \p G is not chordal.  \p WS
-  /// optionally supplies the chordal-machinery scratch; the built problem
-  /// never aliases workspace memory.
-  static AllocationProblem fromChordalGraph(Graph G, unsigned NumRegisters,
-                                            SolverWorkspace *WS = nullptr);
-
-  /// Multi-class variant: \p ClassOf tags each vertex, \p Budgets holds
-  /// one budget per class.  Cross-class vertices must not be adjacent in
-  /// \p G (interference construction guarantees it); every maximal clique
-  /// then lies within one class and becomes that class's constraint.
-  static AllocationProblem fromChordalGraph(Graph G,
-                                            std::vector<unsigned> Budgets,
-                                            std::vector<RegClassId> ClassOf,
-                                            SolverWorkspace *WS = nullptr);
-
-  /// Builds a single-class general instance: \p PointLiveSets become the
-  /// constraints (vertices missing from every set get a singleton
-  /// constraint so the problem covers them).
+  /// Builds a chordal instance from a chordal graph: computes the PEO
+  /// (MCS), checks it and extracts the maximal cliques in one pass
+  /// (maximalCliquesIfPeo).  Aborts if \p G is not chordal.  \p Budgets
+  /// holds one budget per class ({R} for a single-class instance) and
+  /// \p ClassOf tags each vertex (empty: all class 0).  Cross-class
+  /// vertices must not be adjacent in \p G (interference construction
+  /// guarantees it); every maximal clique then lies within one class and
+  /// becomes that class's constraint.  \p WS optionally supplies the
+  /// chordal-machinery scratch; the built problem never aliases workspace
+  /// memory.
   static AllocationProblem
-  fromGeneralGraph(Graph G, unsigned NumRegisters,
-                   std::vector<std::vector<VertexId>> PointLiveSets);
+  fromChordalGraph(Graph G, std::vector<unsigned> Budgets,
+                   std::vector<RegClassId> ClassOf = {},
+                   SolverWorkspace *WS = nullptr);
 
-  /// Multi-class variant: each point live set is split per class before it
+  /// Builds a general instance: \p PointLiveSets become the constraints
+  /// (vertices missing from every set get a singleton constraint so the
+  /// problem covers them).  \p Budgets and \p ClassOf are as in
+  /// fromChordalGraph; each point live set is split per class before it
   /// becomes constraints (values of different files never pressure each
   /// other), with per-class deduplication.
   static AllocationProblem

@@ -7,58 +7,11 @@
 
 #include "core/Assignment.h"
 
-#include "graph/Coloring.h"
-
-#include <algorithm>
+#include "core/Coalescing.h"
 
 using namespace layra;
 
 Assignment layra::assignRegisters(const AllocationProblem &P,
                                   const std::vector<char> &Allocated) {
-  assert(Allocated.size() == P.graph().numVertices() && "flag size mismatch");
-  Assignment Out;
-  Out.RegisterOf.assign(P.graph().numVertices(), Assignment::kNoRegister);
-  Out.ClassOf.assign(P.ClassOf.begin(), P.ClassOf.end());
-  Out.ClassOf.resize(P.graph().numVertices(), 0);
-
-  // Color allocated vertices greedily in reverse elimination order.  For a
-  // chordal instance P.Peo restricted to the allocated set is a PEO of the
-  // induced subgraph, so the scan is optimal there; for general instances we
-  // fall back to a max-degree-first order.
-  std::vector<VertexId> Sequence;
-  if (P.Chordal) {
-    for (auto It = P.Peo.Order.rbegin(); It != P.Peo.Order.rend(); ++It)
-      if (Allocated[*It])
-        Sequence.push_back(*It);
-  } else {
-    for (VertexId V = 0; V < P.graph().numVertices(); ++V)
-      if (Allocated[V])
-        Sequence.push_back(V);
-    std::sort(Sequence.begin(), Sequence.end(), [&](VertexId A, VertexId B) {
-      if (P.graph().degree(A) != P.graph().degree(B))
-        return P.graph().degree(A) > P.graph().degree(B);
-      return A < B;
-    });
-  }
-
-  std::vector<char> Used;
-  Out.Success = true;
-  for (VertexId V : Sequence) {
-    Used.assign(P.graph().degree(V) + 1, 0);
-    for (VertexId U : P.graph().neighbors(V)) {
-      unsigned Reg = Out.RegisterOf[U];
-      if (Reg != Assignment::kNoRegister && Reg < Used.size())
-        Used[Reg] = 1;
-    }
-    unsigned Reg = 0;
-    while (Used[Reg])
-      ++Reg;
-    Out.RegisterOf[V] = Reg;
-    Out.RegistersUsed = std::max(Out.RegistersUsed, Reg + 1);
-    // The index counts within V's own file: neighbors are same-class by
-    // construction (cross-class values never interfere), so the greedy
-    // scan colors each class independently against its own budget.
-    Out.Success &= Reg < P.budgetOf(P.classOf(V));
-  }
-  return Out;
+  return assignRegistersBiased(P, Allocated, {});
 }

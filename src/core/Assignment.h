@@ -43,7 +43,9 @@ struct Assignment {
   static constexpr unsigned kNoRegister = ~0u;
 };
 
-/// Colors the subgraph induced by \p Allocated.
+/// Colors the subgraph induced by \p Allocated: the tree scan of
+/// assignRegistersBiased (core/Coalescing.h) with no affinities, so every
+/// vertex takes the lowest register its colored neighbors leave free.
 ///
 /// For chordal instances a feasible allocation (<= R per maximal clique)
 /// always succeeds: the induced subgraph is chordal with clique number <= R,

@@ -1,4 +1,4 @@
-//===- core/Coalescing.cpp - Affinities and conservative coalescing --------===//
+//===- core/Coalescing.cpp - Affinities and biased assignment -------------===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -51,114 +51,6 @@ std::vector<Affinity> layra::collectAffinities(const Function &F) {
   return Out;
 }
 
-CoalescingResult
-layra::coalesceConservative(const Graph &G,
-                            const std::vector<Affinity> &Affinities,
-                            unsigned NumRegisters) {
-  unsigned N = G.numVertices();
-  CoalescingResult Out;
-  Out.Representative.resize(N);
-  for (VertexId V = 0; V < N; ++V)
-    Out.Representative[V] = V;
-
-  // Union-find with path halving; merged adjacency kept as sorted vectors
-  // rebuilt lazily per merge (graphs here are small enough).
-  auto Find = [&](VertexId V) {
-    while (Out.Representative[V] != V) {
-      Out.Representative[V] = Out.Representative[Out.Representative[V]];
-      V = Out.Representative[V];
-    }
-    return V;
-  };
-
-  // Current adjacency (over representatives) as sorted vectors.
-  std::vector<std::vector<VertexId>> Adj(N);
-  for (VertexId V = 0; V < N; ++V) {
-    Adj[V].assign(G.neighbors(V).begin(), G.neighbors(V).end());
-    std::sort(Adj[V].begin(), Adj[V].end());
-  }
-
-  std::vector<Affinity> Queue = Affinities;
-  std::sort(Queue.begin(), Queue.end(), [](const Affinity &X,
-                                           const Affinity &Y) {
-    if (X.Benefit != Y.Benefit)
-      return X.Benefit > Y.Benefit;
-    if (X.A != Y.A)
-      return X.A < Y.A;
-    return X.B < Y.B;
-  });
-
-  auto Degree = [&](VertexId Rep) {
-    return static_cast<unsigned>(Adj[Rep].size());
-  };
-
-  for (const Affinity &Aff : Queue) {
-    VertexId A = Find(Aff.A), B = Find(Aff.B);
-    if (A == B)
-      continue; // Already merged transitively: benefit realized for free.
-    if (std::binary_search(Adj[A].begin(), Adj[A].end(), B))
-      continue; // Interfering: cannot share a register.
-
-    // Briggs test: the merged node must have < R neighbors of significant
-    // (>= R) degree, so colorability cannot get worse.
-    std::vector<VertexId> Union;
-    std::set_union(Adj[A].begin(), Adj[A].end(), Adj[B].begin(),
-                   Adj[B].end(), std::back_inserter(Union));
-    unsigned Significant = 0;
-    for (VertexId U : Union)
-      Significant += Degree(Find(U)) >= NumRegisters ? 1 : 0;
-    if (Significant >= NumRegisters)
-      continue;
-
-    // Merge B into A.
-    Out.Representative[B] = A;
-    Adj[A] = std::move(Union);
-    // Rewire neighbors of B to point at A.
-    for (VertexId U : Adj[B]) {
-      std::vector<VertexId> &List = Adj[U];
-      auto It = std::lower_bound(List.begin(), List.end(), B);
-      if (It != List.end() && *It == B)
-        List.erase(It);
-      It = std::lower_bound(List.begin(), List.end(), A);
-      if (It == List.end() || *It != A)
-        List.insert(It, A);
-    }
-    Adj[B].clear();
-    ++Out.Merged;
-    Out.BenefitRealized += Aff.Benefit;
-  }
-
-  // Build the coalesced graph over representatives.  Merged nodes can
-  // repeat an edge; the stable dedup keeps each one's first occurrence.
-  Out.CoalescedIndex.assign(N, ~0u);
-  std::vector<Weight> Weights;
-  for (VertexId V = 0; V < N; ++V) {
-    VertexId Rep = Find(V);
-    if (Out.CoalescedIndex[Rep] == ~0u) {
-      Out.CoalescedIndex[Rep] = static_cast<VertexId>(Weights.size());
-      Weights.push_back(0);
-    }
-  }
-  for (VertexId V = 0; V < N; ++V) {
-    VertexId Id = Out.CoalescedIndex[Find(V)];
-    Weights[Id] += G.weight(V);
-    Out.CoalescedIndex[V] = Id; // Every vertex maps to its merged node.
-  }
-  std::vector<GraphEdge> Edges;
-  for (VertexId V = 0; V < N; ++V)
-    for (VertexId U : G.neighbors(V)) {
-      VertexId A = Out.CoalescedIndex[V], B = Out.CoalescedIndex[U];
-      if (A != B && V < U)
-        Edges.push_back({A, B});
-    }
-  removeRepeatedEdges(Edges, static_cast<unsigned>(Weights.size()));
-  Out.Coalesced = Graph(std::move(Weights), Edges);
-  // Flatten representatives for the caller.
-  for (VertexId V = 0; V < N; ++V)
-    Out.Representative[V] = Find(V);
-  return Out;
-}
-
 Assignment layra::assignRegistersBiased(
     const AllocationProblem &P, const std::vector<char> &Allocated,
     const std::vector<Affinity> &Affinities) {
@@ -178,6 +70,10 @@ Assignment layra::assignRegistersBiased(
     Wants[A.B].push_back({A.A, A.Benefit});
   }
 
+  // Color allocated vertices greedily in reverse elimination order.  For a
+  // chordal instance P.Peo restricted to the allocated set is a PEO of the
+  // induced subgraph, so the scan is optimal there; general instances fall
+  // back to a max-degree-first order.
   std::vector<VertexId> Sequence;
   if (P.Chordal) {
     for (auto It = P.Peo.Order.rbegin(); It != P.Peo.Order.rend(); ++It)
@@ -187,6 +83,11 @@ Assignment layra::assignRegistersBiased(
     for (VertexId V = 0; V < P.graph().numVertices(); ++V)
       if (Allocated[V])
         Sequence.push_back(V);
+    std::sort(Sequence.begin(), Sequence.end(), [&](VertexId A, VertexId B) {
+      if (P.graph().degree(A) != P.graph().degree(B))
+        return P.graph().degree(A) > P.graph().degree(B);
+      return A < B;
+    });
   }
 
   std::vector<char> Used;
@@ -196,27 +97,28 @@ Assignment layra::assignRegistersBiased(
     unsigned Budget =
         std::max(P.budgetOf(P.classOf(V)), P.graph().degree(V) + 1);
     Used.assign(Budget, 0);
-    Preference.assign(Budget, 0);
     for (VertexId U : P.graph().neighbors(V)) {
       unsigned Reg = Out.RegisterOf[U];
       if (Reg != Assignment::kNoRegister && Reg < Used.size())
         Used[Reg] = 1;
     }
-    // Score free registers by the benefit of co-locating with already
-    // colored affinity partners.
-    for (const auto &[Partner, Benefit] : Wants[V]) {
-      unsigned Reg = Out.RegisterOf[Partner];
-      if (Reg != Assignment::kNoRegister && Reg < Budget && !Used[Reg])
-        Preference[Reg] += Benefit;
+    // The lowest free register (one exists: V has at most Budget - 1
+    // neighbors), unless a higher free one holds more benefit among V's
+    // already colored affinity partners.
+    unsigned BestReg = 0;
+    while (Used[BestReg])
+      ++BestReg;
+    if (!Wants[V].empty()) {
+      Preference.assign(Budget, 0);
+      for (const auto &[Partner, Benefit] : Wants[V]) {
+        unsigned Reg = Out.RegisterOf[Partner];
+        if (Reg != Assignment::kNoRegister && Reg < Budget && !Used[Reg])
+          Preference[Reg] += Benefit;
+      }
+      for (unsigned Reg = BestReg + 1; Reg < Budget; ++Reg)
+        if (!Used[Reg] && Preference[Reg] > Preference[BestReg])
+          BestReg = Reg;
     }
-    unsigned BestReg = ~0u;
-    for (unsigned Reg = 0; Reg < Budget; ++Reg) {
-      if (Used[Reg])
-        continue;
-      if (BestReg == ~0u || Preference[Reg] > Preference[BestReg])
-        BestReg = Reg;
-    }
-    assert(BestReg != ~0u && "no free register within degree+1 budget");
     Out.RegisterOf[V] = BestReg;
     Out.RegistersUsed = std::max(Out.RegistersUsed, BestReg + 1);
     Out.Success &= BestReg < P.budgetOf(P.classOf(V));

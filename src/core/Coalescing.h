@@ -1,4 +1,4 @@
-//===- core/Coalescing.h - Affinities and conservative coalescing -*- C++ -*-===//
+//===- core/Coalescing.h - Affinities and biased assignment -----*- C++ -*-===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -10,9 +10,11 @@
 /// conclusion singles out ("studying the interactions with the register
 /// coalescing").  Copy instructions and phi operands induce *affinities*
 /// (value pairs that would like the same register); this module extracts
-/// them, performs conservative (Briggs-test) coalescing on the interference
-/// graph before allocation, and biases the tree-scan assignment so that
-/// affinity-related values share registers when the coloring allows it.
+/// them and biases the tree-scan assignment so that affinity-related values
+/// share registers when the coloring allows it.  Copies are removed only
+/// there, after the spill decision: no pass merges values before
+/// allocation, which could break the chordality the layered allocator
+/// needs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,33 +43,11 @@ struct Affinity {
 /// Pairs that appear multiple times are merged, benefits summed.
 std::vector<Affinity> collectAffinities(const Function &F);
 
-/// Result of coalescing a graph.
-struct CoalescingResult {
-  /// Representative[v] = the vertex v was merged into (itself if none);
-  /// fully path-compressed.
-  std::vector<VertexId> Representative;
-  /// Number of affinity pairs merged.
-  unsigned Merged = 0;
-  /// Total benefit of the merged pairs (copy cost removed).
-  Weight BenefitRealized = 0;
-  /// The coalesced graph: one vertex per representative, weights summed,
-  /// edges unioned.  CoalescedIndex[rep] gives the vertex id in this graph.
-  Graph Coalesced;
-  std::vector<VertexId> CoalescedIndex;
-};
-
-/// Conservative (Briggs) coalescing: merges an affinity pair {a, b} only if
-/// a and b do not interfere and the merged node would have fewer than
-/// \p NumRegisters neighbors of degree >= NumRegisters -- the classical
-/// test guaranteeing colorability is never hurt.  Pairs are taken in
-/// decreasing benefit order.
-CoalescingResult coalesceConservative(const Graph &G,
-                                      const std::vector<Affinity> &Affinities,
-                                      unsigned NumRegisters);
-
-/// Tree-scan assignment with affinity bias: like assignRegisters, but when
-/// several registers are free for a vertex, prefers one already used by an
-/// affinity-related neighbor-in-spirit (same-register preference), which
+/// The tree-scan assignment (assignRegisters is this with no affinities):
+/// allocated vertices are colored in reverse PEO order on chordal instances
+/// and max-degree-first on general ones.  When several registers are free
+/// for a vertex, it prefers the one with the most benefit among its
+/// already colored affinity partners (lowest register on a tie), which
 /// removes copies without ever adding spills.
 Assignment assignRegistersBiased(const AllocationProblem &P,
                                  const std::vector<char> &Allocated,

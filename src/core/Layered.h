@@ -51,8 +51,9 @@ struct LayeredOptions {
 };
 
 /// Runs the layered-optimal allocator on a chordal instance.
-/// The result is always feasible: at most NumRegisters allocated vertices in
-/// every maximal clique, hence the allocated set is R-colorable.
+/// The result is always feasible: at most R = P.uniformBudget() allocated
+/// vertices in every maximal clique, hence the allocated set is
+/// R-colorable.
 /// Complexity with step == 1: O(|V|) plus the number of cliques once per
 /// run (the later neighbors come with the problem's PEO), then, for each
 /// of the R layers and each fixed-point iteration, the remaining

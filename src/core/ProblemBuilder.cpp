@@ -37,15 +37,6 @@ static void resolveClasses(const Function &F,
 
 AllocationProblem layra::buildSsaProblem(const Function &F,
                                          const TargetDesc &Target,
-                                         unsigned NumRegisters,
-                                         SolverWorkspace *WS) {
-  std::vector<unsigned> Budgets =
-      resolveClassBudgets(Target, NumRegisters, {});
-  return buildSsaProblem(F, Target, Budgets, WS);
-}
-
-AllocationProblem layra::buildSsaProblem(const Function &F,
-                                         const TargetDesc &Target,
                                          const std::vector<unsigned> &Budgets,
                                          SolverWorkspace *WS,
                                          bool WithIntervals) {
@@ -66,14 +57,6 @@ AllocationProblem layra::buildSsaProblem(const Function &F,
   if (WithIntervals)
     P.Intervals = computeLiveIntervals(F, Live, Costs);
   return P;
-}
-
-AllocationProblem layra::buildGeneralProblem(const Function &F,
-                                             const TargetDesc &Target,
-                                             unsigned NumRegisters) {
-  std::vector<unsigned> Budgets =
-      resolveClassBudgets(Target, NumRegisters, {});
-  return buildGeneralProblem(F, Target, Budgets);
 }
 
 AllocationProblem

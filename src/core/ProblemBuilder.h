@@ -10,12 +10,12 @@
 /// interference graph, pressure constraints and live intervals in one call.
 /// This is the front door of the library for compiler-derived instances.
 ///
-/// Register classes: every entry point exists in a scalar form (budget for
-/// class 0; any other classes get the target's architectural counts) and a
-/// vector form (one budget per target class).  The built problem is
-/// trimmed to the classes the function actually uses, so a class-0-only
-/// function on a multi-class target yields the identical single-class
-/// instance it always did.
+/// Register classes: every entry point takes one budget per target class
+/// ({R} on a one-class target; resolveClassBudgets in ir/Target.h gives
+/// class 0 the swept count and every other class its architectural one).
+/// The built problem is trimmed to the classes the function actually uses,
+/// so a class-0-only function on a multi-class target yields the identical
+/// single-class instance it would on a one-class target.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,15 +35,8 @@ class SolverWorkspace;
 /// Builds a *chordal* instance from a strict-SSA function: the interference
 /// graph of SSA code is chordal and its maximal cliques are the maximal
 /// per-class live sets.  Aborts (via the chordality check) if \p F is not
-/// in SSA form.
-AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
-                                  unsigned NumRegisters,
-                                  SolverWorkspace *WS = nullptr);
-
-/// Vector-budget form: \p Budgets holds one register count per target
-/// class (resolveClassBudgets in ir/Target.h).  \p WithIntervals false
-/// leaves AllocationProblem::Intervals empty, for consumers whose
-/// allocator never reads them.
+/// in SSA form.  \p WithIntervals false leaves AllocationProblem::Intervals
+/// empty, for consumers whose allocator never reads them.
 AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
                                   const std::vector<unsigned> &Budgets,
                                   SolverWorkspace *WS = nullptr,
@@ -53,11 +46,6 @@ AllocationProblem buildSsaProblem(const Function &F, const TargetDesc &Target,
 /// the paper's JikesRVM evaluation): point live sets become the ILP
 /// constraints; flattened live intervals are attached for the linear-scan
 /// baselines.
-AllocationProblem buildGeneralProblem(const Function &F,
-                                      const TargetDesc &Target,
-                                      unsigned NumRegisters);
-
-/// Vector-budget form of buildGeneralProblem.
 AllocationProblem buildGeneralProblem(const Function &F,
                                       const TargetDesc &Target,
                                       const std::vector<unsigned> &Budgets);

@@ -45,7 +45,7 @@ double estimateBoundedLayerStates(const AllocationProblem &P,
 /// instance \p P.
 ///
 /// \param P chordal allocation problem (uses G, Cliques and the clique tree
-///        derived from them; NumRegisters is ignored).
+///        derived from them; its budgets are ignored).
 /// \param Mask vertex filter: only vertices V with Mask[V] != 0 participate.
 /// \param Weights per-vertex objective weights (may be biased).
 /// \param Bound pressure increment per clique, in [1, kMaxLayerStep].

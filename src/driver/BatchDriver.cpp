@@ -101,21 +101,6 @@ uint64_t layra::hashFunction(const Function &F) {
   return H;
 }
 
-uint64_t layra::hashPipelineTask(const Function &F, const TargetDesc &Target,
-                                 unsigned NumRegisters,
-                                 const PipelineOptions &Options) {
-  return hashPipelineTask(hashFunction(F), Target, NumRegisters, Options);
-}
-
-uint64_t layra::hashPipelineTask(uint64_t FunctionHash,
-                                 const TargetDesc &Target,
-                                 unsigned NumRegisters,
-                                 const PipelineOptions &Options) {
-  return hashPipelineTask(FunctionHash, Target,
-                          resolveClassBudgets(Target, NumRegisters, {}),
-                          Options);
-}
-
 uint64_t layra::hashPipelineTask(uint64_t FunctionHash,
                                  const TargetDesc &Target,
                                  const std::vector<unsigned> &Budgets,
@@ -132,8 +117,8 @@ uint64_t layra::hashPipelineTask(uint64_t FunctionHash,
   H = mix(H, Options.AffinityBias ? 1 : 0);
   H = mix(H, Options.MaxRounds);
   H = mix(H, Options.FoldMemoryOperands ? 1 : 0);
-  // Extra class budgets are mixed only when present, preserving every
-  // scalar-era (single-class) key bit-for-bit.
+  // Extra class budgets are mixed only when present, so a single-class key
+  // depends on class 0 alone (task keys are part of the report bytes).
   if (Budgets.size() > 1) {
     H = mix(H, Budgets.size());
     for (size_t C = 1; C < Budgets.size(); ++C)

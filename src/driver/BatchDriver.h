@@ -183,21 +183,11 @@ public:
 /// excluded, so two structurally identical functions hash equal.
 uint64_t hashFunction(const Function &F);
 
-/// Cache key of one pipeline task: hashFunction(F) mixed with the target
-/// cost model, the register budgets and every PipelineOptions field.
-/// Single-class keys are unchanged from the scalar era (extra class
-/// budgets are mixed only when present).
-uint64_t hashPipelineTask(const Function &F, const TargetDesc &Target,
-                          unsigned NumRegisters,
-                          const PipelineOptions &Options);
-
-/// Same key from a precomputed hashFunction(F) value; lets a register
-/// sweep hash each function's IR once instead of once per job.
-uint64_t hashPipelineTask(uint64_t FunctionHash, const TargetDesc &Target,
-                          unsigned NumRegisters,
-                          const PipelineOptions &Options);
-
-/// Vector-budget form (resolveClassBudgets output).
+/// Cache key of one pipeline task: \p FunctionHash (hashFunction(F), so a
+/// register sweep hashes each function's IR once) mixed with the target
+/// cost model, the register budgets (resolveClassBudgets output) and every
+/// PipelineOptions field.  Budgets past class 0 are mixed only when
+/// present, so a single-class key depends on class 0 alone.
 uint64_t hashPipelineTask(uint64_t FunctionHash, const TargetDesc &Target,
                           const std::vector<unsigned> &Budgets,
                           const PipelineOptions &Options);

@@ -1,4 +1,4 @@
-//===- graph/Coloring.cpp - Graph coloring (assignment phase) -------------===//
+//===- graph/Coloring.cpp - Graph coloring checks -------------------------===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -7,49 +7,7 @@
 
 #include "graph/Coloring.h"
 
-#include <algorithm>
-
 using namespace layra;
-
-std::vector<unsigned>
-layra::greedyColoring(const Graph &G, const std::vector<VertexId> &Sequence) {
-  std::vector<unsigned> Colors(G.numVertices(), kNoColor);
-  std::vector<char> Used; // Scratch: colors taken by neighbors.
-  for (VertexId V : Sequence) {
-    assert(Colors[V] == kNoColor && "vertex colored twice");
-    Used.assign(G.degree(V) + 1, 0);
-    for (VertexId U : G.neighbors(V)) {
-      unsigned C = Colors[U];
-      if (C != kNoColor && C < Used.size())
-        Used[C] = 1;
-    }
-    unsigned C = 0;
-    while (Used[C])
-      ++C;
-    Colors[V] = C;
-  }
-  return Colors;
-}
-
-std::vector<unsigned> layra::colorChordal(const Graph &G,
-                                          const EliminationOrder &Peo) {
-  // Reverse PEO = a "simplicial construction" order: when vertex v is
-  // colored, its already-colored neighbors form a clique, so the greedy
-  // choice never exceeds maxclique - 1.
-  std::vector<VertexId> Reverse(Peo.Order.rbegin(), Peo.Order.rend());
-  return greedyColoring(G, Reverse);
-}
-
-unsigned layra::numColorsUsed(const std::vector<unsigned> &Colors) {
-  unsigned Max = 0;
-  bool Any = false;
-  for (unsigned C : Colors)
-    if (C != kNoColor) {
-      Any = true;
-      Max = std::max(Max, C);
-    }
-  return Any ? Max + 1 : 0;
-}
 
 bool layra::isProperColoring(const Graph &G,
                              const std::vector<unsigned> &Colors) {

@@ -1,4 +1,4 @@
-//===- graph/Coloring.h - Graph coloring (assignment phase) -----*- C++ -*-===//
+//===- graph/Coloring.h - Graph coloring checks -----------------*- C++ -*-===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -6,18 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Greedy colorings.  In decoupled register allocation coloring is the
-/// *assignment* phase: once the allocation has picked which variables live in
-/// registers, coloring the induced subgraph picks the concrete register.  On
-/// chordal graphs the greedy coloring along a reverse PEO is optimal (uses
-/// exactly max-clique-size colors) -- this is the "tree scan" of paper §1.
+/// Coloring checks.  In decoupled register allocation coloring is the
+/// *assignment* phase: once the allocation has picked which variables live
+/// in registers, the tree scan of paper §1 (core/Assignment.h) colors the
+/// induced subgraph with concrete registers.  isProperColoring checks its
+/// output.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LAYRA_GRAPH_COLORING_H
 #define LAYRA_GRAPH_COLORING_H
 
-#include "graph/Chordal.h"
 #include "graph/Graph.h"
 
 #include <vector>
@@ -26,20 +25,6 @@ namespace layra {
 
 /// A vertex -> color map; kNoColor marks uncolored vertices.
 inline constexpr unsigned kNoColor = ~0u;
-
-/// Greedily colors vertices in the given sequence, assigning each vertex the
-/// smallest color unused by its already-colored neighbors.
-/// \returns per-vertex colors; vertices not in \p Sequence stay kNoColor.
-std::vector<unsigned> greedyColoring(const Graph &G,
-                                     const std::vector<VertexId> &Sequence);
-
-/// Optimal coloring of a chordal graph: greedy along the reverse PEO.
-/// Uses exactly as many colors as the largest clique.
-std::vector<unsigned> colorChordal(const Graph &G,
-                                   const EliminationOrder &Peo);
-
-/// Returns the number of distinct colors used (ignoring kNoColor).
-unsigned numColorsUsed(const std::vector<unsigned> &Colors);
 
 /// Returns true if no edge of \p G joins two vertices of the same color
 /// (vertices colored kNoColor are ignored).

@@ -17,11 +17,10 @@
 /// occurrence wins -- and the edge-list constructor lays out a CSR view
 /// (offsets + one packed neighbor array) that every neighbor walk in MCS,
 /// Frank's algorithm and the clique-tree DP streams.  ir/Interference,
-/// inducedSubgraph(), core/Coalescing, the random generators and
-/// hand-built test graphs all build this way; there is no vertex-count
-/// cap.  A graph holds weights and adjacency only: vertex V of an
-/// interference graph is value V of its function, so value names stay
-/// with the function.
+/// inducedSubgraph(), the random generators and hand-built test graphs
+/// all build this way; there is no vertex-count cap.  A graph holds
+/// weights and adjacency only: vertex V of an interference graph is value
+/// V of its function, so value names stay with the function.
 ///
 /// Neighbor order is load-bearing -- MCS bucket tie-breaking and with it
 /// every PEO, clique cover and DP result depends on it: a vertex's

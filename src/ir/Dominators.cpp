@@ -106,21 +106,6 @@ bool DominatorTree::dominates(BlockId A, BlockId B) const {
   return DfsIn[A] <= DfsIn[B] && DfsOut[B] <= DfsOut[A];
 }
 
-std::vector<BlockId> DominatorTree::domTreePreorder() const {
-  std::vector<BlockId> Order;
-  Order.reserve(RpoBlocks.size());
-  std::vector<BlockId> Stack{F.entry()};
-  while (!Stack.empty()) {
-    BlockId B = Stack.back();
-    Stack.pop_back();
-    Order.push_back(B);
-    // Push children in reverse so they pop in natural order.
-    for (auto It = Kids[B].rbegin(); It != Kids[B].rend(); ++It)
-      Stack.push_back(*It);
-  }
-  return Order;
-}
-
 void DominatorTree::computeFrontiers() {
   // Cooper-Harvey-Kennedy dominance-frontier computation: for each join
   // point, walk up from each predecessor to the idom.

@@ -51,9 +51,6 @@ public:
   /// Blocks in reverse post order (reachable blocks only).
   const std::vector<BlockId> &reversePostOrder() const { return RpoBlocks; }
 
-  /// A preorder walk of the dominator tree starting at the entry.
-  std::vector<BlockId> domTreePreorder() const;
-
   /// Dominance frontier of every block (computed lazily on first query).
   const std::vector<BlockId> &dominanceFrontier(BlockId B);
 

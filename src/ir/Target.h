@@ -50,10 +50,6 @@ struct RegClass {
 /// Cost/geometry parameters of a target machine.
 struct TargetDesc {
   const char *Name;
-  /// Architectural register count of class 0 (upper bound for register
-  /// sweeps).  Kept equal to Classes[0].NumRegisters; the scalar survives
-  /// because "sweep the default file" is the common case in every CLI.
-  unsigned NumRegisters;
   /// Cost charged per spill *load* executed once (relative units).
   Weight LoadCost;
   /// Cost charged per spill *store* executed once.
@@ -72,13 +68,8 @@ struct TargetDesc {
 
   unsigned numClasses() const { return NumClasses; }
 
-  /// Class descriptor of \p C (default class when the table was left empty
-  /// by an aggregate initializer that predates class tables).
-  RegClass regClass(RegClassId C) const {
-    if (C == 0 && Classes[0].Name == nullptr)
-      return RegClass{"gpr", NumRegisters};
-    return Classes[C];
-  }
+  /// Class descriptor of \p C.
+  RegClass regClass(RegClassId C) const { return Classes[C]; }
 
   /// Index of the class named \p Name; -1 when the target has no such
   /// class.
@@ -93,7 +84,6 @@ struct TargetDesc {
 /// STMicroelectronics ST231 VLIW: 64 GPRs; loads have a 3-cycle exposed
 /// latency while stores are fire-and-forget, so reloads dominate spill cost.
 inline constexpr TargetDesc ST231{"st231",
-                                  64,
                                   /*LoadCost=*/3,
                                   /*StoreCost=*/1,
                                   /*MaxMemOperands=*/0,
@@ -105,7 +95,6 @@ inline constexpr TargetDesc ST231{"st231",
 /// branch registers holding compare results.  Branch values never compete
 /// with data values for a register.
 inline constexpr TargetDesc ST231_BR{"st231-br",
-                                     64,
                                      /*LoadCost=*/3,
                                      /*StoreCost=*/1,
                                      /*MaxMemOperands=*/0,
@@ -116,7 +105,6 @@ inline constexpr TargetDesc ST231_BR{"st231-br",
 /// ARM Cortex-A8 (ARMv7): 16 GPRs; L1 hits cost about one extra cycle on
 /// the dual-issue pipeline for both directions.
 inline constexpr TargetDesc ARMv7{"armv7-a8",
-                                  16,
                                   /*LoadCost=*/2,
                                   /*StoreCost=*/2,
                                   /*MaxMemOperands=*/0,
@@ -128,7 +116,6 @@ inline constexpr TargetDesc ARMv7{"armv7-a8",
 /// single-precision VFP registers.  Floating-point temporaries live in
 /// their own file and spill independently of the integer pressure.
 inline constexpr TargetDesc ARMv7_VFP{"armv7-vfp",
-                                      16,
                                       /*LoadCost=*/2,
                                       /*StoreCost=*/2,
                                       /*MaxMemOperands=*/0,
@@ -140,7 +127,6 @@ inline constexpr TargetDesc ARMv7_VFP{"armv7-vfp",
 /// operand per instruction come straight from memory (paper §4.3), at a
 /// cost below a standalone reload.
 inline constexpr TargetDesc X86_64{"x86-64",
-                                   16,
                                    /*LoadCost=*/3,
                                    /*StoreCost=*/2,
                                    /*MaxMemOperands=*/1,

@@ -17,7 +17,7 @@
 /// \code
 ///   Function F = ...;                       // build or generate IR
 ///   SsaConversion Ssa = convertToSsa(F);
-///   AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, /*R=*/8);
+///   AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {8});
 ///   AllocationResult Best = layeredAllocate(P, LayeredOptions::bfpl());
 ///   Assignment Regs = assignRegisters(P, Best.Allocated);
 /// \endcode

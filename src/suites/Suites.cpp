@@ -258,26 +258,26 @@ Suite layra::makeSuite(const std::string &Name) {
   layraFatalError("unknown suite name");
 }
 
-std::vector<NamedProblem> layra::chordalProblems(const Suite &S,
-                                                 const TargetDesc &Target,
-                                                 unsigned NumRegisters) {
+std::vector<NamedProblem>
+layra::chordalProblems(const Suite &S, const TargetDesc &Target,
+                       const std::vector<unsigned> &Budgets) {
   std::vector<NamedProblem> Out;
   for (const SuiteProgram &Prog : S.Programs)
     for (const Function &F : Prog.Functions) {
       SsaConversion Ssa = convertToSsa(F);
       Out.push_back({Prog.Name, F.name(),
-                     buildSsaProblem(Ssa.Ssa, Target, NumRegisters)});
+                     buildSsaProblem(Ssa.Ssa, Target, Budgets)});
     }
   return Out;
 }
 
-std::vector<NamedProblem> layra::generalProblems(const Suite &S,
-                                                 const TargetDesc &Target,
-                                                 unsigned NumRegisters) {
+std::vector<NamedProblem>
+layra::generalProblems(const Suite &S, const TargetDesc &Target,
+                       const std::vector<unsigned> &Budgets) {
   std::vector<NamedProblem> Out;
   for (const SuiteProgram &Prog : S.Programs)
     for (const Function &F : Prog.Functions)
-      Out.push_back({Prog.Name, F.name(),
-                     buildGeneralProblem(F, Target, NumRegisters)});
+      Out.push_back(
+          {Prog.Name, F.name(), buildGeneralProblem(F, Target, Budgets)});
   return Out;
 }

@@ -70,15 +70,16 @@ struct NamedProblem {
 };
 
 /// Converts every function of \p S to SSA and builds chordal instances
-/// (paper §6.1 methodology) with \p NumRegisters registers.
+/// (paper §6.1 methodology) with one register budget per target class
+/// (buildSsaProblem).
 std::vector<NamedProblem> chordalProblems(const Suite &S,
                                           const TargetDesc &Target,
-                                          unsigned NumRegisters);
+                                          const std::vector<unsigned> &Budgets);
 
 /// Builds general (non-SSA) instances of every function (paper §6.2).
 std::vector<NamedProblem> generalProblems(const Suite &S,
                                           const TargetDesc &Target,
-                                          unsigned NumRegisters);
+                                          const std::vector<unsigned> &Budgets);
 
 } // namespace layra
 

@@ -30,7 +30,7 @@ TEST(GraphColoringTest, ProducesProperColoringWithinR) {
                           0.25, 30);
     unsigned Regs = 2 + static_cast<unsigned>(R.nextBelow(6));
     AllocationProblem P =
-        AllocationProblem::fromGeneralGraph(G, Regs, {});
+        AllocationProblem::fromGeneralGraph(G, {Regs}, {}, {});
     GraphColoringAllocator GC;
     AllocationResult Result = GC.allocate(P);
     const std::vector<unsigned> &Colors = GC.lastColoring();
@@ -51,7 +51,7 @@ TEST(GraphColoringTest, ColorsEverythingWhenDegreesAreLow) {
   for (VertexId V = 1; V < 10; ++V)
     Edges.push_back({V, (V - 1) / 2});
   Graph G(std::vector<Weight>(10, 5), Edges);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
   GraphColoringAllocator GC;
   EXPECT_EQ(GC.allocate(P).SpillCost, 0);
 }
@@ -64,7 +64,7 @@ TEST(GraphColoringTest, SpillsOnKPlusOneClique) {
     for (VertexId B = A + 1; B < 4; ++B)
       Edges.push_back({A, B});
   Graph G({10, 2, 8, 9}, Edges);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 3);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {3});
   GraphColoringAllocator GC;
   AllocationResult Result = GC.allocate(P);
   EXPECT_EQ(Result.SpillCost, 2);
@@ -75,7 +75,7 @@ TEST(GraphColoringTest, OptimisticColoringBeatsPessimism) {
   // Diamond (C4 + no chord is 2-colorable but Chaitin's rule would push a
   // node at R=2 since all degrees are 2): optimism must color everything.
   Graph G({7, 7, 7, 7}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  AllocationProblem P = AllocationProblem::fromGeneralGraph(G, 2, {});
+  AllocationProblem P = AllocationProblem::fromGeneralGraph(G, {2}, {}, {});
   GraphColoringAllocator GC;
   EXPECT_EQ(GC.allocate(P).SpillCost, 0);
 }
@@ -87,7 +87,7 @@ AllocationProblem ssaProblem(Rng &R, unsigned Regs) {
   Opt.MaxBlocks = 28;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  return buildSsaProblem(Conv.Ssa, ST231, Regs);
+  return buildSsaProblem(Conv.Ssa, ST231, {Regs});
 }
 } // namespace
 
@@ -119,7 +119,7 @@ TEST(LinearScanTest, CostAwareBlsBeatsBlindLsOnJitWorkload) {
   Suite S = makeSpecJvm98();
   for (unsigned Regs : {4u, 8u}) {
     Weight TotalLs = 0, TotalBls = 0;
-    for (const NamedProblem &NP : generalProblems(S, ARMv7, Regs)) {
+    for (const NamedProblem &NP : generalProblems(S, ARMv7, {Regs})) {
       TotalLs += makeAllocator("ls")->allocate(NP.P).SpillCost;
       TotalBls += makeAllocator("bls")->allocate(NP.P).SpillCost;
     }
@@ -151,7 +151,7 @@ AllocationProblem intervalProblem(std::vector<LiveInterval> Ivs,
         Edges.push_back({Ivs[I].V, Ivs[J].V});
   }
   AllocationProblem P = AllocationProblem::fromGeneralGraph(
-      Graph(std::move(Weights), Edges), Regs, {});
+      Graph(std::move(Weights), Edges), {Regs}, {}, {});
   LiveIntervalTable Table;
   Table.Intervals = std::move(Ivs);
   Table.NumPoints = MaxEnd + 1;

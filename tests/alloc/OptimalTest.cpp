@@ -27,7 +27,7 @@ TEST(OptimalTest, MatchesBruteForceOnChordalGraphs) {
     Opt.MaxWeight = 30;
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(6));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     OptimalBnBAllocator BnB;
     BruteForceAllocator Brute;
     AllocationResult Fast = BnB.allocate(P);
@@ -56,7 +56,7 @@ TEST(OptimalTest, MatchesBruteForceOnGeneralPointConstraints) {
     }
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(3));
     AllocationProblem P =
-        AllocationProblem::fromGeneralGraph(std::move(G), Regs, Sets);
+        AllocationProblem::fromGeneralGraph(std::move(G), {Regs}, {}, Sets);
     OptimalBnBAllocator BnB;
     BruteForceAllocator Brute;
     EXPECT_EQ(BnB.allocate(P).SpillCost, Brute.allocate(P).SpillCost)
@@ -105,7 +105,7 @@ TEST(OptimalTest, FlowSolverAgreesOnIntervalInstances) {
         FlowWeight += Intervals[I].Cost;
 
     AllocationProblem P =
-        AllocationProblem::fromGeneralGraph(std::move(G), Regs, Sets);
+        AllocationProblem::fromGeneralGraph(std::move(G), {Regs}, {}, Sets);
     OptimalBnBAllocator BnB;
     AllocationResult Result = BnB.allocate(P);
     EXPECT_TRUE(Result.Proven);
@@ -119,7 +119,7 @@ TEST(OptimalTest, ProvenOnSuiteSizedSsaInstances) {
   Suite S = makeSpec2000Int();
   S.Programs.resize(2);
   for (unsigned Regs : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    std::vector<NamedProblem> Problems = chordalProblems(S, ST231, Regs);
+    std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {Regs});
     for (NamedProblem &NP : Problems) {
       OptimalBnBAllocator BnB;
       AllocationResult Result = BnB.allocate(NP.P);
@@ -137,7 +137,7 @@ TEST(OptimalTest, NodeLimitReportsUnproven) {
   Opt.NumVertices = 60;
   Opt.SubtreeSpread = 0.5; // Dense.
   Graph G = randomChordalGraph(R, Opt);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 8);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {8});
   OptimalBnBAllocator Tiny(/*NodeLimit=*/3);
   AllocationResult Result = Tiny.allocate(P);
   // With 3 nodes the search cannot finish (unless preprocessing solved it);
@@ -151,7 +151,7 @@ TEST(OptimalTest, NodeLimitReportsUnproven) {
 TEST(OptimalTest, FreeVerticesAlwaysAllocated) {
   // Constraints of size <= R never bind: everything is allocated.
   Graph G({1, 2, 3, 4, 5}, {{0, 1}, {2, 3}});
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
   OptimalBnBAllocator BnB;
   AllocationResult Result = BnB.allocate(P);
   EXPECT_EQ(Result.SpillCost, 0);

@@ -36,7 +36,7 @@ TEST(PipelineDriverTest, ConvergesToFittingPressure) {
   for (uint64_t Seed : {1u, 2u, 3u, 4u, 5u}) {
     Function F = makeSsaFunction(Seed);
     for (unsigned Regs : {4u, 6u, 8u}) {
-      PipelineResult Out = runAllocationPipeline(F, ST231, Regs);
+      PipelineResult Out = runAllocationPipeline(F, ST231, {Regs});
       EXPECT_TRUE(verifyFunction(Out.Rewritten, /*ExpectSsa=*/true));
       // The driver iterates until long ranges fit; transient reload
       // pressure may exceed R by at most the machine's operand width, and
@@ -50,7 +50,7 @@ TEST(PipelineDriverTest, ConvergesToFittingPressure) {
 
 TEST(PipelineDriverTest, NoSpillsWhenPressureFits) {
   Function F = makeSsaFunction(7, /*NumVars=*/6);
-  PipelineResult Out = runAllocationPipeline(F, ST231, 32);
+  PipelineResult Out = runAllocationPipeline(F, ST231, {32});
   EXPECT_EQ(Out.TotalSpillCost, 0);
   EXPECT_EQ(Out.Spills.NumLoads + Out.Spills.NumStores, 0u);
   EXPECT_TRUE(Out.Fits);
@@ -63,7 +63,7 @@ TEST(PipelineDriverTest, SpillCodeAppearsUnderPressure) {
   // expectations below would be vacuous.
   Liveness Live(F);
   ASSERT_GT(Live.maxLive(F), 3u);
-  PipelineResult Out = runAllocationPipeline(F, ST231, 3);
+  PipelineResult Out = runAllocationPipeline(F, ST231, {3});
   EXPECT_GT(Out.TotalSpillCost, 0);
   EXPECT_GT(Out.Spills.NumStores, 0u);
   EXPECT_GT(Out.Spills.NumLoads, 0u);
@@ -85,8 +85,8 @@ TEST(PipelineDriverTest, AffinityBiasReducesCopyCost) {
     PipelineOptions On, Off;
     On.AffinityBias = true;
     Off.AffinityBias = false;
-    WithBias += runAllocationPipeline(F, ST231, 6, On).RemainingCopyCost;
-    WithoutBias += runAllocationPipeline(F, ST231, 6, Off).RemainingCopyCost;
+    WithBias += runAllocationPipeline(F, ST231, {6}, On).RemainingCopyCost;
+    WithoutBias += runAllocationPipeline(F, ST231, {6}, Off).RemainingCopyCost;
   }
   EXPECT_LE(WithBias, WithoutBias);
 }
@@ -96,7 +96,7 @@ TEST(PipelineDriverTest, DifferentAllocatorsPlugIn) {
   for (const char *Name : {"bfpl", "gc", "nl"}) {
     PipelineOptions Opt;
     Opt.AllocatorName = Name;
-    PipelineResult Out = runAllocationPipeline(F, ST231, 5, Opt);
+    PipelineResult Out = runAllocationPipeline(F, ST231, {5}, Opt);
     EXPECT_TRUE(verifyFunction(Out.Rewritten, /*ExpectSsa=*/true)) << Name;
   }
 }
@@ -108,8 +108,8 @@ TEST(PipelineDriverTest, CiscTargetFoldsReloadsAndStillFits) {
 
   PipelineOptions Fold, NoFold;
   NoFold.FoldMemoryOperands = false;
-  PipelineResult WithFold = runAllocationPipeline(F, X86_64, 4, Fold);
-  PipelineResult Without = runAllocationPipeline(F, X86_64, 4, NoFold);
+  PipelineResult WithFold = runAllocationPipeline(F, X86_64, {4}, Fold);
+  PipelineResult Without = runAllocationPipeline(F, X86_64, {4}, NoFold);
 
   EXPECT_GT(WithFold.LoadsFolded, 0u);
   EXPECT_EQ(Without.LoadsFolded, 0u);
@@ -126,7 +126,7 @@ TEST(PipelineDriverTest, CiscTargetFoldsReloadsAndStillFits) {
 
 TEST(PipelineDriverTest, RiscTargetNeverFolds) {
   Function F = makeSsaFunction(13, /*NumVars=*/20);
-  PipelineResult Out = runAllocationPipeline(F, ST231, 4);
+  PipelineResult Out = runAllocationPipeline(F, ST231, {4});
   EXPECT_EQ(Out.LoadsFolded, 0u);
 }
 
@@ -138,8 +138,8 @@ TEST(PipelineDriverTest, BetterAllocatorSpillsNoMoreInRoundOne) {
     PipelineOptions A, B;
     A.AllocatorName = "bfpl";
     B.AllocatorName = "nl";
-    Bfpl += runAllocationPipeline(F, ST231, 4, A).TotalSpillCost;
-    Nl += runAllocationPipeline(F, ST231, 4, B).TotalSpillCost;
+    Bfpl += runAllocationPipeline(F, ST231, {4}, A).TotalSpillCost;
+    Nl += runAllocationPipeline(F, ST231, {4}, B).TotalSpillCost;
   }
   EXPECT_LE(Bfpl, Nl);
 }

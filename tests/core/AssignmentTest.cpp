@@ -7,6 +7,7 @@
 
 #include "core/Assignment.h"
 
+#include "core/Coalescing.h"
 #include "core/Layered.h"
 #include "graph/Coloring.h"
 #include "graph/Generators.h"
@@ -24,7 +25,7 @@ TEST(AssignmentTest, FeasibleChordalAllocationAlwaysColorsWithinR) {
     Opt.NumVertices = 10 + static_cast<unsigned>(R.nextBelow(50));
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(8));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     AllocationResult Alloc = layeredAllocate(P, LayeredOptions::bfpl());
     Assignment Regs2 = assignRegisters(P, Alloc.Allocated);
     EXPECT_TRUE(Regs2.Success) << "round " << Round;
@@ -33,12 +34,31 @@ TEST(AssignmentTest, FeasibleChordalAllocationAlwaysColorsWithinR) {
   }
 }
 
+TEST(AssignmentTest, ChordalColoringUsesMaxCliqueColors) {
+  // With every vertex kept, the reverse-PEO scan is an optimal coloring of
+  // a chordal graph: exactly clique-number registers.  The budget only
+  // decides Success, so a placeholder of 1 serves every graph.
+  Rng R(20);
+  for (int Round = 0; Round < 20; ++Round) {
+    ChordalGenOptions Opt;
+    Opt.NumVertices = 10 + static_cast<unsigned>(R.nextBelow(40));
+    AllocationProblem P =
+        AllocationProblem::fromChordalGraph(randomChordalGraph(R, Opt), {1});
+    std::vector<char> All(P.graph().numVertices(), 1);
+    Assignment A = assignRegisters(P, All);
+    EXPECT_TRUE(isProperColoring(P.graph(), A.RegisterOf)) << Round;
+    EXPECT_EQ(A.RegistersUsed, P.maxLive()) << Round;
+    EXPECT_EQ(A.RegisterOf, assignRegistersBiased(P, All, {}).RegisterOf)
+        << Round;
+  }
+}
+
 TEST(AssignmentTest, SpilledVerticesGetNoRegister) {
   Rng R(22);
   ChordalGenOptions Opt;
   Opt.NumVertices = 20;
   Graph G = randomChordalGraph(R, Opt);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
   AllocationResult Alloc = layeredAllocate(P, LayeredOptions::bfpl());
   Assignment A = assignRegisters(P, Alloc.Allocated);
   for (VertexId V = 0; V < G.numVertices(); ++V) {
@@ -52,7 +72,7 @@ TEST(AssignmentTest, SpilledVerticesGetNoRegister) {
 
 TEST(AssignmentTest, EmptyAllocationUsesNoRegisters) {
   Graph G({0, 0, 0, 0}, {{0, 1}});
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
   Assignment A = assignRegisters(P, std::vector<char>(4, 0));
   EXPECT_EQ(A.RegistersUsed, 0u);
   EXPECT_TRUE(A.Success);
@@ -67,10 +87,21 @@ TEST(AssignmentTest, GeneralGraphsMayNeedMoreThanRAndReportIt) {
   std::vector<std::vector<VertexId>> Sets;
   for (VertexId V = 0; V < 5; ++V)
     Sets.push_back({V, (V + 1) % 5});
-  AllocationProblem P =
-      AllocationProblem::fromGeneralGraph(std::move(C5), 2, std::move(Sets));
+  AllocationProblem P = AllocationProblem::fromGeneralGraph(
+      std::move(C5), {2}, {}, std::move(Sets));
   Assignment A = assignRegisters(P, std::vector<char>(5, 1));
   EXPECT_FALSE(A.Success);
   EXPECT_GT(A.RegistersUsed, 2u);
   EXPECT_TRUE(isProperColoring(P.graph(), A.RegisterOf));
+}
+
+TEST(AssignmentTest, GeneralInstancesColorMaxDegreeFirst) {
+  // Path 0-1-2: the middle vertex has the highest degree, so it is colored
+  // first and takes register 0; id order would give {0, 1, 0}.
+  Graph Path({1, 1, 1}, {{0, 1}, {1, 2}});
+  AllocationProblem P = AllocationProblem::fromGeneralGraph(
+      std::move(Path), {2}, {}, {{0, 1}, {1, 2}});
+  Assignment A = assignRegisters(P, std::vector<char>(3, 1));
+  EXPECT_EQ(A.RegisterOf, (std::vector<unsigned>{1, 0, 1}));
+  EXPECT_TRUE(A.Success);
 }

@@ -150,7 +150,7 @@ TEST(BuildReferenceTest, GeneralBuildDropsRediscoveredEdgesLikeTheReference) {
   size_t Repeats = 0;
   ReferenceGraph Reference = referenceInterferenceGraph(F, ST231, &Repeats);
   EXPECT_GT(Repeats, 0u);
-  AllocationProblem P = buildGeneralProblem(F, ST231, 2);
+  AllocationProblem P = buildGeneralProblem(F, ST231, {2});
   EXPECT_FALSE(P.Chordal);
   EXPECT_EQ(diffAgainstReference(F, P, Reference), "");
   EXPECT_EQ(P.graph().numEdges(), 3u);

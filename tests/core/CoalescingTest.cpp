@@ -10,8 +10,6 @@
 #include "../ir/IrTestHelpers.h"
 #include "core/Layered.h"
 #include "core/ProblemBuilder.h"
-#include "graph/Chordal.h"
-#include "ir/LoopInfo.h"
 #include "ir/ProgramGen.h"
 #include "ir/SsaBuilder.h"
 
@@ -66,72 +64,6 @@ TEST(CoalescingTest, RepeatedCopiesMergeBenefits) {
   EXPECT_EQ(Affinities.size(), 2u);
 }
 
-TEST(CoalescingTest, ConservativeCoalescingNeverMergesInterfering) {
-  // a and b overlap: the affinity between them must be rejected.
-  Graph G({5, 5}, {{0, 1}});
-  CoalescingResult Out =
-      coalesceConservative(G, {{0, 1, 10}}, /*NumRegisters=*/4);
-  EXPECT_EQ(Out.Merged, 0u);
-  EXPECT_EQ(Out.Coalesced.numVertices(), 2u);
-}
-
-TEST(CoalescingTest, MergesNonInterferingPairAndSumsWeights) {
-  Graph G({5, 7, 1}, {{1, 2}}); // 0 and 1 do not interfere.
-  CoalescingResult Out = coalesceConservative(G, {{0, 1, 3}}, 4);
-  EXPECT_EQ(Out.Merged, 1u);
-  EXPECT_EQ(Out.BenefitRealized, 3);
-  EXPECT_EQ(Out.Coalesced.numVertices(), 2u);
-  // The merged node carries both weights and the union of edges.
-  VertexId Rep = Out.CoalescedIndex[0];
-  EXPECT_EQ(Rep, Out.CoalescedIndex[1]);
-  EXPECT_EQ(Out.Coalesced.weight(Rep), 12);
-  EXPECT_TRUE(Out.Coalesced.hasEdge(Rep, Out.CoalescedIndex[2]));
-}
-
-TEST(CoalescingTest, BriggsTestBlocksRiskyMerges) {
-  // K4 plus two pendant vertices x, y with an affinity: merging x and y
-  // would create a node with 4 significant (degree >= 2) neighbors at
-  // R = 2, so the conservative test must refuse.
-  std::vector<GraphEdge> Edges;
-  for (VertexId V = 0; V < 4; ++V)
-    for (VertexId U = V + 1; U < 4; ++U)
-      Edges.push_back({V, U});
-  Edges.insert(Edges.end(), {{4, 0}, {4, 1}, {5, 2}, {5, 3}});
-  Graph G(std::vector<Weight>(6, 1), Edges);
-  CoalescingResult Out = coalesceConservative(G, {{4, 5, 100}}, 2);
-  EXPECT_EQ(Out.Merged, 0u);
-  // With plenty of registers the same merge is fine.
-  CoalescingResult Relaxed = coalesceConservative(G, {{4, 5, 100}}, 8);
-  EXPECT_EQ(Relaxed.Merged, 1u);
-}
-
-TEST(CoalescingTest, CoalescedChordalGraphStaysAllocatable) {
-  Rng R(17);
-  for (int Round = 0; Round < 10; ++Round) {
-    ProgramGenOptions Opt;
-    Opt.CopyProb = 0.3; // Copy-rich.
-    Function F = generateFunction(R, Opt);
-    DominatorTree Dom(F);
-    LoopInfo Loops(F, Dom);
-    Loops.annotate(F);
-    SsaConversion Conv = convertToSsa(F);
-    AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 4);
-    std::vector<Affinity> Affinities = collectAffinities(Conv.Ssa);
-    CoalescingResult Out =
-        coalesceConservative(P.graph(), Affinities, P.uniformBudget());
-    // The coalesced graph of a chordal graph after conservative merging
-    // still supports the layered allocator (it requires chordality; merged
-    // SSA graphs can in principle lose it, so only assert when it holds --
-    // and it must hold for the majority of these small cases).
-    if (isChordal(Out.Coalesced)) {
-      AllocationProblem Q = AllocationProblem::fromChordalGraph(
-          Out.Coalesced, P.uniformBudget());
-      AllocationResult Result = layeredAllocate(Q, LayeredOptions::bfpl());
-      EXPECT_TRUE(isFeasibleAllocation(Q, Result.Allocated));
-    }
-  }
-}
-
 TEST(CoalescingTest, BiasedAssignmentRemovesCopies) {
   // chain: a -> copy x -> copy y with no interference: biased assignment
   // puts all three in one register; the plain scan may too (they are
@@ -144,7 +76,7 @@ TEST(CoalescingTest, BiasedAssignmentRemovesCopies) {
   copy(F, B, Y, X);
   ret(F, B, {Y});
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 4);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {4});
   std::vector<Affinity> Affinities = collectAffinities(Conv.Ssa);
   std::vector<char> All(P.graph().numVertices(), 1);
   Assignment Biased = assignRegistersBiased(P, All, Affinities);
@@ -160,7 +92,7 @@ TEST(CoalescingTest, BiasedAssignmentNeverWorseOnCopyCost) {
     Opt.CopyProb = 0.25;
     Function F = generateFunction(R, Opt);
     SsaConversion Conv = convertToSsa(F);
-    AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 6);
+    AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {6});
     AllocationResult Alloc = layeredAllocate(P, LayeredOptions::bfpl());
     std::vector<Affinity> Affinities = collectAffinities(Conv.Ssa);
     Assignment Plain = assignRegisters(P, Alloc.Allocated);

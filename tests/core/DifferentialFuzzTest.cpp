@@ -85,7 +85,7 @@ TEST(DifferentialFuzz, HeuristicsNeverBeatProvenExactAndStayValid) {
     Function F = makeProgram(Seed);
     SsaConversion Ssa = convertToSsa(F);
     for (unsigned Regs = 2; Regs <= 10; ++Regs) {
-      AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, Regs);
+      AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {Regs});
 
       LayeredHeuristicResult LH = layeredHeuristicAllocate(P);
       expectValidAssignment(P, LH, Seed, Regs);
@@ -126,9 +126,9 @@ TEST(DifferentialFuzz, WorkspaceReuseIsByteIdenticalToFreshRuns) {
     Function F = makeProgram(Seed);
     SsaConversion Ssa = convertToSsa(F);
     for (unsigned Regs = 2; Regs <= 10; ++Regs) {
-      AllocationProblem Fresh = buildSsaProblem(Ssa.Ssa, ST231, Regs);
+      AllocationProblem Fresh = buildSsaProblem(Ssa.Ssa, ST231, {Regs});
       AllocationProblem Reused =
-          buildSsaProblem(Ssa.Ssa, ST231, Regs, &Shared);
+          buildSsaProblem(Ssa.Ssa, ST231, {Regs}, &Shared);
       EXPECT_EQ(Fresh.Peo.Order, Reused.Peo.Order);
       EXPECT_EQ(Fresh.Cliques, Reused.Cliques);
 
@@ -155,9 +155,9 @@ TEST(DifferentialFuzz, WorkspaceReuseIsByteIdenticalToFreshRuns) {
 
     // Whole-pipeline comparison (what a BatchDriver task actually runs).
     PipelineOptions Opts;
-    PipelineResult RFresh = runAllocationPipeline(Ssa.Ssa, ST231, 4, Opts);
+    PipelineResult RFresh = runAllocationPipeline(Ssa.Ssa, ST231, {4}, Opts);
     PipelineResult RReused =
-        runAllocationPipeline(Ssa.Ssa, ST231, 4, Opts, &Shared);
+        runAllocationPipeline(Ssa.Ssa, ST231, {4}, Opts, &Shared);
     EXPECT_EQ(RFresh.TotalSpillCost, RReused.TotalSpillCost);
     EXPECT_EQ(RFresh.Spills.NumLoads, RReused.Spills.NumLoads);
     EXPECT_EQ(RFresh.Spills.NumStores, RReused.Spills.NumStores);
@@ -167,28 +167,21 @@ TEST(DifferentialFuzz, WorkspaceReuseIsByteIdenticalToFreshRuns) {
   }
 }
 
-TEST(DifferentialFuzz, ScalarEraEqualsOneClassTableBehavior) {
-  // The register-class refactor's compatibility contract: the scalar
-  // entry points (one R) and the class-table entry points (budgets {R})
-  // are the same computation, and a single-class function run against a
-  // multi-class target behaves exactly as on the one-class target with
-  // the same cost model (budgets trim to the classes present).
+TEST(DifferentialFuzz, SingleClassRoutingAndTargetTablesAgree) {
+  // A single-class instance routed through allocateProblem is solved
+  // exactly as by allocate(), and a single-class function run against a
+  // multi-class target behaves exactly as on the one-class target with the
+  // same cost model (budgets trim to the classes present).
   for (uint64_t Seed = 31; Seed <= 38; ++Seed) {
     Function F = makeProgram(Seed);
     SsaConversion Ssa = convertToSsa(F);
     for (unsigned Regs = 2; Regs <= 8; Regs += 3) {
-      AllocationProblem Scalar = buildSsaProblem(Ssa.Ssa, ST231, Regs);
-      AllocationProblem Table =
-          buildSsaProblem(Ssa.Ssa, ST231, std::vector<unsigned>{Regs});
-      EXPECT_EQ(Scalar.Budgets, Table.Budgets);
-      EXPECT_EQ(Scalar.ClassOf, Table.ClassOf);
-      EXPECT_EQ(Scalar.Cliques, Table.Cliques);
-      EXPECT_EQ(Scalar.Peo.Order, Table.Peo.Order);
+      AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {Regs});
 
       // allocateProblem's single-class fast path is allocate() verbatim.
       OptimalBnBAllocator BnB;
-      AllocationResult Direct = BnB.allocate(Scalar);
-      AllocationResult Routed = BnB.allocateProblem(Table);
+      AllocationResult Direct = BnB.allocate(P);
+      AllocationResult Routed = BnB.allocateProblem(P);
       EXPECT_EQ(Direct.Allocated, Routed.Allocated);
       EXPECT_EQ(Direct.SpillCost, Routed.SpillCost);
 
@@ -196,9 +189,9 @@ TEST(DifferentialFuzz, ScalarEraEqualsOneClassTableBehavior) {
       // class-0-only functions cannot tell them apart.
       PipelineOptions Opts;
       PipelineResult OneClass =
-          runAllocationPipeline(Ssa.Ssa, ST231, Regs, Opts);
-      PipelineResult TwoClass =
-          runAllocationPipeline(Ssa.Ssa, ST231_BR, Regs, Opts);
+          runAllocationPipeline(Ssa.Ssa, ST231, {Regs}, Opts);
+      PipelineResult TwoClass = runAllocationPipeline(
+          Ssa.Ssa, ST231_BR, resolveClassBudgets(ST231_BR, Regs, {}), Opts);
       EXPECT_EQ(OneClass.TotalSpillCost, TwoClass.TotalSpillCost);
       EXPECT_EQ(OneClass.Spills.NumLoads, TwoClass.Spills.NumLoads);
       EXPECT_EQ(OneClass.Regs.RegisterOf, TwoClass.Regs.RegisterOf);
@@ -257,7 +250,7 @@ TEST(DifferentialFuzz, StepLayersReuseDpTablesDeterministically) {
     SsaConversion Ssa = convertToSsa(F);
     for (unsigned Step = 2; Step <= kMaxLayerStep; ++Step) {
       for (unsigned Regs = Step; Regs <= 8; Regs += 2) {
-        AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, Regs);
+        AllocationProblem P = buildSsaProblem(Ssa.Ssa, ST231, {Regs});
         LayeredOptions Opts;
         Opts.Step = Step;
         AllocationResult A = layeredAllocate(P, Opts);

@@ -32,7 +32,7 @@ Graph counterExampleGraph() {
 }
 
 std::set<VertexId> optimalSpillSet(const Graph &G, unsigned R) {
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, R);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {R});
   BruteForceAllocator Brute;
   AllocationResult Result = Brute.allocate(P);
   std::vector<VertexId> Spilled = Result.spilled();
@@ -72,7 +72,7 @@ TEST(InclusionTest, InclusionHoldsForMostRandomInstances) {
     Graph G = randomChordalGraph(R, Opt);
     std::set<VertexId> Previous; // Spill set at R+1.
     unsigned MaxLive =
-        AllocationProblem::fromChordalGraph(G, 1).maxLive();
+        AllocationProblem::fromChordalGraph(G, {1}).maxLive();
     if (MaxLive < 2)
       continue;
     // Compare consecutive register counts downward: allocated(R) should
@@ -99,8 +99,8 @@ TEST(InclusionTest, LayeredIsExactWhenInclusionHolds) {
   // On the counter-example, stepwise allocation cannot be optimal for both
   // register counts; verify the gap appears exactly at R = 2.
   Graph G = counterExampleGraph();
-  AllocationProblem P1 = AllocationProblem::fromChordalGraph(G, 1);
-  AllocationProblem P2 = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P1 = AllocationProblem::fromChordalGraph(G, {1});
+  AllocationProblem P2 = AllocationProblem::fromChordalGraph(G, {2});
   BruteForceAllocator Brute;
 
   AllocationResult L1 = layeredAllocate(P1, LayeredOptions::bfpl());

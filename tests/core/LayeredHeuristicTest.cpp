@@ -26,7 +26,7 @@ AllocationProblem generalProblemFromGraph(Graph G, unsigned R) {
     for (VertexId U : G.neighbors(V))
       if (V < U)
         Sets.push_back({V, U});
-  return AllocationProblem::fromGeneralGraph(std::move(G), R,
+  return AllocationProblem::fromGeneralGraph(std::move(G), {R}, {},
                                              std::move(Sets));
 }
 } // namespace
@@ -115,7 +115,7 @@ TEST(LayeredHeuristicTest, WorksOnChordalInstancesToo) {
   ChordalGenOptions Opt;
   Opt.NumVertices = 30;
   Graph G = randomChordalGraph(R, Opt);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 4);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {4});
   LayeredHeuristicResult Out = layeredHeuristicAllocate(P);
   EXPECT_TRUE(isFeasibleAllocation(P, Out.Allocation.Allocated));
 }

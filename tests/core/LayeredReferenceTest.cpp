@@ -65,8 +65,8 @@ TEST(LayeredReferenceTest, RandomChordalGraphsMatchTheReference) {
     // Few distinct weights make ties common, which is where the bias and
     // Frank's tie-breaking decide the layer.
     Opt.MaxWeight = Round % 2 ? 3 : 100;
-    AllocationProblem P =
-        AllocationProblem::fromChordalGraph(randomChordalGraph(R, Opt), 1, &WS);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(
+        randomChordalGraph(R, Opt), {1}, {}, &WS);
     for (unsigned Regs : {0u, 1u, 2u, 3u, 5u, 8u})
       expectMatchesReference(P.withBudgets({Regs}), WS,
                              "round " + std::to_string(Round));

@@ -43,7 +43,7 @@ TEST(LayeredTest, SingleRegisterEqualsMaximumWeightedStableSet) {
     ChordalGenOptions Opt;
     Opt.NumVertices = 4 + static_cast<unsigned>(R.nextBelow(16));
     Graph G = randomChordalGraph(R, Opt);
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
     AllocationResult Layered = layeredAllocate(P, LayeredOptions::nl());
     BruteForceAllocator Brute;
     AllocationResult Optimal = Brute.allocate(P);
@@ -57,7 +57,7 @@ TEST(LayeredTest, PaperFigure6BiasingSavesOne) {
   // (The paper's prose says 3 and 4; its own figure weights give 4 and 5 --
   // the *delta* of 1 is what the example demonstrates.  See DESIGN.md.)
   Graph G = figure6Graph();
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
 
   AllocationResult Biased = layeredAllocate(P, LayeredOptions::bl());
   EXPECT_EQ(Biased.SpillCost, 4);
@@ -77,7 +77,7 @@ TEST(LayeredTest, PaperFigure7FixedPointAllocatesMore) {
   // clique {a,d,f} but c and e are still allocatable; the fixed point takes
   // one of them.
   Graph G = figure7Graph();
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
 
   AllocationResult Plain = layeredAllocate(P, LayeredOptions::nl());
   EXPECT_EQ(Plain.SpillCost, 3); // Spills c, e, f (1+1+1).
@@ -100,7 +100,7 @@ TEST(LayeredTest, AllVariantsAreFeasibleOnRandomChordalGraphs) {
     Opt.NumVertices = 10 + static_cast<unsigned>(R.nextBelow(60));
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(8));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     for (auto Opts : {LayeredOptions::nl(), LayeredOptions::bl(),
                       LayeredOptions::fpl(), LayeredOptions::bfpl()}) {
       AllocationResult Result = layeredAllocate(P, Opts);
@@ -119,7 +119,7 @@ TEST(LayeredTest, FixedPointDominatesPlainLayered) {
     Opt.NumVertices = 8 + static_cast<unsigned>(R.nextBelow(50));
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(6));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     AllocationResult Plain = layeredAllocate(P, LayeredOptions::nl());
     AllocationResult Fixed = layeredAllocate(P, LayeredOptions::fpl());
     EXPECT_LE(Fixed.SpillCost, Plain.SpillCost) << "round " << Round;
@@ -138,7 +138,7 @@ TEST(LayeredTest, QuasiOptimalOnSmallChordalGraphs) {
     Opt.MaxWeight = 30;
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(4));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     AllocationResult Bfpl = layeredAllocate(P, LayeredOptions::bfpl());
     BruteForceAllocator Brute;
     AllocationResult Optimal = Brute.allocate(P);
@@ -156,7 +156,7 @@ TEST(LayeredTest, LargeRegisterCountAllocatesEverything) {
   ChordalGenOptions Opt;
   Opt.NumVertices = 40;
   Graph G = randomChordalGraph(R, Opt);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 64);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {64});
   for (auto Opts : {LayeredOptions::nl(), LayeredOptions::bfpl()}) {
     AllocationResult Result = layeredAllocate(P, Opts);
     EXPECT_EQ(Result.SpillCost, 0);
@@ -173,7 +173,7 @@ TEST(LayeredTest, StepTwoIsFeasibleAndNoWorseAggregate) {
     Opt.NumVertices = 8 + static_cast<unsigned>(R.nextBelow(20));
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 2 + static_cast<unsigned>(R.nextBelow(4));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     LayeredOptions Step2;
     Step2.Step = 2;
     AllocationResult Result = layeredAllocate(P, Step2);
@@ -183,7 +183,7 @@ TEST(LayeredTest, StepTwoIsFeasibleAndNoWorseAggregate) {
 
 TEST(LayeredTest, ZeroWeightVerticesSpillForFree) {
   Graph G({0, 0, 0}, {{0, 1}});
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
   AllocationResult Result = layeredAllocate(P, LayeredOptions::bfpl());
   EXPECT_EQ(Result.SpillCost, 0);
   EXPECT_TRUE(isFeasibleAllocation(P, Result.Allocated));

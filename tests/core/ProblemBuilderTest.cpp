@@ -27,7 +27,7 @@ TEST(ProblemBuilderTest, SsaProblemIsChordalWithCliqueConstraints) {
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 4);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {4});
   EXPECT_TRUE(P.Chordal);
   EXPECT_EQ(P.Cliques, maximalCliquesChordal(P.graph(), P.Peo));
   EXPECT_TRUE(isPerfectEliminationOrder(P.graph(), P.Peo));
@@ -39,7 +39,7 @@ TEST(ProblemBuilderTest, GeneralProblemCoversEveryVertex) {
   Rng R(72);
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
-  AllocationProblem P = buildGeneralProblem(F, ARMv7, 6);
+  AllocationProblem P = buildGeneralProblem(F, ARMv7, {6});
   EXPECT_FALSE(P.Chordal);
   for (VertexId V = 0; V < P.graph().numVertices(); ++V)
     EXPECT_FALSE(P.Cliques.cliquesOf(V).empty())
@@ -51,7 +51,7 @@ TEST(ProblemBuilderTest, WithRegistersPreservesStructure) {
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 4);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {4});
   AllocationProblem Q = P.withBudgets({9});
   EXPECT_EQ(Q.uniformBudget(), 9u);
   EXPECT_EQ(Q.graph().numVertices(), P.graph().numVertices());
@@ -81,13 +81,13 @@ TEST(ProblemBuilderTest, WithBudgetsAnswersLikeAFreshBuild) {
     const char *Allocator;
   };
   std::vector<Case> Cases;
-  Cases.push_back({buildSsaProblem(Ssa, ST231, 4),
+  Cases.push_back({buildSsaProblem(Ssa, ST231, {4}),
                    [&](const std::vector<unsigned> &B) {
                      return buildSsaProblem(Ssa, ST231, B);
                    },
                    {{2}, {3}, {5}, {8}, {12}, {32}},
                    "bfpl"});
-  Cases.push_back({buildGeneralProblem(F, ARMv7, 4),
+  Cases.push_back({buildGeneralProblem(F, ARMv7, {4}),
                    [&](const std::vector<unsigned> &B) {
                      return buildGeneralProblem(F, ARMv7, B);
                    },
@@ -123,7 +123,7 @@ TEST(ProblemBuilderTest, HashProblemIsPinned) {
   Suite Eembc = makeSuite("eembc");
   const Function &Chordal = Eembc.Programs[0].Functions[0];
   ASSERT_EQ(Chordal.name(), "a2time_f0");
-  EXPECT_EQ(hashProblem(buildSsaProblem(convertToSsa(Chordal).Ssa, ST231, 6)),
+  EXPECT_EQ(hashProblem(buildSsaProblem(convertToSsa(Chordal).Ssa, ST231, {6})),
             0xa7e9493cb103f7e9ULL);
 
   Suite Mixed = makeSuite("mixed-classes");
@@ -140,7 +140,7 @@ TEST(ProblemBuilderTest, HashProblemIsPinned) {
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
   ValueId Unused = F.makeValue("unused");
-  AllocationProblem General = buildGeneralProblem(F, ARMv7, 6);
+  AllocationProblem General = buildGeneralProblem(F, ARMv7, {6});
   bool HasEmpty = false;
   for (unsigned K = 0; K < General.Cliques.numCliques(); ++K)
     HasEmpty |= General.Cliques.clique(K).empty();
@@ -162,7 +162,7 @@ TEST(ProblemBuilderTest, MaxLiveMatchesLargestConstraint) {
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 4);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {4});
   size_t Largest = 0;
   for (unsigned K = 0; K < P.Cliques.numCliques(); ++K)
     Largest = std::max(Largest, P.Cliques.clique(K).size());
@@ -172,7 +172,7 @@ TEST(ProblemBuilderTest, MaxLiveMatchesLargestConstraint) {
 TEST(ProblemBuilderTest, SingletonConstraintAddedForIsolatedVertices) {
   Graph G({0, 0, 5}, {{0, 1}}); // Vertex 2 is isolated.
   AllocationProblem P =
-      AllocationProblem::fromGeneralGraph(std::move(G), 2, {{0, 1}});
+      AllocationProblem::fromGeneralGraph(std::move(G), {2}, {}, {{0, 1}});
   bool Found = false;
   for (unsigned K = 0; K < P.Cliques.numCliques(); ++K)
     Found |= P.Cliques.clique(K).size() == 1 && P.Cliques.clique(K)[0] == 2;

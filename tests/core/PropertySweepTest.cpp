@@ -49,7 +49,7 @@ protected:
     Opt.MaxWeight = 50;
     Graph G = randomChordalGraph(R, Opt);
     return AllocationProblem::fromChordalGraph(std::move(G),
-                                               GetParam().Regs);
+                                               {GetParam().Regs});
   }
 
   /// Synthetic affinities for the coalescing sweeps: random non-adjacent
@@ -148,24 +148,6 @@ TEST_P(ChordalSweep, CoalescingOffAndOnBothAssignValidly) {
                               Plain.RegisterOf));
 }
 
-TEST_P(ChordalSweep, ConservativeCoalescingPreservesStructure) {
-  AllocationProblem P = makeInstance();
-  std::vector<Affinity> Affinities = makeAffinities(P);
-  CoalescingResult C =
-      coalesceConservative(P.graph(), Affinities, P.uniformBudget());
-
-  // Representatives are path-compressed roots.
-  for (VertexId V = 0; V < P.graph().numVertices(); ++V)
-    EXPECT_EQ(C.Representative[C.Representative[V]], C.Representative[V]);
-  // Interfering vertices are never merged (only affinity pairs are, and
-  // move-related values do not interfere).
-  for (VertexId V = 0; V < P.graph().numVertices(); ++V)
-    for (VertexId U : P.graph().neighbors(V))
-      EXPECT_NE(C.Representative[V], C.Representative[U]);
-  // Weights are conserved: merging sums them, nothing is dropped.
-  EXPECT_EQ(C.Coalesced.totalWeight(), P.graph().totalWeight());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     SeedByRegisterGrid, ChordalSweep,
     ::testing::ValuesIn([] {
@@ -194,7 +176,7 @@ TEST_P(StepSweep, SteppedLayeredIsFeasibleAcrossSeeds) {
     Opt.NumVertices = 15 + static_cast<unsigned>(R.nextBelow(25));
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = Step + static_cast<unsigned>(R.nextBelow(6));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
     LayeredOptions Opts;
     Opts.Step = Step;
     AllocationResult Result = layeredAllocate(P, Opts);
@@ -210,7 +192,7 @@ TEST_P(StepSweep, BoundedLayerRespectsBoundAndGrowsWithIt) {
     ChordalGenOptions Opt;
     Opt.NumVertices = 12 + static_cast<unsigned>(R.nextBelow(20));
     Graph G = randomChordalGraph(R, Opt);
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, /*R=*/1);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
     unsigned N = P.graph().numVertices();
     std::vector<char> Mask(N, 1);
     std::vector<Weight> W(N);
@@ -253,7 +235,7 @@ TEST_P(StepSweep, BoundOneMatchesFranksStableSetPath) {
     ChordalGenOptions Opt;
     Opt.NumVertices = 12 + static_cast<unsigned>(R.nextBelow(20));
     Graph G = randomChordalGraph(R, Opt);
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, /*R=*/1);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
     unsigned N = P.graph().numVertices();
     std::vector<Weight> W(N);
     for (VertexId V = 0; V < N; ++V)

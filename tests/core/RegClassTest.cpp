@@ -84,7 +84,6 @@ TEST(RegClassTest, TargetTablesAndRegistry) {
     const TargetDesc *T = targetByName(Name);
     ASSERT_NE(T, nullptr) << Name;
     EXPECT_EQ(T->numClasses(), 1u) << Name;
-    EXPECT_EQ(T->regClass(0).NumRegisters, T->NumRegisters) << Name;
   }
 
   // Budget resolution: class 0 from the sweep, others architectural,
@@ -155,7 +154,8 @@ TEST(RegClassTest, InterferenceNeverCrossesClasses) {
     // Each class has its own pressure: every constraint of the built
     // problem lies within one class, both classes carry one, and the
     // larger per-class maximum is the problem's MaxLive.
-    AllocationProblem P = buildSsaProblem(F, ARMv7_VFP, 8);
+    AllocationProblem P =
+        buildSsaProblem(F, ARMv7_VFP, resolveClassBudgets(ARMv7_VFP, 8, {}));
     unsigned MaxByClass[2] = {0, 0};
     for (unsigned K = 0; K < P.Cliques.numCliques(); ++K) {
       RegClassId Class = P.constraintClass(K);
@@ -183,15 +183,17 @@ TEST(RegClassTest, ClassZeroFunctionsBehaveIdenticallyOnMultiClassTargets) {
   Function F = convertToSsa(generateFunction(R, Opt)).Ssa;
   ASSERT_EQ(F.maxValueClass(), 0u);
 
-  AllocationProblem A = buildSsaProblem(F, ARMv7, 4);
-  AllocationProblem B = buildSsaProblem(F, ARMv7_VFP, 4);
+  AllocationProblem A = buildSsaProblem(F, ARMv7, {4});
+  const std::vector<unsigned> VfpBudgets =
+      resolveClassBudgets(ARMv7_VFP, 4, {});
+  AllocationProblem B = buildSsaProblem(F, ARMv7_VFP, VfpBudgets);
   EXPECT_EQ(B.numClasses(), 1u); // Trimmed to the classes present.
   EXPECT_EQ(A.Budgets, B.Budgets);
   EXPECT_EQ(A.ClassOf, B.ClassOf);
   EXPECT_EQ(A.Cliques, B.Cliques);
 
-  PipelineResult PA = runAllocationPipeline(F, ARMv7, 4);
-  PipelineResult PB = runAllocationPipeline(F, ARMv7_VFP, 4);
+  PipelineResult PA = runAllocationPipeline(F, ARMv7, {4});
+  PipelineResult PB = runAllocationPipeline(F, ARMv7_VFP, VfpBudgets);
   EXPECT_EQ(PA.TotalSpillCost, PB.TotalSpillCost);
   EXPECT_EQ(PA.Spills.NumLoads, PB.Spills.NumLoads);
   EXPECT_EQ(PA.Regs.RegisterOf, PB.Regs.RegisterOf);
@@ -205,7 +207,8 @@ TEST(RegClassTest, CrossClassBudgetNonInterference) {
   // pipeline allocator through the decomposition path.
   for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
     Function F = makeMixedSsa(Seed);
-    AllocationProblem Base = buildSsaProblem(F, ARMv7_VFP, 3);
+    AllocationProblem Base =
+        buildSsaProblem(F, ARMv7_VFP, resolveClassBudgets(ARMv7_VFP, 3, {}));
     ASSERT_TRUE(Base.multiClass());
 
     OptimalBnBAllocator BnB;

@@ -32,7 +32,7 @@ TEST(StepLayerTest, BoundOneMatchesFranksAlgorithm) {
     ChordalGenOptions Opt;
     Opt.NumVertices = 3 + static_cast<unsigned>(R.nextBelow(25));
     Graph G = randomChordalGraph(R, Opt);
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
     std::vector<char> Mask(G.numVertices(), 1);
     std::vector<Weight> W = rawWeights(G);
     std::vector<VertexId> Layer = optimalBoundedLayer(P, Mask, W, 1);
@@ -53,7 +53,7 @@ TEST(StepLayerTest, MatchesBruteForceForBoundTwoAndThree) {
     Opt.MaxWeight = 25;
     Graph G = randomChordalGraph(R, Opt);
     unsigned Bound = 2 + static_cast<unsigned>(R.nextBelow(2)); // 2 or 3.
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Bound);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Bound});
     std::vector<char> Mask(G.numVertices(), 1);
     std::vector<VertexId> Layer =
         optimalBoundedLayer(P, Mask, rawWeights(G), Bound);
@@ -71,7 +71,7 @@ TEST(StepLayerTest, MatchesBruteForceForBoundTwoAndThree) {
 TEST(StepLayerTest, MaskExcludesVertices) {
   // Triangle with one masked vertex: the layer may only use the others.
   Graph G({10, 5, 3}, {{0, 1}, {1, 2}, {0, 2}});
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
   std::vector<char> Mask{0, 1, 1}; // Vertex 0 not a candidate.
   std::vector<VertexId> Layer =
       optimalBoundedLayer(P, Mask, {10, 5, 3}, 1);
@@ -81,7 +81,7 @@ TEST(StepLayerTest, MaskExcludesVertices) {
 TEST(StepLayerTest, DisconnectedComponentsAllContribute) {
   // Two disjoint edges: bound 1 takes the heavier endpoint of each.
   Graph G({2, 9, 7, 1}, {{0, 1}, {2, 3}});
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
   std::vector<char> Mask(4, 1);
   std::vector<VertexId> Layer =
       optimalBoundedLayer(P, Mask, {2, 9, 7, 1}, 1);
@@ -94,7 +94,7 @@ TEST(StepLayerTest, BoundLargerThanCliquesTakesEverything) {
   Opt.NumVertices = 15;
   Opt.SubtreeSpread = 0.1; // Sparse: small cliques.
   Graph G = randomChordalGraph(R, Opt);
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 3);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {3});
   if (P.maxLive() <= 3) {
     std::vector<char> Mask(G.numVertices(), 1);
     std::vector<VertexId> Layer =

@@ -289,14 +289,15 @@ TEST(BatchDriverTest, HashDistinguishesInstancesButIgnoresNames) {
   const Function &G = S.Programs[0].Functions[1];
 
   PipelineOptions Opt;
-  uint64_t Base = hashPipelineTask(F, ST231, 4, Opt);
-  EXPECT_EQ(Base, hashPipelineTask(F, ST231, 4, Opt));
-  EXPECT_NE(Base, hashPipelineTask(G, ST231, 4, Opt));
-  EXPECT_NE(Base, hashPipelineTask(F, ST231, 5, Opt));
-  EXPECT_NE(Base, hashPipelineTask(F, ARMv7, 4, Opt));
+  const uint64_t HF = hashFunction(F);
+  uint64_t Base = hashPipelineTask(HF, ST231, {4}, Opt);
+  EXPECT_EQ(Base, hashPipelineTask(HF, ST231, {4}, Opt));
+  EXPECT_NE(Base, hashPipelineTask(hashFunction(G), ST231, {4}, Opt));
+  EXPECT_NE(Base, hashPipelineTask(HF, ST231, {5}, Opt));
+  EXPECT_NE(Base, hashPipelineTask(HF, ARMv7, {4}, Opt));
   PipelineOptions NoFold = Opt;
   NoFold.FoldMemoryOperands = false;
-  EXPECT_NE(Base, hashPipelineTask(F, ST231, 4, NoFold));
+  EXPECT_NE(Base, hashPipelineTask(HF, ST231, {4}, NoFold));
 
   // Renaming values does not change the structural hash.
   Function Renamed = F;
@@ -307,7 +308,7 @@ TEST(BatchDriverTest, HashDistinguishesInstancesButIgnoresNames) {
 
 TEST(BatchDriverTest, SolveProblemsMatchesDirectAllocation) {
   Suite S = tinySuite(4, 21);
-  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, 4);
+  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {4});
   std::vector<const AllocationProblem *> Ptrs;
   for (const NamedProblem &P : Problems)
     Ptrs.push_back(&P.P);
@@ -326,7 +327,7 @@ TEST(BatchDriverTest, SolveProblemsMatchesDirectAllocation) {
 
 TEST(BatchDriverTest, SolveProblemsReportsUnknownAllocatorWithoutDying) {
   Suite S = tinySuite(2, 41);
-  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, 4);
+  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {4});
   std::vector<const AllocationProblem *> Ptrs;
   for (const NamedProblem &P : Problems)
     Ptrs.push_back(&P.P);
@@ -354,7 +355,7 @@ TEST(BatchDriverTest, SolveProblemsRejectsIntervalAllocatorsOnGraphOnlyInput) {
   // scan must be refused up front with a diagnostic, not a process abort
   // from inside the worker pool.
   Graph G({1, 2, 3, 4, 5, 6}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, 2);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {2});
   ASSERT_FALSE(P.Intervals.has_value());
   std::vector<const AllocationProblem *> Ptrs{&P};
 
@@ -415,7 +416,7 @@ TEST(BatchDriverTest, CacheCapacityBoundsEntriesAndCountsEvictions) {
 
 TEST(BatchDriverTest, RepeatedSolveProblemsCallsMatchDirectAllocation) {
   Suite S = tinySuite(5, 31);
-  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, 4);
+  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {4});
   std::vector<const AllocationProblem *> Ptrs;
   for (const NamedProblem &P : Problems)
     Ptrs.push_back(&P.P);

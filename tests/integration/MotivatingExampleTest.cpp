@@ -128,7 +128,7 @@ TEST(MotivatingExampleTest, LoopPressureIsThree) {
 TEST(MotivatingExampleTest, PressureAwareAllocationSparesTheLoop) {
   Figure1 Fig;
   SsaConversion Conv = convertToSsa(Fig.F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 3);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {3});
 
   AllocationResult Best = layeredAllocate(P, LayeredOptions::bfpl());
   OptimalBnBAllocator BnB;
@@ -155,7 +155,7 @@ TEST(MotivatingExampleTest, PressureAwareAllocationSparesTheLoop) {
 TEST(MotivatingExampleTest, GraphColoringIsNoBetter) {
   Figure1 Fig;
   SsaConversion Conv = convertToSsa(Fig.F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 3);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {3});
   AllocationResult Gc = makeAllocator("gc")->allocate(P);
   AllocationResult Best = layeredAllocate(P, LayeredOptions::bfpl());
   EXPECT_GE(Gc.SpillCost, Best.SpillCost);

@@ -35,7 +35,7 @@ TEST(PipelineTest, SpillRewriteBringsPressureDown) {
     Function F = generateFunction(R, Opt);
     SsaConversion Conv = convertToSsa(F);
     unsigned Regs = 3 + static_cast<unsigned>(R.nextBelow(4));
-    AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, Regs);
+    AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {Regs});
     unsigned MaxLiveBefore = P.maxLive();
     if (MaxLiveBefore <= Regs)
       continue; // Nothing to spill.
@@ -91,7 +91,7 @@ TEST(PipelineTest, AssignThenVerifyColoringAgainstInterference) {
   Opt.MaxBlocks = 40;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, 6);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ST231, {6});
   AllocationResult Alloc = layeredAllocate(P, LayeredOptions::bfpl());
   Assignment A = assignRegisters(P, Alloc.Allocated);
   EXPECT_TRUE(A.Success);
@@ -113,7 +113,7 @@ TEST(PipelineTest, CostModelIsConsistentAcrossAllocators) {
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem P = buildSsaProblem(Conv.Ssa, ARMv7, 4);
+  AllocationProblem P = buildSsaProblem(Conv.Ssa, ARMv7, {4});
   for (const std::string &Name :
        {std::string("gc"), std::string("bfpl"), std::string("lh"),
         std::string("ls"), std::string("optimal")}) {
@@ -130,8 +130,8 @@ TEST(PipelineTest, TargetsDifferOnlyInCostScale) {
   ProgramGenOptions Opt;
   Function F = generateFunction(R, Opt);
   SsaConversion Conv = convertToSsa(F);
-  AllocationProblem PSt = buildSsaProblem(Conv.Ssa, ST231, 4);
-  AllocationProblem PArm = buildSsaProblem(Conv.Ssa, ARMv7, 4);
+  AllocationProblem PSt = buildSsaProblem(Conv.Ssa, ST231, {4});
+  AllocationProblem PArm = buildSsaProblem(Conv.Ssa, ARMv7, {4});
   // Same structure...
   EXPECT_EQ(PSt.graph().numVertices(), PArm.graph().numVertices());
   EXPECT_EQ(PSt.graph().numEdges(), PArm.graph().numEdges());

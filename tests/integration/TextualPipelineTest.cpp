@@ -60,7 +60,7 @@ TEST(TextualPipelineTest, EveryAllocatorHandlesTheParsedFunction) {
   ParsedFunction P = parseFunction(kSample);
   ASSERT_TRUE(P.Ok) << P.Error;
   for (unsigned Regs : {1u, 2u, 3u, 4u}) {
-    AllocationProblem Problem = buildSsaProblem(P.F, ST231, Regs);
+    AllocationProblem Problem = buildSsaProblem(P.F, ST231, {Regs});
     for (const std::string &Name : allAllocatorNames()) {
       std::unique_ptr<Allocator> A = makeAllocator(Name);
       ASSERT_NE(A, nullptr) << Name;
@@ -79,7 +79,7 @@ TEST(TextualPipelineTest, PipelineMaterialisesOnEveryTarget) {
   for (const TargetDesc *Target : {&ST231, &ARMv7, &X86_64}) {
     ParsedFunction P = parseFunction(kSample);
     ASSERT_TRUE(P.Ok) << P.Error;
-    PipelineResult Out = runAllocationPipeline(P.F, *Target, 2);
+    PipelineResult Out = runAllocationPipeline(P.F, *Target, {2});
     EXPECT_TRUE(verifyFunction(Out.Rewritten, /*ExpectSsa=*/true))
         << Target->Name;
     EXPECT_GT(Out.TotalSpillCost, 0) << Target->Name;
@@ -94,7 +94,7 @@ TEST(TextualPipelineTest, EmittedSpillCodeReparses) {
   // itself round-trip through the parser: print -> parse -> verify.
   ParsedFunction P = parseFunction(kSample);
   ASSERT_TRUE(P.Ok) << P.Error;
-  PipelineResult Out = runAllocationPipeline(P.F, X86_64, 2);
+  PipelineResult Out = runAllocationPipeline(P.F, X86_64, {2});
   std::string Printed = Out.Rewritten.toString();
 
   ParsedFunction Again = parseFunction(Printed);

@@ -121,16 +121,3 @@ TEST(DominatorsTest, ReversePostOrderStartsAtEntryAndRespectsEdges) {
   EXPECT_EQ(Rpo.front(), D.Entry);
   EXPECT_EQ(Rpo.back(), D.Merge);
 }
-
-TEST(DominatorsTest, DomTreePreorderVisitsParentBeforeChild) {
-  Diamond D;
-  DominatorTree Dom(D.F);
-  std::vector<BlockId> Pre = Dom.domTreePreorder();
-  ASSERT_EQ(Pre.size(), 4u);
-  EXPECT_EQ(Pre.front(), D.Entry);
-  std::vector<unsigned> Pos(4);
-  for (unsigned I = 0; I < Pre.size(); ++I)
-    Pos[Pre[I]] = I;
-  for (BlockId B : {D.Left, D.Right, D.Merge})
-    EXPECT_LT(Pos[Dom.idom(B)], Pos[B]);
-}

@@ -62,7 +62,7 @@ TEST_P(LpCrossCheck, FranksMwssEqualsIlpAtOneRegister) {
     Opt.NumVertices = 8 + static_cast<unsigned>(R.nextBelow(40));
     Opt.MaxWeight = 50;
     Graph G = randomChordalGraph(R, Opt);
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, 1);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {1});
 
     std::vector<Weight> Weights(P.graph().numVertices());
     for (VertexId V = 0; V < P.graph().numVertices(); ++V)
@@ -86,7 +86,7 @@ TEST_P(LpCrossCheck, IlpEqualsOptimalBnBOnChordalProblems) {
     Opt.MaxWeight = 40;
     Graph G = randomChordalGraph(R, Opt);
     unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(6));
-    AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+    AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
 
     OptimalBnBAllocator BnB;
     AllocationResult FromBnB = BnB.allocate(P);
@@ -108,7 +108,7 @@ TEST_P(LpCrossCheck, LpRelaxationBoundsTheIlp) {
   Opt.MaxWeight = 25;
   Graph G = randomChordalGraph(R, Opt);
   unsigned Regs = 1 + static_cast<unsigned>(R.nextBelow(4));
-  AllocationProblem P = AllocationProblem::fromChordalGraph(G, Regs);
+  AllocationProblem P = AllocationProblem::fromChordalGraph(G, {Regs});
   IlpInstance I = packingOf(P);
 
   LinearProgram LP;

@@ -60,7 +60,7 @@ struct ObsQuiesce {
 
 PipelineResult runOnce(uint64_t Seed, unsigned Regs = 4) {
   Function F = makeSsaFunction(Seed);
-  return runAllocationPipeline(F, ST231, Regs);
+  return runAllocationPipeline(F, ST231, {Regs});
 }
 
 } // namespace

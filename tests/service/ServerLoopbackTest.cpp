@@ -531,7 +531,7 @@ TEST(ServerLoopbackTest, SubmitIrBaseIsAValidatedIgnoredHint) {
 
     ParsedFunction Parsed = parseFunction(Sub.Ir);
     ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
-    PipelineResult Want = runAllocationPipeline(Parsed.F, ST231, 2);
+    PipelineResult Want = runAllocationPipeline(Parsed.F, ST231, {2});
     ASSERT_GT(Want.Spills.NumLoads, 0u);
     JsonParseResult Doc = parseJson(Response);
     ASSERT_TRUE(Doc.Ok) << Doc.Error;

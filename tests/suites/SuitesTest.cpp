@@ -45,7 +45,7 @@ TEST(SuitesTest, AllFunctionsVerify) {
 
 TEST(SuitesTest, ChordalProblemsAreChordalWithCliqueConstraints) {
   Suite S = makeLaoKernels();
-  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, 4);
+  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {4});
   EXPECT_EQ(Problems.size(), S.numFunctions());
   for (const NamedProblem &NP : Problems) {
     EXPECT_TRUE(NP.P.Chordal);
@@ -62,7 +62,7 @@ TEST(SuitesTest, GeneralProblemsIncludeNonChordalGraphs) {
   // expected from the hot tail: a healthy share of the *pressured* methods
   // must provide non-chordal graphs.
   Suite S = makeSpecJvm98();
-  std::vector<NamedProblem> Problems = generalProblems(S, ARMv7, 6);
+  std::vector<NamedProblem> Problems = generalProblems(S, ARMv7, {6});
   unsigned NonChordal = 0, Hot = 0, HotNonChordal = 0;
   for (const NamedProblem &NP : Problems) {
     bool Chordal = isChordal(NP.P.graph());
@@ -92,7 +92,7 @@ TEST(SuitesTest, LoopKernelsHaveHotBlocks) {
 
 TEST(SuitesTest, ProblemSizesAreRealistic) {
   Suite S = makeSpec2000Int();
-  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, 8);
+  std::vector<NamedProblem> Problems = chordalProblems(S, ST231, {8});
   unsigned TotalVertices = 0, MaxVertices = 0, TotalMaxLive = 0;
   for (const NamedProblem &NP : Problems) {
     TotalVertices += NP.P.graph().numVertices();
