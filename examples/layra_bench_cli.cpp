@@ -16,7 +16,7 @@
 ///               [--class-regs=NAME:N[,NAME:N...]] [--threads=N]
 ///               [--target=NAME] [--list-targets]
 ///               [--allocator=NAME] [--max-rounds=N] [--no-affinity]
-///               [--no-fold] [--cache-cap=N] [--disk-cache=DIR]
+///               [--no-fold] [--disk-cache=DIR]
 ///               [--disk-cache-cap=BYTES] [--json=FILE] [--csv=FILE]
 ///               [--tasks-csv=FILE] [--details] [--no-timing]
 ///               [--trace=FILE] [--metrics[=FILE]] [--quiet]
@@ -37,9 +37,6 @@
 ///                table and cost model, then exit
 ///   --threads    pool size; 0 = hardware concurrency (default 0)
 ///   --allocator  pipeline spiller per round (default bfpl)
-///   --cache-cap  bound the driver's content-hash caches to N entries each
-///                with LRU eviction (default 0 = unbounded; eviction counts
-///                appear as cache_evictions in the reports)
 ///   --disk-cache persist solved outcomes content-addressed under DIR
 ///                (service/DiskCache.h) and answer repeats from it: a
 ///                second identical sweep -- even in a fresh process --
@@ -55,9 +52,10 @@
 ///                span (load in chrome://tracing or Perfetto); with
 ///                --no-timing the trace uses deterministic sequence
 ///                timestamps so it, too, is byte-identical across runs
-///   --metrics    dump the metrics registry (per-stage latency histograms,
-///                stage counters, pipeline-cache gauges) in Prometheus
-///                text format after the run, to FILE or stderr
+///   --metrics    dump the phase metrics (per-stage latency histograms,
+///                spill-round and DP-state counters) and the driver's
+///                pipeline-cache gauges in Prometheus text format after
+///                the run, to FILE or stderr
 ///   --quiet      suppress the stdout summary table
 ///
 /// Examples:
@@ -98,7 +96,6 @@ struct CliOptions {
   unsigned Threads = 0;
   std::string TargetName = "st231";
   PipelineOptions Pipeline;
-  unsigned CacheCapacity = 0;
   std::string DiskCacheDir;
   uint64_t DiskCacheCapBytes = 0;
   std::string JsonPath;
@@ -121,7 +118,7 @@ struct CliOptions {
       "          [--class-regs=NAME:N[,NAME:N...]] [--threads=N]\n"
       "          [--target=NAME] [--list-targets]\n"
       "          [--allocator=NAME] [--max-rounds=N] [--no-affinity]\n"
-      "          [--no-fold] [--cache-cap=N] [--disk-cache=DIR]\n"
+      "          [--no-fold] [--disk-cache=DIR]\n"
       "          [--disk-cache-cap=BYTES] [--json=FILE] [--csv=FILE]\n"
       "          [--tasks-csv=FILE] [--details] [--no-timing]\n"
       "          [--trace=FILE] [--metrics[=FILE]] [--quiet]\n",
@@ -171,11 +168,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
       if (!parseBoundedUnsigned(V, kMaxCliValue, Opt.Pipeline.MaxRounds) ||
           Opt.Pipeline.MaxRounds == 0)
         usage(Argv[0], "--max-rounds must be an integer in [1, 1024]");
-    } else if (const char *V = Value("--cache-cap=")) {
-      // Capacities are entry counts, not CLI-sized small numbers; allow
-      // anything that fits comfortably in memory accounting.
-      if (!parseBoundedUnsigned(V, 1u << 30, Opt.CacheCapacity))
-        usage(Argv[0], "--cache-cap must be an integer in [0, 2^30]");
     } else if (const char *V = Value("--disk-cache=")) {
       if (!*V)
         usage(Argv[0], "--disk-cache needs a directory path");
@@ -311,17 +303,19 @@ void runGraphSuite(BatchDriver &Driver, const CliOptions &Opt) {
     T.print(stdout);
 }
 
-/// Publishes \p Driver's pipeline-cache accounting as gauges in the
-/// global metrics registry, where --metrics reads them back from a
-/// snapshot.
-void publishDriverGauges(const BatchDriver &Driver) {
+/// The --metrics exposition: the phase metrics plus \p Driver's
+/// pipeline-cache accounting as gauges.
+std::string metricsText(const BatchDriver &Driver) {
   DriverCacheCounters Cache = Driver.pipelineCacheCounters();
-  MetricsRegistry &M = MetricsRegistry::global();
-  M.set(M.gauge("layra.driver.cache.hits"), double(Cache.Hits));
-  M.set(M.gauge("layra.driver.cache.misses"), double(Cache.Misses));
-  M.set(M.gauge("layra.driver.cache.evictions"), double(Cache.Evictions));
-  M.set(M.gauge("layra.driver.cache.entries"), double(Cache.Entries));
-  M.set(M.gauge("layra.driver.cache.capacity"), double(Cache.Capacity));
+  MetricsSnapshot Snap = obs::phaseMetrics();
+  Snap.Gauges = {
+      {"layra.driver.cache.hits", double(Cache.Hits)},
+      {"layra.driver.cache.misses", double(Cache.Misses)},
+      {"layra.driver.cache.evictions", double(Cache.Evictions)},
+      {"layra.driver.cache.entries", double(Cache.Entries)},
+      {"layra.driver.cache.capacity", double(Cache.Capacity)},
+  };
+  return Snap.toPrometheusText();
 }
 
 } // namespace
@@ -434,8 +428,6 @@ int main(int Argc, char **Argv) {
     TraceCollector::global().enable(/*Deterministic=*/!Opt.Timing);
 
   BatchDriver Driver(Opt.Threads);
-  if (Opt.CacheCapacity)
-    Driver.setCacheCapacity(Opt.CacheCapacity);
   // Persistent result store: a second run over the same sweep -- even in a
   // fresh process -- answers from disk.  Reports stay byte-identical in
   // the default timing-free mode (cache-transparent accounting).
@@ -454,8 +446,6 @@ int main(int Argc, char **Argv) {
   // warm start possible even in a fresh process).  Timed reports keep
   // the honest warm-cache view.
   DriverReport Report = Driver.run(Jobs, /*CacheTransparent=*/!Opt.Timing);
-  if (Opt.Metrics)
-    publishDriverGauges(Driver);
 
   if (!Opt.TracePath.empty()) {
     TraceCollector &TC = TraceCollector::global();
@@ -529,7 +519,7 @@ int main(int Argc, char **Argv) {
   if (Opt.Metrics) {
     // Stderr (unless --metrics=FILE), so a report streamed to stdout stays
     // parseable.
-    std::string Text = MetricsRegistry::global().snapshot().toPrometheusText();
+    std::string Text = metricsText(Driver);
     if (Opt.MetricsPath.empty()) {
       std::fputs(Text.c_str(), stderr);
     } else {

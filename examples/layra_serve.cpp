@@ -53,7 +53,7 @@
 ///   --max-frame   largest accepted frame payload in bytes (default 16 MiB)
 ///   --metrics-dump=FILE
 ///                 write a Prometheus-style text exposition of the server
-///                 stats and the process metrics registry to FILE on every
+///                 stats and the solver phase metrics to FILE on every
 ///                 SIGUSR1 and once more at drain ("-" = stderr).  The file
 ///                 is replaced atomically (temp file + rename), so a
 ///                 scraper racing a dump always reads one complete

@@ -11,11 +11,9 @@
 
 using namespace layra;
 
-AllocationResult GraphColoringAllocator::allocate(const AllocationProblem &P,
-                                                  SolverWorkspace *) {
-  const Graph &G = P.graph();
+std::vector<unsigned> layra::chaitinBriggsColoring(const Graph &G,
+                                                   unsigned R) {
   unsigned N = G.numVertices();
-  unsigned R = P.uniformBudget();
 
   // --- Simplify phase -----------------------------------------------------
   // CurrentDegree tracks degrees in the shrinking subgraph.
@@ -86,9 +84,8 @@ AllocationResult GraphColoringAllocator::allocate(const AllocationProblem &P,
   }
 
   // --- Select phase -------------------------------------------------------
-  Colors.assign(N, ~0u);
+  std::vector<unsigned> Colors(N, ~0u);
   std::vector<char> UsedColor;
-  std::vector<char> Flags(N, 0);
   while (!Stack.empty()) {
     VertexId V = Stack.back();
     Stack.pop_back();
@@ -102,8 +99,16 @@ AllocationResult GraphColoringAllocator::allocate(const AllocationProblem &P,
     if (Color >= R)
       continue; // Actual spill: optimistic node found no color.
     Colors[V] = Color;
-    Flags[V] = 1;
   }
+  return Colors;
+}
 
+AllocationResult GraphColoringAllocator::allocate(const AllocationProblem &P,
+                                                  SolverWorkspace *) {
+  const Graph &G = P.graph();
+  std::vector<unsigned> Colors = chaitinBriggsColoring(G, P.uniformBudget());
+  std::vector<char> Flags(Colors.size());
+  for (VertexId V = 0; V < Colors.size(); ++V)
+    Flags[V] = Colors[V] != ~0u;
   return AllocationResult::fromFlags(G, std::move(Flags));
 }

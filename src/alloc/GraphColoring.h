@@ -21,22 +21,23 @@
 
 #include "alloc/Allocator.h"
 
+#include <vector>
+
 namespace layra {
 
-/// Chaitin-Briggs with optimistic coloring and cost/degree spill choice.
+/// Simplify and select on \p G with \p R colors: the register of each
+/// vertex, ~0u for spilled ones -- GC performs allocation and assignment
+/// together.
+std::vector<unsigned> chaitinBriggsColoring(const Graph &G, unsigned R);
+
+/// Chaitin-Briggs with optimistic coloring and cost/degree spill choice;
+/// allocates exactly the vertices chaitinBriggsColoring colors.
 class GraphColoringAllocator : public Allocator {
 public:
   using Allocator::allocate;
   AllocationResult allocate(const AllocationProblem &P,
                             SolverWorkspace *WS) override;
   const char *name() const override { return "gc"; }
-
-  /// The coloring produced by the last allocate() call (register per vertex,
-  /// ~0u for spilled) -- GC performs allocation and assignment together.
-  const std::vector<unsigned> &lastColoring() const { return Colors; }
-
-private:
-  std::vector<unsigned> Colors;
 };
 
 } // namespace layra

@@ -74,7 +74,6 @@ PipelineResult layra::runAllocationPipeline(
   for (unsigned Round = 0; Round < Options.MaxRounds; ++Round) {
     PhaseSpan RoundSpan(Phase::SpillRound);
     ++Out.Rounds;
-    obs::addSpillRound();
     Current.emplace(build());
     AllocationProblem &P = *Current;
     if (P.fitsBudgets())

@@ -250,8 +250,10 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     FunctionHashes.emplace(&F, H);
     return H;
   };
-  // One store read per distinct key per run; repeats are served from the
-  // StoreLoaded snapshot so a slow store is touched O(unique keys) times.
+  // One store read per distinct key per run: repeats of a hit are served
+  // from the StoreLoaded snapshot, and repeats of a miss are in UniqueOf,
+  // which the caller checks first, so a slow store is touched O(unique
+  // keys) times.
   auto LookupStore = [&](uint64_t Key, TaskOutcome &Out) {
     auto Loaded = StoreLoaded.find(Key);
     if (Loaded != StoreLoaded.end()) {
@@ -310,7 +312,8 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
         if (const TaskOutcome *Hit = PipelineCache.find(T.Key)) {
           T.PersistentHit = true;
           T.CachedOut = *Hit;
-        } else if (OutcomeStore && LookupStore(T.Key, T.CachedOut)) {
+        } else if (OutcomeStore && !UniqueOf.count(T.Key) &&
+                   LookupStore(T.Key, T.CachedOut)) {
           // A store hit is a persistent hit the memory cache merely
           // forgot (or never saw -- a fresh process warm-starting from
           // disk); phase 4 re-seats it in the memory cache.

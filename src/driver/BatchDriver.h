@@ -232,10 +232,9 @@ public:
   /// JobReport::Phases.  Calls running meanwhile on other threads are
   /// unaffected.
   ///
-  /// run() sets no gauges in the metrics registry: a front end that wants
-  /// the cache gauges publishes them from pipelineCacheCounters() itself
-  /// (layra-bench does), so concurrent drivers never overwrite each
-  /// other's.
+  /// The cache counters stay with the driver: a front end that wants them
+  /// as gauges renders them from pipelineCacheCounters() itself
+  /// (layra-bench does).
   DriverReport run(const std::vector<BatchJob> &Jobs,
                    bool CacheTransparent = false);
 
@@ -278,7 +277,6 @@ public:
   /// hits in reports and counters -- in transparent mode they are
   /// invisible, preserving the byte-identity contract.
   void setOutcomeStore(TaskOutcomeStore *Store) { OutcomeStore = Store; }
-  TaskOutcomeStore *outcomeStore() const { return OutcomeStore; }
 
   /// Lifetime hit/miss/eviction counters of the pipeline-outcome cache.
   DriverCacheCounters pipelineCacheCounters() const;

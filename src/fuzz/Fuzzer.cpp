@@ -13,7 +13,6 @@
 #include "fuzz/Mutator.h"
 #include "ir/ProgramGen.h"
 #include "ir/SsaBuilder.h"
-#include "obs/Metrics.h"
 #include "service/Client.h"
 #include "service/Server.h"
 #include "support/Random.h"
@@ -312,16 +311,6 @@ FuzzReport layra::runFuzzSession(const FuzzOptions &Options, std::FILE *Log) {
     if (Options.MaxFailures &&
         Report.Failures.size() >= Options.MaxFailures)
       break;
-  }
-
-  // Publish the per-oracle counters into the global registry so a
-  // --metrics-dump from the CLI carries them alongside solver metrics.
-  MetricsRegistry &MR = MetricsRegistry::global();
-  for (const OracleTally &T : Report.Tallies) {
-    const std::string Base = "layra.fuzz.oracle." + T.Name;
-    MR.add(MR.counter(Base + ".pass"), T.Pass);
-    MR.add(MR.counter(Base + ".fail"), T.Fail);
-    MR.add(MR.counter(Base + ".minimized"), T.Minimized);
   }
 
   if (Log) {

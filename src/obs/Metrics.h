@@ -1,4 +1,4 @@
-//===- obs/Metrics.h - Process-wide metrics registry ------------*- C++ -*-===//
+//===- obs/Metrics.h - Latency histograms and Prometheus text ---*- C++ -*-===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A lightweight telemetry core: named counters, gauges, and log-linear
-/// latency histograms behind a process-wide registry.  The hot path is a
-/// single relaxed atomic increment into a per-thread shard -- no locks, no
-/// contention -- while readers merge shards under a mutex into an immutable
-/// MetricsSnapshot with p50/p95/p99 readout and Prometheus text exposition.
+/// A lightweight telemetry core: a concurrent log-linear latency histogram
+/// whose record() is a few relaxed atomic adds, an immutable snapshot of it
+/// with p50/p95/p99 readout, and MetricsSnapshot, a plain list of named
+/// counters, gauges and histograms that renders the Prometheus text
+/// exposition.  Each front end fills a MetricsSnapshot from what it
+/// measured (obs::phaseMetrics() for the solver phases).
 ///
 /// Histogram geometry is HDR-style log-linear: durations are quantized to
 /// ticks (1/1024 ms), the first 16 buckets are exact, and every power-of-two
@@ -24,8 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,8 +64,8 @@ inline double ticksToMs(double Ticks) { return Ticks / kTicksPerMs; }
 
 } // namespace hist
 
-/// Immutable merged view of one histogram: dense bucket counts plus
-/// percentile readout with linear interpolation inside a bucket.
+/// Immutable view of one histogram: dense bucket counts plus percentile
+/// readout with linear interpolation inside a bucket.
 struct HistogramSnapshot {
   std::string Name;
   uint64_t Count = 0;
@@ -81,110 +80,35 @@ struct HistogramSnapshot {
   /// Value (in ms) at quantile \p Q in [0, 1]; 0 when empty.  Exact to
   /// within the bucket's 1/16 relative width.
   double percentile(double Q) const;
-
-  /// Accumulates \p Other into this snapshot (same geometry assumed).
-  void merge(const HistogramSnapshot &Other);
 };
 
 /// A standalone concurrent latency histogram.  record() is wait-free
-/// (relaxed atomic adds); snapshot() gives a consistent-enough merged view
-/// for reporting.  Server and loadgen share this type directly so their
-/// latency figures are bucket-for-bucket comparable.
+/// (relaxed atomic adds).  A snapshot()'s Count is the sum of the buckets
+/// it read; its sum may include or miss a sample still being recorded.
+/// Server, loadgen and the phase metrics (obs/Trace.h) share this type, so
+/// their latency figures are bucket-for-bucket comparable.
 class Histogram {
 public:
-  Histogram();
-
   void record(double Ms) { recordTicks(hist::msToTicks(Ms)); }
   void recordTicks(uint64_t Ticks);
 
   HistogramSnapshot snapshot() const;
-  void reset();
 
 private:
-  std::atomic<uint64_t> Buckets[hist::kNumBuckets];
-  std::atomic<uint64_t> CountV;
-  std::atomic<uint64_t> SumTicksV;
+  std::atomic<uint64_t> Buckets[hist::kNumBuckets] = {};
+  std::atomic<uint64_t> SumTicksV{0};
 };
 
-using CounterId = unsigned;
-using GaugeId = unsigned;
-using HistogramId = unsigned;
-
-/// Point-in-time merged view of a whole registry, in registration order
-/// (which is deterministic given a deterministic program).
+/// Named counters, gauges and histograms, rendered in the order given.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> Counters;
   std::vector<std::pair<std::string, double>> Gauges;
   std::vector<HistogramSnapshot> Histograms;
 
-  /// Lookups by name; null when absent.  The pointer points into this
-  /// snapshot, so a lookup on a temporary snapshot does not compile: its
-  /// pointer would dangle at the end of the statement.
-  const uint64_t *counter(const std::string &Name) const &;
-  const double *gauge(const std::string &Name) const &;
-  const HistogramSnapshot *histogram(const std::string &Name) const &;
-  const uint64_t *counter(const std::string &Name) const && = delete;
-  const double *gauge(const std::string &Name) const && = delete;
-  const HistogramSnapshot *histogram(const std::string &Name) const && = delete;
-
   /// Prometheus text exposition format (metric names sanitized to
-  /// [a-zA-Z0-9_:]; histograms emit cumulative _bucket/_sum/_count series).
+  /// [a-zA-Z0-9_:]; each histogram emits its occupied cumulative buckets,
+  /// one le="+Inf" bucket equal to _count, then _sum and _count).
   std::string toPrometheusText() const;
-};
-
-/// Registry of named metrics with per-thread sharded collection.  Metric
-/// registration (counter()/gauge()/histogram()) takes a mutex and returns a
-/// stable dense id; the write paths add()/record() touch only the calling
-/// thread's shard.  Capacities are fixed so shard cells can be flat atomic
-/// arrays; exceeding a cap is a fatal configuration error, not a silent
-/// drop.
-class MetricsRegistry {
-public:
-  static constexpr unsigned kMaxCounters = 256;
-  static constexpr unsigned kMaxGauges = 64;
-  static constexpr unsigned kMaxHistograms = 64;
-
-  MetricsRegistry();
-  ~MetricsRegistry();
-  MetricsRegistry(const MetricsRegistry &) = delete;
-  MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-  /// The process-wide registry every instrumented subsystem reports into.
-  static MetricsRegistry &global();
-
-  /// Register-or-lookup by name; same name always returns the same id.
-  CounterId counter(const std::string &Name);
-  GaugeId gauge(const std::string &Name);
-  HistogramId histogram(const std::string &Name);
-
-  /// Hot paths: unsynchronized (relaxed) updates into this thread's shard.
-  /// Counter arithmetic is modulo 2^64 -- overflow wraps, never traps.
-  void add(CounterId Id, uint64_t Delta = 1);
-  void record(HistogramId Id, double Ms);
-
-  /// Gauges are set rarely (end of a run); a mutex keeps them simple.
-  void set(GaugeId Id, double Value);
-
-  /// Merged view of all shards.
-  MetricsSnapshot snapshot() const;
-
-  /// Zeroes every cell in place (shards stay valid for cached writers).
-  void reset();
-
-private:
-  struct Shard;
-  Shard &localShard();
-
-  /// Process-unique serial: guards thread-local shard caches against a
-  /// destroyed-and-reallocated registry at the same address.
-  const uint64_t Serial;
-
-  mutable std::mutex Mutex;
-  std::vector<std::string> CounterNames;
-  std::vector<std::string> GaugeNames;
-  std::vector<std::string> HistogramNames;
-  std::vector<double> GaugeValues;
-  std::vector<std::unique_ptr<Shard>> Shards;
 };
 
 } // namespace layra

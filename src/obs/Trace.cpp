@@ -10,8 +10,8 @@
 #include "obs/Metrics.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <string>
 
 namespace layra {
 
@@ -54,37 +54,32 @@ struct ActiveSpan {
 thread_local std::vector<ActiveSpan> SpanStack;
 thread_local PhaseTotals ThreadTotals;
 
-/// Per-stage inclusive-duration histograms, registered once in the global
-/// registry (thread-safe static initialization).
-HistogramId phaseHistId(Phase P) {
-  static const std::array<HistogramId, kNumPhases> Ids = [] {
-    std::array<HistogramId, kNumPhases> A{};
-    for (unsigned I = 0; I < kNumPhases; ++I)
-      A[I] = MetricsRegistry::global().histogram(
-          std::string("layra.phase.") + PhaseNames[I] + ".ms");
-    return A;
-  }();
-  return Ids[unsigned(P)];
-}
+/// Per-stage inclusive durations and step-DP states, over every thread.
+Histogram PhaseHistograms[kNumPhases];
+std::atomic<uint64_t> DpStates{0};
 
 } // namespace
 
 const PhaseTotals &threadPhaseTotals() { return ThreadTotals; }
 
-void addSpillRound() {
-  if (!phaseAccountingEnabled())
-    return;
-  static const CounterId Id =
-      MetricsRegistry::global().counter("layra.pipeline.spill_rounds");
-  MetricsRegistry::global().add(Id);
+void addDpStates(uint64_t Visited) {
+  if (phaseAccountingEnabled())
+    DpStates.fetch_add(Visited, std::memory_order_relaxed);
 }
 
-void addDpStates(uint64_t Visited) {
-  if (!phaseAccountingEnabled())
-    return;
-  static const CounterId Id =
-      MetricsRegistry::global().counter("layra.dp.states_visited");
-  MetricsRegistry::global().add(Id, Visited);
+MetricsSnapshot phaseMetrics() {
+  MetricsSnapshot Out;
+  for (unsigned I = 0; I < kNumPhases; ++I) {
+    Out.Histograms.push_back(PhaseHistograms[I].snapshot());
+    Out.Histograms.back().Name =
+        std::string("layra.phase.") + PhaseNames[I] + ".ms";
+  }
+  Out.Counters = {
+      {"layra.pipeline.spill_rounds",
+       Out.Histograms[unsigned(Phase::SpillRound)].Count},
+      {"layra.dp.states_visited", DpStates.load(std::memory_order_relaxed)},
+  };
+  return Out;
 }
 
 void spanBegin(Phase P, uint32_t Mode) {
@@ -133,7 +128,7 @@ void spanEnd() {
     ThreadTotals.Count[I] += 1;
     if (!SpanStack.empty())
       SpanStack.back().ChildMs += DurMs;
-    MetricsRegistry::global().record(phaseHistId(S.P), DurMs);
+    PhaseHistograms[I].record(DurMs);
   }
 }
 

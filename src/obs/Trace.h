@@ -22,8 +22,9 @@
 ///
 ///  - Phase accounting feeds per-phase *self-time* totals (child spans
 ///    subtracted) into thread-local PhaseTotals the batch driver folds into
-///    per-job phase_ms breakdowns, and inclusive per-stage duration
-///    histograms ("layra.phase.<name>.ms") into the global MetricsRegistry.
+///    per-job phase_ms breakdowns, and inclusive per-stage durations into
+///    one process-wide Histogram per phase, which phaseMetrics() renders
+///    as "layra.phase.<name>.ms".
 ///
 /// Spans nest but must strictly nest per thread (RAII enforces this); the
 /// collector's control surface (enable/disable/clear/toJson) must not race
@@ -45,6 +46,8 @@
 #include <vector>
 
 namespace layra {
+
+struct MetricsSnapshot;
 
 /// The solver stage taxonomy.  Order is the report/trace emission order;
 /// names (phaseName) are the span names and the metric name stems.
@@ -106,8 +109,8 @@ inline bool phaseAccountingEnabled() {
   return (activeFlags() & kPhaseAccounting) != 0;
 }
 
-/// Turns phase accounting (PhaseTotals + per-stage histograms + stage
-/// counters) on or off for every thread.  Tracing is controlled by
+/// Turns phase accounting (PhaseTotals + per-stage histograms + the DP
+/// state counter) on or off for every thread.  Tracing is controlled by
 /// TraceCollector::enable.
 void setPhaseAccounting(bool Enabled);
 
@@ -135,9 +138,14 @@ private:
 /// snapshots before/after a task and works with the delta).
 const PhaseTotals &threadPhaseTotals();
 
-/// Stage counters, all no-ops unless phase accounting is on.
-void addSpillRound();
+/// Counts step-DP states visited; a no-op unless phase accounting is on.
 void addDpStates(uint64_t Visited);
+
+/// Everything phase accounting has recorded in this process, on every
+/// thread: the DP state counter, "layra.pipeline.spill_rounds" (the
+/// spill_round histogram's count) and the 17 "layra.phase.<name>.ms"
+/// inclusive-duration histograms, in Phase order.
+MetricsSnapshot phaseMetrics();
 
 void spanBegin(Phase P, uint32_t Mode);
 void spanEnd();

@@ -14,6 +14,7 @@
 #include "obs/EventLog.h"
 #include "obs/Metrics.h"
 #include "obs/RequestTrace.h"
+#include "obs/Trace.h"
 #include "service/DiskCache.h"
 #include "support/Socket.h"
 
@@ -397,7 +398,7 @@ std::string layra::makeStatsResponse(const ServerStats &S,
 
 std::string layra::makeMetricsExposition(const ServerStats &S) {
   // Server-level stats rendered through the same exposition machinery as
-  // the registry metrics, so one scrape sees one consistent format.
+  // the phase metrics, so one scrape sees one consistent format.
   MetricsSnapshot Snap;
   Snap.Counters = {
       {"layra.serve.requests.total", S.RequestsTotal},
@@ -452,8 +453,7 @@ std::string layra::makeMetricsExposition(const ServerStats &S) {
     Service.Name = "layra.serve.service_ms";
     Snap.Histograms.push_back(std::move(Service));
   }
-  return Snap.toPrometheusText() +
-         MetricsRegistry::global().snapshot().toPrometheusText();
+  return Snap.toPrometheusText() + obs::phaseMetrics().toPrometheusText();
 }
 
 //===----------------------------------------------------------------------===//

@@ -206,9 +206,9 @@ struct ServerStats {
 std::string makeStatsResponse(const ServerStats &Stats,
                               const std::string &TraceId = std::string());
 
-/// Renders \p Stats plus the process-wide metrics registry snapshot as a
-/// Prometheus-style text exposition (`layra-serve --metrics-dump=FILE`,
-/// written on SIGUSR1 and at drain).
+/// Renders \p Stats plus obs::phaseMetrics() as a Prometheus-style text
+/// exposition (`layra-serve --metrics-dump=FILE`, written on SIGUSR1 and
+/// at drain).
 std::string makeMetricsExposition(const ServerStats &Stats);
 
 /// The server.  Typical use:

@@ -33,7 +33,7 @@ TEST(GraphColoringTest, ProducesProperColoringWithinR) {
         AllocationProblem::fromGeneralGraph(G, {Regs}, {}, {});
     GraphColoringAllocator GC;
     AllocationResult Result = GC.allocate(P);
-    const std::vector<unsigned> &Colors = GC.lastColoring();
+    std::vector<unsigned> Colors = chaitinBriggsColoring(P.graph(), Regs);
     EXPECT_TRUE(isProperColoring(P.graph(), Colors));
     for (VertexId V = 0; V < P.graph().numVertices(); ++V) {
       if (Result.Allocated[V]) {

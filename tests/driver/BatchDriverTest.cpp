@@ -16,13 +16,15 @@
 #include "ir/Parser.h"
 #include "ir/ProgramGen.h"
 #include "ir/SsaBuilder.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "service/DiskCache.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <string>
 #include <thread>
 
 using namespace layra;
@@ -565,21 +567,43 @@ TEST(BatchDriverTest, PhaseAccountingFollowsTheCallingThread) {
   EXPECT_FALSE(obs::phaseAccountingEnabled());
 }
 
-TEST(BatchDriverTest, RunLeavesDriverGaugesToItsCaller) {
-  // The workspace and cache gauges belong to the front end that publishes
-  // them (layra-bench); a run() must not overwrite them.
-  MetricsRegistry &M = MetricsRegistry::global();
-  M.set(M.gauge("layra.driver.cache.hits"), -1.0);
+TEST(BatchDriverTest, DiskStoreIsReadOncePerDistinctKey) {
+  // Two identical jobs: six tasks over three distinct keys.  A cold run
+  // asks the store about each key once and writes each once; a warm run
+  // in a fresh driver finds each once.
+  char Template[] = "/tmp/layra-driver-test-XXXXXX";
+  const char *Made = mkdtemp(Template);
+  ASSERT_NE(Made, nullptr);
+  const std::string Dir = Made;
+  struct RemoveOnExit {
+    std::string Path;
+    ~RemoveOnExit() { (void)std::system(("rm -rf '" + Path + "'").c_str()); }
+  } Cleanup{Dir};
   Suite S = tinySuite(3, 5);
   BatchJob Job;
   Job.SuiteName = "tiny";
   Job.SuiteData = &S;
   Job.NumRegisters = 4;
-  BatchDriver Driver(2);
-  DriverReport R = Driver.run({Job, Job});
-  ASSERT_EQ(R.CacheHits, 3u);
-  MetricsSnapshot Snap = M.snapshot();
-  const double *Hits = Snap.gauge("layra.driver.cache.hits");
-  ASSERT_NE(Hits, nullptr);
-  EXPECT_EQ(*Hits, -1.0);
+  {
+    DiskCache Disk(Dir);
+    ASSERT_TRUE(Disk.valid()) << Disk.error();
+    BatchDriver Cold(2);
+    Cold.setOutcomeStore(&Disk);
+    ASSERT_EQ(Cold.run({Job, Job}).CacheHits, 3u);
+    DiskCacheStats Stats = Disk.stats();
+    EXPECT_EQ(Stats.Misses, 3u);
+    EXPECT_EQ(Stats.Writes, 3u);
+    EXPECT_EQ(Stats.Entries, 3u);
+    EXPECT_EQ(Stats.Hits, 0u);
+  }
+  {
+    DiskCache Disk(Dir);
+    BatchDriver Warm(2);
+    Warm.setOutcomeStore(&Disk);
+    ASSERT_EQ(Warm.run({Job, Job}).CacheHits, 6u);
+    DiskCacheStats Stats = Disk.stats();
+    EXPECT_EQ(Stats.Hits, 3u);
+    EXPECT_EQ(Stats.Misses, 0u);
+    EXPECT_EQ(Stats.Writes, 0u);
+  }
 }

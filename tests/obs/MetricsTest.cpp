@@ -1,4 +1,4 @@
-//===- tests/obs/MetricsTest.cpp - Metrics registry tests -----------------===//
+//===- tests/obs/MetricsTest.cpp - Histogram and exposition tests ---------===//
 //
 // Part of the Layra project, under the Apache License v2.0.
 // SPDX-License-Identifier: Apache-2.0
@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The metrics core (obs/Metrics.h): log-linear bucket geometry, percentile
-/// readout against an exact sorted reference, per-thread shard merging,
-/// counter overflow arithmetic, and the Prometheus/text expositions.
+/// readout against an exact sorted reference, snapshots taken while other
+/// threads record, and the Prometheus text exposition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace layra;
@@ -136,108 +139,52 @@ TEST(HistogramTest, EmptyAndSingleSampleEdges) {
   EXPECT_NEAR(Snap.meanMs(), 2.5, 0.01);
 }
 
-TEST(HistogramTest, MergeAccumulatesCounts) {
-  Histogram A, B;
-  for (int I = 0; I < 10; ++I)
-    A.record(1.0);
-  for (int I = 0; I < 30; ++I)
-    B.record(100.0);
-  HistogramSnapshot SA = A.snapshot();
-  SA.merge(B.snapshot());
-  EXPECT_EQ(SA.Count, 40u);
-  // 10 fast + 30 slow: the median sits in the slow mode.
-  EXPECT_GT(SA.percentile(0.5), 50.0);
-  EXPECT_LT(SA.percentile(0.1), 2.0);
-}
-
-//===----------------------------------------------------------------------===//
-// Registry: shards, names, overflow
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsRegistryTest, SameNameSameId) {
-  MetricsRegistry R;
-  CounterId C1 = R.counter("test.counter");
-  CounterId C2 = R.counter("test.counter");
-  EXPECT_EQ(C1, C2);
-  EXPECT_NE(R.counter("test.other"), C1);
-  HistogramId H1 = R.histogram("test.hist");
-  EXPECT_EQ(R.histogram("test.hist"), H1);
-}
-
-TEST(MetricsRegistryTest, PerThreadShardsMergeInSnapshot) {
-  MetricsRegistry R;
-  CounterId C = R.counter("merge.counter");
-  HistogramId H = R.histogram("merge.hist");
-  constexpr unsigned kThreads = 8;
-  constexpr unsigned kPerThread = 10000;
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < kThreads; ++T)
-    Threads.emplace_back([&R, C, H] {
-      for (unsigned I = 0; I < kPerThread; ++I) {
-        R.add(C);
-        R.record(H, 1.0);
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  MetricsSnapshot Snap = R.snapshot();
-  const uint64_t *Count = Snap.counter("merge.counter");
-  ASSERT_NE(Count, nullptr);
-  EXPECT_EQ(*Count, uint64_t(kThreads) * kPerThread);
-  const HistogramSnapshot *Hist = Snap.histogram("merge.hist");
-  ASSERT_NE(Hist, nullptr);
-  EXPECT_EQ(Hist->Count, uint64_t(kThreads) * kPerThread);
-}
-
-TEST(MetricsRegistryTest, CounterOverflowWrapsWithoutTrapping) {
-  MetricsRegistry R;
-  CounterId C = R.counter("wrap.counter");
-  R.add(C, UINT64_MAX); // One tick short of wrapping.
-  R.add(C, 3);          // Modulo 2^64: lands on 2.
-  MetricsSnapshot Snap = R.snapshot();
-  const uint64_t *V = Snap.counter("wrap.counter");
-  ASSERT_NE(V, nullptr);
-  EXPECT_EQ(*V, 2u);
-}
-
-TEST(MetricsRegistryTest, GaugesKeepLastValue) {
-  MetricsRegistry R;
-  GaugeId G = R.gauge("test.gauge");
-  R.set(G, 1.5);
-  R.set(G, -2.25);
-  MetricsSnapshot Snap = R.snapshot();
-  const double *V = Snap.gauge("test.gauge");
-  ASSERT_NE(V, nullptr);
-  EXPECT_EQ(*V, -2.25);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesCachedWriters) {
-  MetricsRegistry R;
-  CounterId C = R.counter("reset.counter");
-  R.add(C, 7);
-  R.reset();
-  MetricsSnapshot AfterReset = R.snapshot();
-  ASSERT_NE(AfterReset.counter("reset.counter"), nullptr);
-  EXPECT_EQ(*AfterReset.counter("reset.counter"), 0u);
-  // The thread's cached shard pointer must still be valid for new writes.
-  R.add(C, 2);
-  MetricsSnapshot AfterAdd = R.snapshot();
-  ASSERT_NE(AfterAdd.counter("reset.counter"), nullptr);
-  EXPECT_EQ(*AfterAdd.counter("reset.counter"), 2u);
-}
-
 //===----------------------------------------------------------------------===//
 // Expositions
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+using BucketLine = std::pair<std::string, uint64_t>;
+
+/// The `le` label and count of each `<Family>_bucket` line of \p Text, in
+/// order.
+std::vector<BucketLine> bucketLines(const std::string &Text,
+                                    const std::string &Family) {
+  std::vector<BucketLine> Lines;
+  const std::string Prefix = Family + "_bucket{le=\"";
+  for (size_t At = Text.find(Prefix); At != std::string::npos;
+       At = Text.find(Prefix, At + 1)) {
+    size_t Le = At + Prefix.size();
+    size_t LeEnd = Text.find('"', Le);
+    // The count follows the closing `"} `.
+    Lines.emplace_back(Text.substr(Le, LeEnd - Le),
+                       std::stoull(Text.substr(LeEnd + 3)));
+  }
+  return Lines;
+}
+
+/// The counts of the `le="+Inf"` lines among \p Lines.
+std::vector<uint64_t> infCounts(const std::vector<BucketLine> &Lines) {
+  std::vector<uint64_t> Counts;
+  for (const BucketLine &L : Lines)
+    if (L.first == "+Inf")
+      Counts.push_back(L.second);
+  return Counts;
+}
+
+} // namespace
+
 TEST(MetricsSnapshotTest, PrometheusTextSanitizesAndCumulates) {
-  MetricsRegistry R;
-  R.add(R.counter("layra.test.requests"), 5);
-  HistogramId H = R.histogram("layra.test.latency_ms");
-  R.record(H, 0.5);
-  R.record(H, 0.5);
-  R.record(H, 200.0);
-  std::string Text = R.snapshot().toPrometheusText();
+  Histogram H;
+  H.record(0.5);
+  H.record(0.5);
+  H.record(200.0);
+  MetricsSnapshot Snap;
+  Snap.Counters = {{"layra.test.requests", 5}};
+  Snap.Histograms = {H.snapshot()};
+  Snap.Histograms[0].Name = "layra.test.latency_ms";
+  std::string Text = Snap.toPrometheusText();
   // Dots sanitize to underscores; TYPE lines announce each family.
   EXPECT_NE(Text.find("# TYPE layra_test_requests counter"),
             std::string::npos);
@@ -245,8 +192,83 @@ TEST(MetricsSnapshotTest, PrometheusTextSanitizesAndCumulates) {
   EXPECT_NE(Text.find("# TYPE layra_test_latency_ms histogram"),
             std::string::npos);
   // _count and _sum series exist and the bucket counts are cumulative:
-  // the final occupied bucket must read 3.
+  // the two occupied bounded buckets read 2, then 3.
   EXPECT_NE(Text.find("layra_test_latency_ms_count 3"), std::string::npos);
   EXPECT_NE(Text.find("layra_test_latency_ms_sum"), std::string::npos);
-  EXPECT_NE(Text.find("} 3\n"), std::string::npos);
+  std::vector<uint64_t> Bounded;
+  for (const BucketLine &L : bucketLines(Text, "layra_test_latency_ms"))
+    if (L.first != "+Inf")
+      Bounded.push_back(L.second);
+  EXPECT_EQ(Bounded, (std::vector<uint64_t>{2, 3}));
+}
+
+TEST(MetricsSnapshotTest, EveryHistogramHasOneInfBucketEqualToCount) {
+  // The text format requires a le="+Inf" bucket equal to _count: for an
+  // empty histogram, for ordinary samples, and once only when the
+  // unbounded final bucket itself holds samples.
+  Histogram Ordinary, Unbounded;
+  Ordinary.record(0.5);
+  Ordinary.record(200.0);
+  Unbounded.record(1.0);
+  Unbounded.recordTicks(UINT64_MAX);
+  MetricsSnapshot Snap;
+  Snap.Histograms = {HistogramSnapshot(), Ordinary.snapshot(),
+                     Unbounded.snapshot()};
+  Snap.Histograms[0].Name = "empty_ms";
+  Snap.Histograms[1].Name = "ordinary_ms";
+  Snap.Histograms[2].Name = "unbounded_ms";
+  std::string Text = Snap.toPrometheusText();
+  EXPECT_EQ(infCounts(bucketLines(Text, "empty_ms")),
+            std::vector<uint64_t>{0});
+  EXPECT_EQ(infCounts(bucketLines(Text, "ordinary_ms")),
+            std::vector<uint64_t>{2});
+  EXPECT_EQ(infCounts(bucketLines(Text, "unbounded_ms")),
+            std::vector<uint64_t>{2});
+  EXPECT_NE(Text.find("empty_ms_count 0\n"), std::string::npos);
+  EXPECT_NE(Text.find("unbounded_ms_count 2\n"), std::string::npos);
+}
+
+TEST(MetricsSnapshotTest, SnapshotsTakenWhileRecordingStayValid) {
+  // Writers record while snapshots are rendered: in every exposition the
+  // last bucket is le="+Inf", equal to _count and to no less than any
+  // cumulative bucket, and the count never falls.
+  constexpr unsigned kWriters = 3;
+  Histogram H;
+  std::atomic<bool> Stop{false};
+  std::vector<uint64_t> Recorded(kWriters, 0);
+  std::vector<std::thread> Writers;
+  for (unsigned T = 0; T < kWriters; ++T)
+    Writers.emplace_back([&H, &Stop, &Recorded, T] {
+      uint64_t N = 0;
+      while (!Stop.load(std::memory_order_relaxed))
+        H.recordTicks((N++ * 2654435761u + T) % 100000);
+      Recorded[T] = N;
+    });
+  uint64_t Last = 0;
+  for (unsigned I = 0; I < 100; ++I) {
+    MetricsSnapshot Snap;
+    Snap.Histograms = {H.snapshot()};
+    Snap.Histograms[0].Name = "racing_ms";
+    uint64_t Count = Snap.Histograms[0].Count;
+    std::vector<BucketLine> Lines =
+        bucketLines(Snap.toPrometheusText(), "racing_ms");
+    // Non-fatal checks: the writers must be joined on failure too.
+    EXPECT_FALSE(Lines.empty());
+    if (Lines.empty())
+      break;
+    EXPECT_EQ(Lines.back(), (BucketLine{"+Inf", Count}));
+    for (const BucketLine &L : Lines)
+      EXPECT_LE(L.second, Count) << "le=" << L.first << " snapshot " << I;
+    EXPECT_GE(Count, Last);
+    Last = Count;
+    if (HasFailure())
+      break;
+  }
+  Stop.store(true, std::memory_order_relaxed);
+  for (std::thread &W : Writers)
+    W.join();
+  uint64_t Total = 0;
+  for (uint64_t N : Recorded)
+    Total += N;
+  EXPECT_EQ(H.snapshot().Count, Total);
 }

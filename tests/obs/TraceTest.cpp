@@ -9,8 +9,9 @@
 /// The phase tracer (obs/Trace.h): Chrome-trace JSON from a real pipeline
 /// run parses under the strict support/Json parser with properly nested
 /// spans, deterministic mode yields byte-identical traces, a disabled
-/// tracer emits nothing, and enabling the full observability surface does
-/// not change a timing-free driver report.
+/// tracer emits nothing, enabling the full observability surface does not
+/// change a timing-free driver report, and the process-wide phase metrics
+/// grow only under phase accounting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +62,23 @@ struct ObsQuiesce {
 PipelineResult runOnce(uint64_t Seed, unsigned Regs = 4) {
   Function F = makeSsaFunction(Seed);
   return runAllocationPipeline(F, ST231, {Regs});
+}
+
+uint64_t phaseCount(const MetricsSnapshot &S, Phase P) {
+  const std::string Name = std::string("layra.phase.") + phaseName(P) + ".ms";
+  for (const HistogramSnapshot &H : S.Histograms)
+    if (H.Name == Name)
+      return H.Count;
+  ADD_FAILURE() << "no histogram " << Name;
+  return 0;
+}
+
+uint64_t counterValue(const MetricsSnapshot &S, const std::string &Name) {
+  for (const auto &C : S.Counters)
+    if (C.first == Name)
+      return C.second;
+  ADD_FAILURE() << "no counter " << Name;
+  return 0;
 }
 
 } // namespace
@@ -236,4 +254,35 @@ TEST(TraceTest, PhaseAccountingFillsJobBreakdowns) {
     SelfSum += Phases.Ms[P];
   }
   EXPECT_GT(SelfSum, 0.0);
+}
+
+TEST(TraceTest, PhaseMetricsCountOnlyAccountedRuns) {
+  ObsQuiesce Quiesce;
+  // The phase metrics are process-wide, so compare snapshots around each
+  // run instead of reading absolute values.
+  MetricsSnapshot Before = obs::phaseMetrics();
+  PipelineResult Result;
+  {
+    obs::ThreadPhaseAccounting On(true);
+    Result = runOnce(41, /*Regs=*/2);
+  }
+  MetricsSnapshot After = obs::phaseMetrics();
+  ASSERT_GT(Result.Rounds, 1u);
+  EXPECT_EQ(phaseCount(After, Phase::Pipeline) -
+                phaseCount(Before, Phase::Pipeline),
+            1u);
+  EXPECT_EQ(phaseCount(After, Phase::SpillRound) -
+                phaseCount(Before, Phase::SpillRound),
+            Result.Rounds);
+  EXPECT_EQ(counterValue(After, "layra.pipeline.spill_rounds") -
+                counterValue(Before, "layra.pipeline.spill_rounds"),
+            Result.Rounds);
+
+  runOnce(41, /*Regs=*/2);
+  MetricsSnapshot Quiet = obs::phaseMetrics();
+  EXPECT_EQ(Quiet.Counters, After.Counters);
+  ASSERT_EQ(Quiet.Histograms.size(), After.Histograms.size());
+  for (size_t I = 0; I < After.Histograms.size(); ++I)
+    EXPECT_EQ(Quiet.Histograms[I].Count, After.Histograms[I].Count)
+        << After.Histograms[I].Name;
 }

@@ -9,15 +9,17 @@
 /// Request-scoped observability over the wire: trace id round trips,
 /// server-generated ids under a pinned salt, span trees on traced
 /// allocate responses, minimal echoes on ping/stats/error responses,
-/// the --slow-ms threshold boundary, and the global event ring's
-/// request lifecycle records.
+/// the --slow-ms threshold boundary, the global event ring's request
+/// lifecycle records, and the metrics exposition's series.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "service/Server.h"
 
+#include "driver/BatchDriver.h"
 #include "obs/EventLog.h"
 #include "obs/RequestTrace.h"
+#include "obs/Trace.h"
 #include "service/Client.h"
 #include "support/Json.h"
 
@@ -421,4 +423,31 @@ TEST(ServerTraceTest, EventRingRecordsTheRequestLifecycle) {
   EXPECT_TRUE(DrainBegan);
   EXPECT_TRUE(DrainEnded);
   Events.reset();
+}
+
+TEST(ServerTraceTest, MetricsExpositionAppendsPhaseFamilies) {
+  // One accounted driver run, so the phase families have samples.
+  {
+    obs::ThreadPhaseAccounting On(true);
+    BatchJob Job;
+    Job.SuiteName = "lao-kernels";
+    Job.NumRegisters = 4;
+    BatchDriver Driver(1);
+    ASSERT_TRUE(Driver.run({Job}).Jobs[0].Phases.has_value());
+  }
+  ServerStats Stats;
+  Stats.RequestsTotal = 7;
+  std::string Text = makeMetricsExposition(Stats);
+  EXPECT_NE(Text.find("# TYPE layra_serve_requests_total counter\n"
+                      "layra_serve_requests_total 7\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("# TYPE layra_serve_cache_hit_rate gauge\n"),
+            std::string::npos);
+  // The phase families follow every server series.
+  size_t Phases = Text.find("# TYPE layra_phase_pipeline_ms histogram\n");
+  ASSERT_NE(Phases, std::string::npos);
+  EXPECT_GT(Phases, Text.rfind("layra_serve_"));
+  EXPECT_EQ(Text.find("layra_phase_pipeline_ms_count 0\n"), std::string::npos);
+  EXPECT_NE(Text.find("# TYPE layra_pipeline_spill_rounds counter\n"),
+            std::string::npos);
 }
