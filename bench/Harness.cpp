@@ -49,10 +49,8 @@ FigureData layra::bench::measureFigure(const FigureSpec &Spec) {
   Suite S = makeSuite(Spec.SuiteName);
   Data.Costs.assign(Data.AllocatorNames.size(), {});
 
-  // One driver for the whole figure: instances are fanned over its pool,
-  // and identical instances *within* one (allocator, register count) batch
-  // are solved once.  (Keys mix allocator and R, so distinct sweep points
-  // never share results.)
+  // One driver for the whole figure: each (allocator, register count)
+  // batch of instances is fanned over its pool.
   BatchDriver Driver(Spec.Threads);
 
   // Instance structure (graph, constraints, intervals) is budget-
@@ -89,8 +87,8 @@ FigureData layra::bench::measureFigure(const FigureSpec &Spec) {
       const std::string &Name = Data.AllocatorNames[A];
       bool IsOptimal = Name == "optimal";
       std::string Error;
-      std::vector<AllocationResult> Results = Driver.solveProblems(
-          Instances, Name, Spec.OptimalNodeLimit, &Error);
+      std::vector<AllocationResult> Results =
+          Driver.solveProblems(Instances, Name, Error);
       if (!Error.empty()) {
         // A misconfigured figure (bad allocator name, linear scan over
         // graph-only instances) is a usage error, not a process abort.

@@ -42,12 +42,11 @@ struct FigureSpec {
   TargetDesc Target = ST231;
   /// Register counts to sweep.
   std::vector<unsigned> RegisterCounts;
-  /// Allocators to compare (names from makeAllocator, "optimal" implied).
+  /// Allocators to compare (names from makeAllocator, "optimal" implied;
+  /// it runs under OptimalBnBAllocator's own node budget).
   std::vector<std::string> Allocators;
   /// true: SSA/chordal methodology (§6.1); false: non-SSA/general (§6.2).
   bool ChordalPipeline = true;
-  /// Branch-and-bound node budget per instance for the Optimal baseline.
-  uint64_t OptimalNodeLimit = 20'000'000;
   /// Batch-driver thread count; 0 = hardware concurrency.  The figure data
   /// is deterministic, so any thread count reproduces the same tables.
   unsigned Threads = 0;
@@ -70,7 +69,8 @@ struct FigureData {
 };
 
 /// Runs every allocator of \p Spec (plus "optimal") over the suite, batched
-/// through the parallel driver (driver/BatchDriver.h).
+/// through the parallel driver (BatchDriver::solveProblems(Problems,
+/// AllocatorName, Error), driver/BatchDriver.h).
 FigureData measureFigure(const FigureSpec &Spec);
 
 /// Parses an optional `--threads=N` argument for the per-figure binaries;

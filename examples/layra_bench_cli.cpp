@@ -42,8 +42,9 @@
 ///                second identical sweep -- even in a fresh process --
 ///                skips the solver.  Timing-free reports stay
 ///                byte-identical, warm or cold
-///   --disk-cache-cap  byte bound on --disk-cache with LRU eviction
-///                (default 0 = unbounded)
+///   --disk-cache-cap  byte bound on --disk-cache with LRU eviction;
+///                entries are 53 bytes, so it keeps max(1, BYTES / 53)
+///                of them (default 0 = unbounded)
 ///   --json/--csv write the DriverReport in that format ("-" = stdout)
 ///   --details    include per-function tasks in the JSON report
 ///   --no-timing  omit wall-clock fields: output is then byte-identical
@@ -286,8 +287,8 @@ void runGraphSuite(BatchDriver &Driver, const CliOptions &Opt) {
       Instances.push_back(&P);
 
     std::string Error;
-    std::vector<AllocationResult> Results = Driver.solveProblems(
-        Instances, Opt.Pipeline.AllocatorName, 50'000'000, &Error);
+    std::vector<AllocationResult> Results =
+        Driver.solveProblems(Instances, Opt.Pipeline.AllocatorName, Error);
     if (!Error.empty()) {
       std::fprintf(stderr, "error: suite '%s': %s\n", kGraphSuiteName,
                    Error.c_str());

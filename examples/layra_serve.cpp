@@ -48,7 +48,8 @@
 ///                 across restarts.  The directory is created if missing
 ///   --disk-cache-cap=BYTES
 ///                 byte bound on --disk-cache with least-recently-used
-///                 eviction (default 0 = unbounded)
+///                 eviction; entries are 53 bytes, so it keeps
+///                 max(1, BYTES / 53) of them (default 0 = unbounded)
 ///   --max-conns   concurrent connection cap (default 256)
 ///   --max-frame   largest accepted frame payload in bytes (default 16 MiB)
 ///   --metrics-dump=FILE
@@ -332,15 +333,13 @@ int main(int Argc, char **Argv) {
                 "cache capacity %zu, queue capacity %zu/shard\n",
                 Opt.Shards ? Opt.Shards : 1, S.stats().Threads,
                 Opt.CacheCapacity, Opt.QueueCapacity);
-    if (!Opt.DiskCacheDir.empty()) {
-      ServerStats Stats = S.stats();
+    if (std::optional<DiskCacheStats> Disk = S.stats().Disk)
       std::printf("layra-serve: disk cache at %s (%llu entries, %llu bytes"
                   "%s)\n",
                   Opt.DiskCacheDir.c_str(),
-                  static_cast<unsigned long long>(Stats.DiskEntries),
-                  static_cast<unsigned long long>(Stats.DiskBytes),
+                  static_cast<unsigned long long>(Disk->Entries),
+                  static_cast<unsigned long long>(Disk->Bytes),
                   Opt.DiskCacheCapBytes ? ", capped" : "");
-    }
     std::fflush(stdout);
   }
 
@@ -382,10 +381,10 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Stats.RequestsAllocate),
                  static_cast<unsigned long long>(Stats.RequestsSubmitIr),
                  static_cast<unsigned long long>(Stats.RequestsFailed),
-                 static_cast<unsigned long long>(Stats.CacheEntries),
-                 static_cast<unsigned long long>(Stats.CacheCapacity),
-                 static_cast<unsigned long long>(Stats.CacheHits),
-                 static_cast<unsigned long long>(Stats.CacheEvictions));
+                 static_cast<unsigned long long>(Stats.Cache.Entries),
+                 static_cast<unsigned long long>(Stats.Cache.Capacity),
+                 static_cast<unsigned long long>(Stats.Cache.Hits),
+                 static_cast<unsigned long long>(Stats.Cache.Evictions));
   }
   return 0;
 }

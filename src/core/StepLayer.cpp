@@ -40,6 +40,8 @@ double layra::estimateBoundedLayerStates(const AllocationProblem &P,
     unsigned M = 0;
     for (VertexId V : P.Cliques.clique(K))
       M += (Mask.empty() || Mask[V]) ? 1 : 0;
+    if (M > 64) // The DP keeps a bag as a 64-bit mask: no table fits.
+      return 1e18;
     // Sum of binomials C(M, 0..Bound), saturating.
     double Count = 1, Term = 1;
     for (unsigned J = 1; J <= std::min(Bound, M); ++J) {

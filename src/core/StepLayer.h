@@ -34,8 +34,9 @@ inline constexpr unsigned kMaxLayerStep = 3;
 
 /// Estimated total DP table size (number of subset states summed over all
 /// clique-tree nodes) for a run of optimalBoundedLayer with \p Bound on the
-/// unmasked vertices.  Saturates at 1e18.  The exact solver uses this to
-/// decide between the DP and branch-and-bound.
+/// unmasked vertices.  Saturates at 1e18, and reads 1e18 whenever a clique
+/// has more than 64 unmasked members, which the DP cannot hold.  The exact
+/// solver uses this to decide between the DP and branch-and-bound.
 double estimateBoundedLayerStates(const AllocationProblem &P,
                                   const std::vector<char> &Mask,
                                   unsigned Bound);

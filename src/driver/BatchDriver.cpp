@@ -7,7 +7,6 @@
 
 #include "driver/BatchDriver.h"
 
-#include "alloc/OptimalBnB.h"
 #include "core/ProblemBuilder.h"
 #include "ir/SsaBuilder.h"
 #include "support/Compiler.h"
@@ -21,7 +20,6 @@
 #include <optional>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace layra;
 
@@ -223,20 +221,19 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     const Function *F;
     const std::string *Program;
     uint64_t Key;
-    bool PersistentHit; ///< Key was in the cache before this run.
+    bool PersistentHit; ///< The memory cache or the store had the key.
+    bool FromStore;     ///< The store had it and the memory cache did not.
     bool BatchDup;      ///< An earlier task of this run has the same key.
     TaskOutcome CachedOut; ///< Meaningful only when PersistentHit.
     size_t UniqueIndex; ///< Slot in the unique-solve arrays.
   };
   std::vector<PendingTask> Pending;
-  std::unordered_map<uint64_t, size_t> UniqueOf; // Key -> unique slot.
+  // The one repeat index: each key met this run -> its first task in
+  // Pending.  Phase 2 never inserts into the memory cache, so a repeat
+  // misses it exactly when its first task did, and then shares that
+  // task's classification; the store is therefore asked once per key.
+  std::unordered_map<uint64_t, size_t> FirstOf;
   std::vector<size_t> UniqueToPending;
-  std::unordered_set<uint64_t> BatchSeen; // Every key met this run.
-  // Outcomes pulled from the persistent store this run, read at most once
-  // per key (the map dedupes repeats) and committed to the memory cache in
-  // phase 4 in load order, so eviction order stays deterministic.
-  std::unordered_map<uint64_t, TaskOutcome> StoreLoaded;
-  std::vector<uint64_t> StoreLoadOrder;
 
   // Function pointers are stable for the duration of run() (suites live in
   // GeneratedSuites or in the caller's SuiteData), so each function's IR is
@@ -249,24 +246,6 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
     uint64_t H = hashFunction(F);
     FunctionHashes.emplace(&F, H);
     return H;
-  };
-  // One store read per distinct key per run: repeats of a hit are served
-  // from the StoreLoaded snapshot, and repeats of a miss are in UniqueOf,
-  // which the caller checks first, so a slow store is touched O(unique
-  // keys) times.
-  auto LookupStore = [&](uint64_t Key, TaskOutcome &Out) {
-    auto Loaded = StoreLoaded.find(Key);
-    if (Loaded != StoreLoaded.end()) {
-      Out = Loaded->second;
-      return true;
-    }
-    TaskOutcome FromStore;
-    if (!OutcomeStore->lookup(Key, FromStore))
-      return false;
-    StoreLoaded.emplace(Key, FromStore);
-    StoreLoadOrder.push_back(Key);
-    Out = FromStore;
-    return true;
   };
 
   Report.Jobs.resize(Jobs.size());
@@ -305,29 +284,32 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
         // accept rather than storing canonical instances for re-check.
         T.Key = hashPipelineTask(HashOf(F), Job.Target, JobBudgets[JI],
                                  Job.Options);
-        T.BatchDup = !BatchSeen.insert(T.Key).second;
+        auto First = FirstOf.emplace(T.Key, Pending.size());
+        T.BatchDup = !First.second;
+        T.FromStore = false;
         T.UniqueIndex = ~size_t(0);
-        // find() marks the entry most recently used; lookups never insert,
-        // so no eviction can happen before the phase-4 commit.
+        // Every task calls find(): it marks the entry most recently used,
+        // which orders later evictions.  Lookups never insert, so no
+        // eviction can happen before the phase-4 commit.
         if (const TaskOutcome *Hit = PipelineCache.find(T.Key)) {
           T.PersistentHit = true;
           T.CachedOut = *Hit;
-        } else if (OutcomeStore && !UniqueOf.count(T.Key) &&
-                   LookupStore(T.Key, T.CachedOut)) {
+        } else if (T.BatchDup) {
+          const PendingTask &Twin = Pending[First.first->second];
+          T.PersistentHit = Twin.PersistentHit;
+          T.FromStore = Twin.FromStore;
+          T.CachedOut = Twin.CachedOut;
+          T.UniqueIndex = Twin.UniqueIndex;
+        } else if (OutcomeStore && OutcomeStore->lookup(T.Key, T.CachedOut)) {
           // A store hit is a persistent hit the memory cache merely
           // forgot (or never saw -- a fresh process warm-starting from
           // disk); phase 4 re-seats it in the memory cache.
           T.PersistentHit = true;
+          T.FromStore = true;
         } else {
           T.PersistentHit = false;
-          auto Known = UniqueOf.find(T.Key);
-          if (Known != UniqueOf.end()) {
-            T.UniqueIndex = Known->second;
-          } else {
-            T.UniqueIndex = UniqueOf.size();
-            UniqueOf.emplace(T.Key, T.UniqueIndex);
-            UniqueToPending.push_back(Pending.size());
-          }
+          T.UniqueIndex = UniqueToPending.size();
+          UniqueToPending.push_back(Pending.size());
         }
         if (T.PersistentHit || T.BatchDup)
           ++PipelineHits;
@@ -439,12 +421,14 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // snapshots, never from the cache, so a small capacity bound can evict
   // entries this very batch produced without corrupting the report.
   uint64_t EvictionsBefore = PipelineCache.evictions();
-  // Disk-loaded outcomes re-enter the memory cache first (in load order),
-  // then this run's solves; both flow through the same serial insert path
-  // so a bounded capacity evicts deterministically.  Newly solved
-  // outcomes also flow down into the persistent store.
-  for (uint64_t Key : StoreLoadOrder)
-    PipelineCache.insert(Key, StoreLoaded.at(Key));
+  // Store hits re-enter the memory cache first (first occurrences in
+  // expansion order, the order the store was read in), then this run's
+  // solves; both flow through the same serial insert path so a bounded
+  // capacity evicts deterministically.  Newly solved outcomes also flow
+  // down into the persistent store.
+  for (const PendingTask &T : Pending)
+    if (T.FromStore && !T.BatchDup)
+      PipelineCache.insert(T.Key, T.CachedOut);
   for (size_t I = 0; I < UniqueToPending.size(); ++I) {
     PipelineCache.insert(Pending[UniqueToPending[I]].Key, Outcomes[I]);
     if (OutcomeStore)
@@ -497,7 +481,7 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
   // Transparent mode reports the cache a fresh unbounded driver would end
   // up with: one entry per distinct key, nothing evicted.
   Report.CacheEntries =
-      CacheTransparent ? BatchSeen.size() : PipelineCache.size();
+      CacheTransparent ? FirstOf.size() : PipelineCache.size();
   Report.CacheEvictions =
       CacheTransparent ? 0 : PipelineCache.evictions() - EvictionsBefore;
   Report.WallMs = toMs(std::chrono::steady_clock::now() - BatchStart);
@@ -507,79 +491,37 @@ DriverReport BatchDriver::run(const std::vector<BatchJob> &Jobs,
 std::vector<AllocationResult>
 BatchDriver::solveProblems(const std::vector<const AllocationProblem *> &Problems,
                            const std::string &AllocatorName,
-                           uint64_t OptimalNodeLimit, std::string *Error) {
-  bool IsOptimal = AllocatorName == "optimal";
-
+                           std::string &Error) {
   // Validate the allocator name and allocator-vs-problem compatibility up
   // front, on the calling thread: a bad name or an interval-consuming
   // allocator handed a graph-only instance must surface as a per-call
-  // error (or, for legacy callers without \p Error, a fatal *here*), never
-  // as a layraFatalError inside a pool worker.
-  auto Fail = [&](std::string Message) -> std::vector<AllocationResult> {
-    if (!Error)
-      layraFatalError(Message.c_str());
-    *Error = std::move(Message);
+  // error, never as a layraFatalError inside a pool worker.
+  Error.clear();
+  std::unique_ptr<Allocator> Probe = makeAllocator(AllocatorName);
+  if (!Probe) {
+    std::string Known;
+    for (const std::string &N : allAllocatorNames())
+      Known += " " + N;
+    Error = "unknown allocator '" + AllocatorName + "' (known:" + Known + ")";
     return {};
-  };
-  if (Error)
-    Error->clear();
-  if (!IsOptimal) {
-    std::unique_ptr<Allocator> Probe = makeAllocator(AllocatorName);
-    if (!Probe) {
-      std::string Known;
-      for (const std::string &N : allAllocatorNames())
-        Known += " " + N;
-      return Fail("unknown allocator '" + AllocatorName + "' (known:" +
-                  Known + ")");
-    }
-    if (Probe->requiresIntervals())
-      for (size_t I = 0; I < Problems.size(); ++I)
-        if (!Problems[I]->Intervals)
-          return Fail("allocator '" + AllocatorName +
-                      "' requires live intervals, but problem #" +
-                      std::to_string(I) +
-                      " is graph-only (no interval table); pick a "
-                      "graph-based allocator or an interval-bearing suite");
   }
-
-  // Serial classification, exactly as in run(): first occurrence of a key
-  // solves, later ones share.
-  uint64_t Salt = mixString(0x6c617972612d7370ULL, AllocatorName); // "la-sp"
-  // The node limit shapes results only for the branch-and-bound solver;
-  // keying it for other allocators would needlessly split identical
-  // instances.
-  Salt = mix(Salt, IsOptimal ? OptimalNodeLimit : 0);
-  std::vector<size_t> ResultUnique(Problems.size());
-  std::vector<size_t> UniqueToInput;
-  std::unordered_map<uint64_t, size_t> UniqueOf;
-  for (size_t I = 0; I < Problems.size(); ++I) {
-    // Same accepted hash-collision tradeoff as the pipeline cache above.
-    uint64_t Key = mix(Salt, hashProblem(*Problems[I]));
-    auto Known = UniqueOf.emplace(Key, UniqueToInput.size());
-    if (Known.second)
-      UniqueToInput.push_back(I);
-    ResultUnique[I] = Known.first->second;
-  }
-
-  std::vector<AllocationResult> Unique(UniqueToInput.size());
-  Pool.parallelForWorker(UniqueToInput.size(), [&](size_t U, unsigned Slot) {
-    const AllocationProblem &P = *Problems[UniqueToInput[U]];
-    SolverWorkspace *WS = Workspaces[Slot].get();
-    if (IsOptimal) {
-      OptimalBnBAllocator BnB(OptimalNodeLimit);
-      Unique[U] = BnB.allocate(P, WS);
-      return;
-    }
-    // Validated before the pool launched; this cannot fail here.
-    std::unique_ptr<Allocator> A = makeAllocator(AllocatorName);
-    assert(A && "allocator name validated before dispatch");
-    // allocateProblem: single-class problems take the direct path,
-    // multi-class ones the exact per-class decomposition.
-    Unique[U] = A->allocateProblem(P, WS);
-  });
+  if (Probe->requiresIntervals())
+    for (size_t I = 0; I < Problems.size(); ++I)
+      if (!Problems[I]->Intervals) {
+        Error = "allocator '" + AllocatorName +
+                "' requires live intervals, but problem #" +
+                std::to_string(I) +
+                " is graph-only (no interval table); pick a graph-based "
+                "allocator or an interval-bearing suite";
+        return {};
+      }
 
   std::vector<AllocationResult> Results(Problems.size());
-  for (size_t I = 0; I < Problems.size(); ++I)
-    Results[I] = Unique[ResultUnique[I]];
+  Pool.parallelForWorker(Problems.size(), [&](size_t I, unsigned Slot) {
+    // allocateProblem: single-class problems take the direct path,
+    // multi-class ones the exact per-class decomposition.
+    Results[I] = makeAllocator(AllocatorName)
+                     ->allocateProblem(*Problems[I], Workspaces[Slot].get());
+  });
   return Results;
 }

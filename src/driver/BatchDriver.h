@@ -153,8 +153,9 @@ struct DriverCacheCounters {
 
 /// Persistence hook underneath the in-memory pipeline cache.  When a
 /// store is attached (setOutcomeStore), run()'s serial classification
-/// phase consults it for keys the memory cache misses, and the serial
-/// commit phase hands it every newly solved outcome.  Both calls happen
+/// phase consults it once for each key of the run that the memory cache
+/// misses, and the serial commit phase hands it every newly solved
+/// outcome.  Both calls happen
 /// only on the thread that called run(), never from pool workers, so an
 /// implementation needs no synchronization against the driver itself
 /// (service/DiskCache.h still locks internally because the server shares
@@ -194,7 +195,10 @@ uint64_t hashPipelineTask(uint64_t FunctionHash, const TargetDesc &Target,
 
 /// Stable content hash of a spill-everywhere instance: graph weights and
 /// adjacency, register count, point constraints, and (when present) the
-/// flattened live intervals.
+/// flattened live intervals.  It keys no cache (the driver's caches and
+/// the on-disk store key on hashPipelineTask); it is the instance
+/// fingerprint tests pin, and the check an incremental problem update
+/// must pass against a fresh build.
 uint64_t hashProblem(const AllocationProblem &P);
 
 /// Schedules per-function allocation problems over a work-stealing pool.
@@ -239,28 +243,18 @@ public:
                    bool CacheTransparent = false);
 
   /// Lower-level batch entry used by the figure harness: solves every
-  /// problem with allocator \p AllocatorName in parallel and returns the
-  /// results in input order.  Duplicate instances (by content hash) within
-  /// one call are solved once; nothing is kept across calls.
-  /// \p OptimalNodeLimit bounds the "optimal" branch-and-bound search
-  /// (always honored for that allocator, zero meaning a zero node budget;
-  /// the default matches OptimalBnBAllocator's own); other allocators
-  /// ignore it.
+  /// problem with allocator \p AllocatorName in parallel, one
+  /// Allocator::allocateProblem per input, and returns the results in
+  /// input order.  Nothing is cached or shared between inputs.
   ///
   /// The allocator name and allocator-vs-problem compatibility (the
   /// linear-scan family needs AllocationProblem::Intervals) are validated
-  /// up front on the calling thread.  With \p Error non-null a violation
-  /// returns an empty vector with \p Error set to the diagnostic; with the
-  /// default null it remains fatal -- but always before any pool worker
-  /// starts.
+  /// up front on the calling thread: a violation returns an empty vector
+  /// with \p Error set to the diagnostic before any pool worker starts.
+  /// On success \p Error is empty.
   std::vector<AllocationResult>
   solveProblems(const std::vector<const AllocationProblem *> &Problems,
-                const std::string &AllocatorName,
-                uint64_t OptimalNodeLimit = 50'000'000,
-                std::string *Error = nullptr);
-
-  /// Number of memoized pipeline outcomes.
-  size_t pipelineCacheSize() const { return PipelineCache.size(); }
+                const std::string &AllocatorName, std::string &Error);
 
   /// Bounds the pipeline-outcome cache to \p MaxEntries, evicting the
   /// least recently used overflow immediately.  0 (the default) removes the

@@ -125,8 +125,14 @@ uint64_t DiskCache::revisionHash() {
 
 size_t DiskCache::entryBytes() { return kEntryBytes; }
 
-DiskCache::DiskCache(std::string Dir, uint64_t Cap)
-    : Root(std::move(Dir)), CapBytes(Cap) {
+DiskCache::DiskCache(std::string Dir, uint64_t CapBytes)
+    : Root(std::move(Dir)),
+      // Every entry is kEntryBytes long, so the byte cap is an entry
+      // bound.  At least the newest entry stays even under a cap smaller
+      // than one entry: a cache that evicts what it just wrote stores
+      // nothing ever.
+      Lru(CapBytes ? std::max<uint64_t>(1, CapBytes / kEntryBytes) : 0,
+          [this](const uint64_t &Key) { ::remove(entryPath(Key).c_str()); }) {
   if (Root.empty()) {
     InitError = "disk cache directory must not be empty";
     return;
@@ -140,10 +146,6 @@ DiskCache::DiskCache(std::string Dir, uint64_t Cap)
   }
   Valid = true;
   indexExisting();
-  // An inherited cache may already exceed a newly configured (or newly
-  // shrunk) cap; trim before serving so the bound holds from the start.
-  std::lock_guard<std::mutex> Lock(Mutex);
-  evictOverCapLocked();
 }
 
 std::string DiskCache::entryPath(uint64_t Key) const {
@@ -154,7 +156,6 @@ std::string DiskCache::entryPath(uint64_t Key) const {
 void DiskCache::indexExisting() {
   struct Found {
     uint64_t Key;
-    uint64_t Bytes;
     time_t MtimeSec;
     long MtimeNsec;
   };
@@ -175,58 +176,41 @@ void DiskCache::indexExisting() {
         continue; // Leftover .tmp.<pid> scratch or foreign file.
       struct stat Sb;
       std::string Path = SubPath + "/" + E->d_name;
-      if (::stat(Path.c_str(), &Sb) != 0 || !S_ISREG(Sb.st_mode))
+      if (Path != entryPath(Key) || ::stat(Path.c_str(), &Sb) != 0 ||
+          !S_ISREG(Sb.st_mode))
+        continue; // Misfiled (lookup() would never find it) or not a file.
+      if (static_cast<uint64_t>(Sb.st_size) != kEntryBytes) {
+        // Not an entry of this format: lookup() would reject and delete
+        // it too.
+        ::remove(Path.c_str());
         continue;
-      All.push_back({Key, static_cast<uint64_t>(Sb.st_size), Sb.st_mtime,
-                     Sb.st_mtim.tv_nsec});
+      }
+      All.push_back({Key, Sb.st_mtime, Sb.st_mtim.tv_nsec});
     }
     ::closedir(Fan);
   }
   ::closedir(TopDir);
-  // Most recently touched first; ties broken by key so the order -- and
-  // therefore eviction -- is stable across scans.
+  // Least recently touched first, so the last insert is the most recently
+  // used entry and an over-cap directory loses its oldest entries; ties
+  // broken by descending key so the order -- and therefore eviction -- is
+  // stable across scans.
   std::sort(All.begin(), All.end(), [](const Found &A, const Found &B) {
     if (A.MtimeSec != B.MtimeSec)
-      return A.MtimeSec > B.MtimeSec;
+      return A.MtimeSec < B.MtimeSec;
     if (A.MtimeNsec != B.MtimeNsec)
-      return A.MtimeNsec > B.MtimeNsec;
-    return A.Key < B.Key;
+      return A.MtimeNsec < B.MtimeNsec;
+    return A.Key > B.Key;
   });
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (const Found &F : All) {
-    Recency.push_back({F.Key, F.Bytes});
-    Index.emplace(F.Key, std::prev(Recency.end()));
-    TotalBytes += F.Bytes;
-  }
-}
-
-void DiskCache::removeEntryLocked(uint64_t Key, bool CountEviction) {
-  auto It = Index.find(Key);
-  if (It == Index.end())
-    return;
-  TotalBytes -= It->second->Bytes;
-  Recency.erase(It->second);
-  Index.erase(It);
-  ::remove(entryPath(Key).c_str());
-  if (CountEviction)
-    ++Evictions;
-}
-
-void DiskCache::evictOverCapLocked() {
-  if (CapBytes == 0)
-    return;
-  // Keep at least the newest entry even under a cap smaller than one
-  // entry: a cache that evicts what it just wrote stores nothing ever.
-  while (TotalBytes > CapBytes && Recency.size() > 1)
-    removeEntryLocked(Recency.back().Key, /*CountEviction=*/true);
+  for (const Found &F : All)
+    Lru.insert(F.Key, 0);
 }
 
 bool DiskCache::lookup(uint64_t Key, TaskOutcome &Out) {
   if (!Valid)
     return false;
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(Key);
-  if (It == Index.end()) {
+  if (!Lru.find(Key)) {
     ++Misses;
     return false;
   }
@@ -248,7 +232,8 @@ bool DiskCache::lookup(uint64_t Key, TaskOutcome &Out) {
   if (!Ok) {
     // Truncated, corrupted, or written by another revision: useless, so
     // delete it and report a miss -- the driver re-solves and re-stores.
-    removeEntryLocked(Key, /*CountEviction=*/false);
+    Lru.erase(Key);
+    ::remove(Path.c_str());
     ++Misses;
     return false;
   }
@@ -278,7 +263,6 @@ bool DiskCache::lookup(uint64_t Key, TaskOutcome &Out) {
                    Path.c_str());
     ++TouchFailures;
   }
-  Recency.splice(Recency.begin(), Recency, It->second);
   return true;
 }
 
@@ -286,7 +270,7 @@ void DiskCache::store(uint64_t Key, const TaskOutcome &Out) {
   if (!Valid)
     return;
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Index.count(Key))
+  if (Lru.peek(Key))
     return; // Outcomes are pure functions of the key; nothing to update.
   std::string Blob;
   Blob.reserve(kEntryBytes);
@@ -306,11 +290,8 @@ void DiskCache::store(uint64_t Key, const TaskOutcome &Out) {
     return; // Degraded disk: skip persisting, the memory cache still has it.
   if (!obs::writeFileAtomically(entryPath(Key), Blob, nullptr))
     return;
-  Recency.push_front({Key, Blob.size()});
-  Index.emplace(Key, Recency.begin());
-  TotalBytes += Blob.size();
   ++Writes;
-  evictOverCapLocked();
+  Lru.insert(Key, 0); // Evicting the overflow deletes its files.
 }
 
 DiskCacheStats DiskCache::stats() const {
@@ -319,9 +300,9 @@ DiskCacheStats DiskCache::stats() const {
   S.Hits = Hits;
   S.Misses = Misses;
   S.Writes = Writes;
-  S.Evictions = Evictions;
-  S.Entries = Index.size();
-  S.Bytes = TotalBytes;
+  S.Evictions = Lru.evictions();
+  S.Entries = Lru.size();
+  S.Bytes = S.Entries * kEntryBytes;
   S.TouchFailures = TouchFailures;
   return S;
 }

@@ -22,9 +22,11 @@
 /// temp file + rename) a crashed or concurrent writer can never leave a
 /// half-entry that parses.
 ///
-/// Capacity is a byte bound with LRU eviction: recency is tracked
-/// in-memory and persisted through file mtimes (hits touch the file), so
-/// the least-recently-used entry survives restarts too.
+/// Capacity is an entry bound with LRU eviction.  Every entry is
+/// entryBytes() long, so a byte cap of B keeps at most max(1, B /
+/// entryBytes()) entries.  Recency lives in the shared support/LruCache
+/// and is persisted through file mtimes (hits touch the file), so the
+/// least-recently-used entry survives restarts too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,12 +34,11 @@
 #define LAYRA_SERVICE_DISKCACHE_H
 
 #include "driver/BatchDriver.h"
+#include "support/LruCache.h"
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 namespace layra {
 
@@ -47,9 +48,9 @@ struct DiskCacheStats {
   uint64_t Hits = 0;      ///< lookup() served from disk.
   uint64_t Misses = 0;    ///< lookup() found nothing usable.
   uint64_t Writes = 0;    ///< Entries persisted.
-  uint64_t Evictions = 0; ///< Entries removed by the byte cap.
+  uint64_t Evictions = 0; ///< Entries removed by the capacity bound.
   uint64_t Entries = 0;   ///< Entries currently on disk.
-  uint64_t Bytes = 0;     ///< Total payload bytes currently on disk.
+  uint64_t Bytes = 0;     ///< Entries * entryBytes().
   /// Hits whose recency touch (mtime update) failed.  The entry was
   /// still served; only the *persisted* LRU order degrades -- after a
   /// restart the startup scan will see a stale mtime and may evict the
@@ -60,9 +61,12 @@ struct DiskCacheStats {
 class DiskCache : public TaskOutcomeStore {
 public:
   /// Opens (creating if needed) the cache rooted at \p Dir.  \p CapBytes
-  /// bounds the total size, 0 = unbounded.  Existing entries are indexed
-  /// by scanning the fan-out directories once, ordered by mtime so LRU
-  /// eviction picks up where the previous process left off.  On failure
+  /// bounds the total size, 0 = unbounded; it holds max(1, CapBytes /
+  /// entryBytes()) entries.  Existing entries are indexed by scanning the
+  /// fan-out directories once, oldest mtime first, so LRU eviction picks
+  /// up where the previous process left off and an inherited directory
+  /// over the bound is trimmed before serving.  A key-named file of any
+  /// other size than entryBytes() is deleted by the scan.  On failure
   /// valid() is false and every operation is a no-op miss, so an
   /// unwritable directory degrades to "no disk cache" rather than
   /// killing the server.
@@ -96,27 +100,18 @@ public:
   }
 
 private:
-  struct Entry {
-    uint64_t Key = 0;
-    uint64_t Bytes = 0;
-  };
-
   std::string entryPath(uint64_t Key) const;
-  void removeEntryLocked(uint64_t Key, bool CountEviction);
-  void evictOverCapLocked();
   void indexExisting();
 
   std::string Root;
-  uint64_t CapBytes = 0;
   bool Valid = false;
   std::string InitError;
 
   mutable std::mutex Mutex;
-  /// Front = most recently used.  The map points into the list.
-  std::list<Entry> Recency;
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> Index;
-  uint64_t TotalBytes = 0;
-  uint64_t Hits = 0, Misses = 0, Writes = 0, Evictions = 0;
+  /// The keys on disk; the value is unused.  Its eviction hook deletes the
+  /// evicted entry's file.
+  LruCache<uint64_t, char> Lru;
+  uint64_t Hits = 0, Misses = 0, Writes = 0;
   uint64_t TouchFailures = 0;
   /// Non-null in tests only (setTouchHookForTest).
   bool (*TouchHook)(const char *Path) = nullptr;

@@ -46,6 +46,11 @@ namespace {
 /// Event-loop tick: the latency bound on noticing a stop request or a
 /// write-timeout expiry while no descriptor fires.
 constexpr int kTickMs = 100;
+/// Response-write progress bound: a connection with queued response bytes
+/// whose peer accepts none of them for this long is dropped.  Without a
+/// bound a client that stops reading would pin its buffered responses
+/// forever -- and wedge the graceful drain.
+constexpr int kStalledWriteMs = 10000;
 /// Bytes read per recv() into a connection's input buffer.
 constexpr size_t kReadChunk = 64u << 10;
 
@@ -282,6 +287,23 @@ struct Shard {
   DriverCacheCounters Cache;   ///< StatMutex.
 };
 
+double hitRate(const DriverCacheCounters &C) {
+  double Classified = static_cast<double>(C.Hits + C.Misses);
+  return Classified > 0 ? static_cast<double>(C.Hits) / Classified : 0.0;
+}
+
+/// The `cache` object of a stats payload, top-level and per shard alike.
+JsonValue cacheJson(const DriverCacheCounters &C) {
+  JsonValue Cache = JsonValue::object();
+  Cache.set("entries", C.Entries);
+  Cache.set("capacity", C.Capacity);
+  Cache.set("hits", C.Hits);
+  Cache.set("misses", C.Misses);
+  Cache.set("evictions", C.Evictions);
+  Cache.set("hit_rate", hitRate(C));
+  return Cache;
+}
+
 } // namespace
 
 std::string layra::makeStatsResponse(const ServerStats &S,
@@ -305,17 +327,7 @@ std::string layra::makeStatsResponse(const ServerStats &S,
   Connections.set("rejected", S.ConnectionsRejected);
   Connections.set("active", S.ConnectionsActive);
   Doc.set("connections", std::move(Connections));
-  JsonValue Cache = JsonValue::object();
-  Cache.set("entries", S.CacheEntries);
-  Cache.set("capacity", S.CacheCapacity);
-  Cache.set("hits", S.CacheHits);
-  Cache.set("misses", S.CacheMisses);
-  Cache.set("evictions", S.CacheEvictions);
-  double Classified = static_cast<double>(S.CacheHits + S.CacheMisses);
-  Cache.set("hit_rate", Classified > 0
-                            ? static_cast<double>(S.CacheHits) / Classified
-                            : 0.0);
-  Doc.set("cache", std::move(Cache));
+  Doc.set("cache", cacheJson(S.Cache));
   JsonValue Queue = JsonValue::object();
   Queue.set("depth", S.QueueDepth);
   Queue.set("max_depth", S.QueueMaxDepth);
@@ -355,16 +367,7 @@ std::string layra::makeStatsResponse(const ServerStats &S,
     JsonValue Sh = JsonValue::object();
     Sh.set("shard", static_cast<uint64_t>(I));
     Sh.set("requests", E.Requests);
-    JsonValue SC = JsonValue::object();
-    SC.set("entries", E.CacheEntries);
-    SC.set("capacity", E.CacheCapacity);
-    SC.set("hits", E.CacheHits);
-    SC.set("misses", E.CacheMisses);
-    SC.set("evictions", E.CacheEvictions);
-    double SCl = static_cast<double>(E.CacheHits + E.CacheMisses);
-    SC.set("hit_rate",
-           SCl > 0 ? static_cast<double>(E.CacheHits) / SCl : 0.0);
-    Sh.set("cache", std::move(SC));
+    Sh.set("cache", cacheJson(E.Cache));
     JsonValue SQ = JsonValue::object();
     SQ.set("depth", E.QueueDepth);
     SQ.set("max_depth", E.QueueMaxDepth);
@@ -374,17 +377,19 @@ std::string layra::makeStatsResponse(const ServerStats &S,
     ShardsArr.push(std::move(Sh));
   }
   Doc.set("shards", std::move(ShardsArr));
+  // Without a disk cache the object keeps its members, all zero.
+  DiskCacheStats D = S.Disk.value_or(DiskCacheStats());
   JsonValue Disk = JsonValue::object();
-  Disk.set("enabled", S.DiskCacheEnabled);
-  Disk.set("entries", S.DiskEntries);
-  Disk.set("bytes", S.DiskBytes);
-  Disk.set("hits", S.DiskHits);
-  Disk.set("misses", S.DiskMisses);
-  Disk.set("writes", S.DiskWrites);
-  Disk.set("evictions", S.DiskEvictions);
+  Disk.set("enabled", S.Disk.has_value());
+  Disk.set("entries", D.Entries);
+  Disk.set("bytes", D.Bytes);
+  Disk.set("hits", D.Hits);
+  Disk.set("misses", D.Misses);
+  Disk.set("writes", D.Writes);
+  Disk.set("evictions", D.Evictions);
   // touch_failures (v4) lands after every v3 disk_cache member, so a v3
   // consumer reading by name sees exactly what it always saw.
-  Disk.set("touch_failures", S.DiskTouchFailures);
+  Disk.set("touch_failures", D.TouchFailures);
   Doc.set("disk_cache", std::move(Disk));
   // The trace echo, like everywhere else, lands after every existing
   // member so untraced stats responses keep their exact bytes.
@@ -410,19 +415,17 @@ std::string layra::makeMetricsExposition(const ServerStats &S) {
       {"layra.serve.requests.rejected", S.RequestsRejected},
       {"layra.serve.connections.accepted", S.ConnectionsAccepted},
       {"layra.serve.connections.rejected", S.ConnectionsRejected},
-      {"layra.serve.cache.hits", S.CacheHits},
-      {"layra.serve.cache.misses", S.CacheMisses},
-      {"layra.serve.cache.evictions", S.CacheEvictions},
+      {"layra.serve.cache.hits", S.Cache.Hits},
+      {"layra.serve.cache.misses", S.Cache.Misses},
+      {"layra.serve.cache.evictions", S.Cache.Evictions},
   };
-  double Classified = double(S.CacheHits + S.CacheMisses);
   Snap.Gauges = {
       {"layra.serve.uptime_ms", S.UptimeMs},
       {"layra.serve.threads", double(S.Threads)},
       {"layra.serve.connections.active", double(S.ConnectionsActive)},
-      {"layra.serve.cache.entries", double(S.CacheEntries)},
-      {"layra.serve.cache.capacity", double(S.CacheCapacity)},
-      {"layra.serve.cache.hit_rate",
-       Classified > 0 ? double(S.CacheHits) / Classified : 0.0},
+      {"layra.serve.cache.entries", double(S.Cache.Entries)},
+      {"layra.serve.cache.capacity", double(S.Cache.Capacity)},
+      {"layra.serve.cache.hit_rate", hitRate(S.Cache)},
       {"layra.serve.queue.depth", double(S.QueueDepth)},
       {"layra.serve.queue.max_depth", double(S.QueueMaxDepth)},
       {"layra.serve.queue.capacity", double(S.QueueCapacity)},
@@ -433,20 +436,20 @@ std::string layra::makeMetricsExposition(const ServerStats &S) {
     const ShardStats &E = S.PerShard[I];
     std::string P = "layra.serve.shard." + std::to_string(I);
     Snap.Counters.push_back({P + ".requests", E.Requests});
-    Snap.Counters.push_back({P + ".cache.hits", E.CacheHits});
-    Snap.Counters.push_back({P + ".cache.misses", E.CacheMisses});
+    Snap.Counters.push_back({P + ".cache.hits", E.Cache.Hits});
+    Snap.Counters.push_back({P + ".cache.misses", E.Cache.Misses});
     Snap.Gauges.push_back({P + ".queue.depth", double(E.QueueDepth)});
     Snap.Gauges.push_back({P + ".busy_ms", E.BusyMs});
   }
-  if (S.DiskCacheEnabled) {
-    Snap.Counters.push_back({"layra.serve.disk.hits", S.DiskHits});
-    Snap.Counters.push_back({"layra.serve.disk.misses", S.DiskMisses});
-    Snap.Counters.push_back({"layra.serve.disk.writes", S.DiskWrites});
-    Snap.Counters.push_back({"layra.serve.disk.evictions", S.DiskEvictions});
+  if (const std::optional<DiskCacheStats> &D = S.Disk) {
+    Snap.Counters.push_back({"layra.serve.disk.hits", D->Hits});
+    Snap.Counters.push_back({"layra.serve.disk.misses", D->Misses});
+    Snap.Counters.push_back({"layra.serve.disk.writes", D->Writes});
+    Snap.Counters.push_back({"layra.serve.disk.evictions", D->Evictions});
     Snap.Counters.push_back(
-        {"layra.serve.disk.touch_failures", S.DiskTouchFailures});
-    Snap.Gauges.push_back({"layra.serve.disk.entries", double(S.DiskEntries)});
-    Snap.Gauges.push_back({"layra.serve.disk.bytes", double(S.DiskBytes)});
+        {"layra.serve.disk.touch_failures", D->TouchFailures});
+    Snap.Gauges.push_back({"layra.serve.disk.entries", double(D->Entries)});
+    Snap.Gauges.push_back({"layra.serve.disk.bytes", double(D->Bytes)});
   }
   if (S.ServiceLatency.Count > 0) {
     HistogramSnapshot Service = S.ServiceLatency;
@@ -1169,13 +1172,11 @@ void Server::Impl::drainCompletions() {
 }
 
 void Server::Impl::checkWriteTimeouts() {
-  if (Opt.WriteTimeoutMs < 0)
-    return;
   std::vector<uint64_t> Stale;
   for (const auto &E : Conns) {
     IoConn &C = *E.second;
     if (C.OutPos < C.OutBuf.size() &&
-        msSince(C.LastWriteProgress) > Opt.WriteTimeoutMs)
+        msSince(C.LastWriteProgress) > kStalledWriteMs)
       Stale.push_back(E.first);
   }
   for (uint64_t Id : Stale) {
@@ -1425,12 +1426,11 @@ ServerStats Server::Impl::snapshotStats() {
   for (const auto &ShPtr : ShardList) {
     Shard &Sh = *ShPtr;
     ShardStats E;
-    DriverCacheCounters CC;
     {
       std::lock_guard<std::mutex> L(Sh.StatMutex);
       E.Requests = Sh.Requests;
       E.BusyMs = Sh.BusyMs;
-      CC = Sh.Cache;
+      E.Cache = Sh.Cache;
     }
     {
       std::lock_guard<std::mutex> L(Sh.QMutex);
@@ -1438,16 +1438,11 @@ ServerStats Server::Impl::snapshotStats() {
       E.QueueMaxDepth = Sh.QueueMaxDepth;
     }
     E.QueueCapacity = Opt.QueueCapacity;
-    E.CacheEntries = CC.Entries;
-    E.CacheCapacity = CC.Capacity;
-    E.CacheHits = CC.Hits;
-    E.CacheMisses = CC.Misses;
-    E.CacheEvictions = CC.Evictions;
-    S.CacheEntries += E.CacheEntries;
-    S.CacheCapacity += E.CacheCapacity;
-    S.CacheHits += E.CacheHits;
-    S.CacheMisses += E.CacheMisses;
-    S.CacheEvictions += E.CacheEvictions;
+    S.Cache.Entries += E.Cache.Entries;
+    S.Cache.Capacity += E.Cache.Capacity;
+    S.Cache.Hits += E.Cache.Hits;
+    S.Cache.Misses += E.Cache.Misses;
+    S.Cache.Evictions += E.Cache.Evictions;
     S.QueueDepth += E.QueueDepth;
     S.QueueMaxDepth = std::max(S.QueueMaxDepth, E.QueueMaxDepth);
     BusyMs += E.BusyMs;
@@ -1458,17 +1453,8 @@ ServerStats Server::Impl::snapshotStats() {
   S.DispatcherUtilization =
       S.UptimeMs > 0 ? std::min(1.0, BusyMs / S.UptimeMs) : 0.0;
   S.ConnectionsActive = ActiveConns.load();
-  if (Disk && Disk->valid()) {
-    S.DiskCacheEnabled = true;
-    DiskCacheStats D = Disk->stats();
-    S.DiskEntries = D.Entries;
-    S.DiskBytes = D.Bytes;
-    S.DiskHits = D.Hits;
-    S.DiskMisses = D.Misses;
-    S.DiskWrites = D.Writes;
-    S.DiskEvictions = D.Evictions;
-    S.DiskTouchFailures = D.TouchFailures;
-  }
+  if (Disk && Disk->valid())
+    S.Disk = Disk->stats();
   S.ServiceSamples = Latency.Count;
   S.ServiceMsP50 = Latency.percentile(0.50);
   S.ServiceMsP95 = Latency.percentile(0.95);

@@ -53,11 +53,13 @@
 #define LAYRA_SERVICE_SERVER_H
 
 #include "obs/Metrics.h"
+#include "service/DiskCache.h"
 #include "service/Protocol.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,11 +107,6 @@ struct ServerOptions {
   /// Concurrent-connection cap; excess connections get an error response
   /// and are closed.
   unsigned MaxConnections = 256;
-  /// Response-write progress bound: a connection with queued response
-  /// bytes whose peer accepts none of them for this long is dropped.
-  /// Without a bound a client that stops reading would pin its buffered
-  /// responses forever -- and wedge the graceful drain.
-  int WriteTimeoutMs = 10000;
   /// Slow-request log threshold in milliseconds; negative (the default)
   /// disables the log.  At >= 0, any request whose dispatch-to-flush
   /// time reaches the bound emits its full span tree (including
@@ -130,11 +127,7 @@ struct ShardStats {
   uint64_t Requests = 0; ///< allocate/submit_ir requests this shard served.
   /// This shard's pipeline-task cache counters (lifetime, from its
   /// private driver).
-  uint64_t CacheEntries = 0;
-  uint64_t CacheCapacity = 0;
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheEvictions = 0;
+  DriverCacheCounters Cache;
   uint64_t QueueDepth = 0;
   uint64_t QueueMaxDepth = 0;
   uint64_t QueueCapacity = 0;
@@ -156,11 +149,7 @@ struct ServerStats {
   uint64_t ConnectionsActive = 0;
   /// Pipeline-task cache counters summed over every shard's private
   /// driver (lifetime).
-  uint64_t CacheEntries = 0;
-  uint64_t CacheCapacity = 0;
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheEvictions = 0;
+  DriverCacheCounters Cache;
   /// Shard-queue occupancy: depth summed over shards, max_depth the
   /// highest any single shard queue reached, capacity the total slots.
   uint64_t QueueDepth = 0;
@@ -186,17 +175,8 @@ struct ServerStats {
   double DispatcherUtilization = 0;
   /// Per-shard breakdown, one entry per shard in shard order.
   std::vector<ShardStats> PerShard;
-  /// Persistent disk-cache counters; meaningful when DiskCacheEnabled.
-  bool DiskCacheEnabled = false;
-  uint64_t DiskEntries = 0;
-  uint64_t DiskBytes = 0;
-  uint64_t DiskHits = 0;
-  uint64_t DiskMisses = 0;
-  uint64_t DiskWrites = 0;
-  uint64_t DiskEvictions = 0;
-  /// Loads whose recency touch (utimensat) failed; the entry was still
-  /// served, but LRU eviction order is degraded for it.
-  uint64_t DiskTouchFailures = 0;
+  /// Persistent disk-cache counters; empty when no disk cache is open.
+  std::optional<DiskCacheStats> Disk;
 };
 
 /// Serializes \p Stats as a "layra-serve-stats/v5" response payload (see

@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A capacity-bounded map with least-recently-used eviction, backing the
-/// batch driver's content-hash caches.  A long-lived process (the
+/// A capacity-bounded map with least-recently-used eviction: the one
+/// recency mechanism behind the batch driver's outcome cache and the
+/// on-disk outcome store (service/DiskCache.h).  A long-lived process (the
 /// allocation server) must not grow without limit, and the eviction order
 /// must be deterministic so driver reports stay a pure function of the
-/// request stream: every find() and insert() here happens in the driver's
-/// *serial* phases, so the recency order -- and therefore which entry is
-/// evicted -- never depends on thread scheduling.
+/// request stream: every find() and insert() the driver makes happens in
+/// its *serial* phases, so the recency order -- and therefore which entry
+/// is evicted -- never depends on thread scheduling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -32,7 +34,11 @@ namespace layra {
 /// (the CLI-sweep default; the server always configures a bound).
 template <typename KeyT, typename ValueT> class LruCache {
 public:
-  explicit LruCache(size_t Capacity = 0) : Cap(Capacity) {}
+  /// \p OnEvict, when set, is called with each key the capacity bound
+  /// evicts, least recently used first, before the entry is dropped.
+  explicit LruCache(size_t Capacity = 0,
+                    std::function<void(const KeyT &)> OnEvict = nullptr)
+      : Cap(Capacity), OnEvict(std::move(OnEvict)) {}
 
   /// Entries currently held.
   size_t size() const { return Index.size(); }
@@ -73,9 +79,14 @@ public:
     evictOverflow();
   }
 
-  void clear() {
-    Entries.clear();
-    Index.clear();
+  /// Removes \p Key if present.  A removal is not an eviction: it is not
+  /// counted and does not call the eviction hook.
+  void erase(const KeyT &Key) {
+    auto It = Index.find(Key);
+    if (It == Index.end())
+      return;
+    Entries.erase(It->second);
+    Index.erase(It);
   }
 
 private:
@@ -83,6 +94,8 @@ private:
     if (Cap == 0)
       return;
     while (Index.size() > Cap) {
+      if (OnEvict)
+        OnEvict(Entries.back().first);
       Index.erase(Entries.back().first);
       Entries.pop_back();
       ++EvictionCount;
@@ -90,6 +103,7 @@ private:
   }
 
   size_t Cap;
+  std::function<void(const KeyT &)> OnEvict;
   uint64_t EvictionCount = 0;
   /// Most recently used at the front.
   std::list<std::pair<KeyT, ValueT>> Entries;

@@ -157,3 +157,25 @@ TEST(OptimalTest, FreeVerticesAlwaysAllocated) {
   EXPECT_EQ(Result.SpillCost, 0);
   EXPECT_TRUE(Result.Proven);
 }
+
+TEST(OptimalTest, CliqueWiderThanTheDpKeepsItsHeaviestVertices) {
+  // A 70-clique at 2 registers: few DP states, but more members than the
+  // clique-tree DP can hold, so the exact solver must take another path.
+  constexpr unsigned N = 70;
+  std::vector<Weight> Weights(N);
+  std::vector<GraphEdge> Edges;
+  for (VertexId V = 0; V < N; ++V) {
+    Weights[V] = 1 + V;
+    for (VertexId U = 0; U < V; ++U)
+      Edges.push_back({U, V});
+  }
+  AllocationProblem P =
+      AllocationProblem::fromChordalGraph(Graph(Weights, Edges), {2});
+  OptimalBnBAllocator BnB;
+  AllocationResult Result = BnB.allocate(P);
+  EXPECT_TRUE(Result.Proven);
+  std::vector<char> Want(N, 0);
+  Want[N - 2] = Want[N - 1] = 1;
+  EXPECT_EQ(Result.Allocated, Want);
+  EXPECT_EQ(Result.SpillCost, Weight(N - 2) * (N - 1) / 2);
+}

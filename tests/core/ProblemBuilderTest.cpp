@@ -118,8 +118,10 @@ TEST(ProblemBuilderTest, WithBudgetsAnswersLikeAFreshBuild) {
 }
 
 TEST(ProblemBuilderTest, HashProblemIsPinned) {
-  // hashProblem keys the driver's caches and the on-disk result store, so
-  // a change to how a problem is stored must not move these values.
+  // hashProblem is the instance fingerprint: it keys no cache (the
+  // driver's caches and the on-disk store key on hashPipelineTask), but a
+  // change to how a problem is stored must not move these values, and an
+  // incremental problem update is to be checked against it.
   Suite Eembc = makeSuite("eembc");
   const Function &Chordal = Eembc.Programs[0].Functions[0];
   ASSERT_EQ(Chordal.name(), "a2time_f0");

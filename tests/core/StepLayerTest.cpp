@@ -147,3 +147,25 @@ TEST(StepLayerTest, EstimateSaturatesOnHugeCliquesInsteadOfOverflowing) {
   EXPECT_LT(Small, 2048.0); // Sum of C(10, 0..8) < 2^10.
   EXPECT_GT(Small, 1.0);
 }
+
+TEST(StepLayerTest, EstimateSaturatesPastSixtyFourCliqueMembers) {
+  // The DP keeps each bag as a 64-bit mask, so a clique with 65 unmasked
+  // members has no table at any bound, however small its binomial count.
+  auto CliqueOf = [](unsigned Size) {
+    AllocationProblem P;
+    P.Chordal = true;
+    std::vector<VertexId> Members(Size);
+    for (VertexId V = 0; V < Size; ++V)
+      Members[V] = V;
+    P.Cliques = CliqueCover(Size, {0, Size}, Members);
+    return P;
+  };
+  AllocationProblem Wide = CliqueOf(65);
+  EXPECT_EQ(estimateBoundedLayerStates(Wide, {}, 1), 1e18);
+  EXPECT_EQ(estimateBoundedLayerStates(Wide, {}, 2), 1e18);
+  // Masking one member off brings the bag back within reach.
+  std::vector<char> Mask(65, 1);
+  Mask[0] = 0;
+  EXPECT_EQ(estimateBoundedLayerStates(Wide, Mask, 1), 65.0);
+  EXPECT_EQ(estimateBoundedLayerStates(CliqueOf(64), {}, 1), 65.0);
+}

@@ -229,7 +229,7 @@ TEST(BatchDriverTest, DuplicateJobHitsCacheWithoutChangingTotals) {
   EXPECT_EQ(First.TotalStores, Second.TotalStores);
   EXPECT_EQ(First.TotalRounds, Second.TotalRounds);
   // Only the unique instances were solved and memoized.
-  EXPECT_EQ(Driver.pipelineCacheSize(), 6u);
+  EXPECT_EQ(Driver.pipelineCacheCounters().Entries, 6u);
 }
 
 TEST(BatchDriverTest, SolvesFunctionsThatAlreadyHavePhisAsTheyAre) {
@@ -317,7 +317,9 @@ TEST(BatchDriverTest, SolveProblemsMatchesDirectAllocation) {
 
   BatchDriver Driver(4);
   for (const char *Name : {"bfpl", "gc", "lh"}) {
-    std::vector<AllocationResult> Batch = Driver.solveProblems(Ptrs, Name);
+    std::string Error;
+    std::vector<AllocationResult> Batch =
+        Driver.solveProblems(Ptrs, Name, Error);
     ASSERT_EQ(Batch.size(), Problems.size());
     for (size_t I = 0; I < Problems.size(); ++I) {
       AllocationResult Direct = makeAllocator(Name)->allocate(Problems[I].P);
@@ -337,7 +339,7 @@ TEST(BatchDriverTest, SolveProblemsReportsUnknownAllocatorWithoutDying) {
   BatchDriver Driver(2);
   std::string Error;
   std::vector<AllocationResult> Out =
-      Driver.solveProblems(Ptrs, "not-an-allocator", 0, &Error);
+      Driver.solveProblems(Ptrs, "not-an-allocator", Error);
   EXPECT_TRUE(Out.empty());
   EXPECT_NE(Error.find("unknown allocator"), std::string::npos) << Error;
   EXPECT_NE(Error.find("not-an-allocator"), std::string::npos) << Error;
@@ -347,7 +349,7 @@ TEST(BatchDriverTest, SolveProblemsReportsUnknownAllocatorWithoutDying) {
   // The same driver is still usable afterwards.
   Error.clear();
   std::vector<AllocationResult> Good =
-      Driver.solveProblems(Ptrs, "bfpl", 0, &Error);
+      Driver.solveProblems(Ptrs, "bfpl", Error);
   EXPECT_TRUE(Error.empty()) << Error;
   EXPECT_EQ(Good.size(), Problems.size());
 }
@@ -365,7 +367,7 @@ TEST(BatchDriverTest, SolveProblemsRejectsIntervalAllocatorsOnGraphOnlyInput) {
   for (const char *Name : {"ls", "bls"}) {
     std::string Error;
     std::vector<AllocationResult> Out =
-        Driver.solveProblems(Ptrs, Name, 0, &Error);
+        Driver.solveProblems(Ptrs, Name, Error);
     EXPECT_TRUE(Out.empty()) << Name;
     EXPECT_NE(Error.find("requires live intervals"), std::string::npos)
         << Name << ": " << Error;
@@ -373,7 +375,7 @@ TEST(BatchDriverTest, SolveProblemsRejectsIntervalAllocatorsOnGraphOnlyInput) {
   // Graph-based allocators remain fine on the same input.
   std::string Error;
   std::vector<AllocationResult> Out =
-      Driver.solveProblems(Ptrs, "bfpl", 0, &Error);
+      Driver.solveProblems(Ptrs, "bfpl", Error);
   EXPECT_TRUE(Error.empty()) << Error;
   ASSERT_EQ(Out.size(), 1u);
 }
@@ -389,7 +391,7 @@ TEST(BatchDriverTest, CacheCapacityBoundsEntriesAndCountsEvictions) {
   Driver.setCacheCapacity(4);
   DriverReport First = Driver.run({Job});
   // Six unique solves flowed through a four-entry cache.
-  EXPECT_EQ(Driver.pipelineCacheSize(), 4u);
+  EXPECT_EQ(Driver.pipelineCacheCounters().Entries, 4u);
   EXPECT_EQ(First.CacheEntries, 4u);
   EXPECT_EQ(First.CacheEvictions, 2u);
   EXPECT_EQ(First.Jobs[0].CacheHits, 0u);
@@ -402,7 +404,7 @@ TEST(BatchDriverTest, CacheCapacityBoundsEntriesAndCountsEvictions) {
 
   // Re-running re-solves the evicted two; the cache stays at capacity.
   DriverReport Second = Driver.run({Job});
-  EXPECT_EQ(Driver.pipelineCacheSize(), 4u);
+  EXPECT_EQ(Driver.pipelineCacheCounters().Entries, 4u);
   EXPECT_EQ(Second.Jobs[0].TotalSpillCost, Reference.Jobs[0].TotalSpillCost);
 
   DriverCacheCounters Counters = Driver.pipelineCacheCounters();
@@ -413,7 +415,7 @@ TEST(BatchDriverTest, CacheCapacityBoundsEntriesAndCountsEvictions) {
 
   // Shrinking the bound trims immediately.
   Driver.setCacheCapacity(2);
-  EXPECT_EQ(Driver.pipelineCacheSize(), 2u);
+  EXPECT_EQ(Driver.pipelineCacheCounters().Entries, 2u);
 }
 
 TEST(BatchDriverTest, RepeatedSolveProblemsCallsMatchDirectAllocation) {
@@ -422,12 +424,15 @@ TEST(BatchDriverTest, RepeatedSolveProblemsCallsMatchDirectAllocation) {
   std::vector<const AllocationProblem *> Ptrs;
   for (const NamedProblem &P : Problems)
     Ptrs.push_back(&P.P);
-  // A repeat within one call is solved once and shared.
+  // A repeated input gets its own result, equal to the first one's.
   Ptrs.push_back(Ptrs.front());
 
   BatchDriver Driver(2);
-  std::vector<AllocationResult> Batch = Driver.solveProblems(Ptrs, "bfpl");
-  std::vector<AllocationResult> Again = Driver.solveProblems(Ptrs, "bfpl");
+  std::string Error;
+  std::vector<AllocationResult> Batch =
+      Driver.solveProblems(Ptrs, "bfpl", Error);
+  std::vector<AllocationResult> Again =
+      Driver.solveProblems(Ptrs, "bfpl", Error);
   ASSERT_EQ(Batch.size(), Ptrs.size());
   ASSERT_EQ(Again.size(), Ptrs.size());
   for (size_t I = 0; I < Ptrs.size(); ++I) {
@@ -479,7 +484,7 @@ TEST(BatchDriverTest, TransparentReportsAreIdenticalHoweverWarmTheCache) {
       Serialize(Bounded.run({Job}, /*CacheTransparent=*/true));
   EXPECT_EQ(BoundedFirst, Baseline);
   EXPECT_EQ(BoundedSecond, Baseline);
-  EXPECT_EQ(Bounded.pipelineCacheSize(), 2u);
+  EXPECT_EQ(Bounded.pipelineCacheCounters().Entries, 2u);
 }
 
 TEST(BatchDriverTest, ReportSerializersProduceParseableShapes) {
@@ -605,5 +610,95 @@ TEST(BatchDriverTest, DiskStoreIsReadOncePerDistinctKey) {
     EXPECT_EQ(Stats.Hits, 3u);
     EXPECT_EQ(Stats.Misses, 0u);
     EXPECT_EQ(Stats.Writes, 0u);
+  }
+}
+
+TEST(BatchDriverTest, OneRunClassifiesMemoryHitsStoreHitsAndMissesOnce) {
+  // Three one-function suites: A is in the bounded memory cache, B only in
+  // the store, C nowhere.  One run meets each twice.
+  Suite Base = tinySuite(3, 17);
+  std::vector<Suite> Singles(3);
+  for (size_t I = 0; I < 3; ++I) {
+    Singles[I].Name = "single" + std::to_string(I);
+    SuiteProgram Prog;
+    Prog.Name = "prog";
+    Prog.Functions.push_back(Base.Programs[0].Functions[I]);
+    Singles[I].Programs.push_back(std::move(Prog));
+  }
+  auto JobOf = [&](size_t I) {
+    BatchJob Job;
+    Job.SuiteName = Singles[I].Name;
+    Job.SuiteData = &Singles[I];
+    Job.NumRegisters = 3;
+    return Job;
+  };
+  const BatchJob A = JobOf(0), B = JobOf(1), C = JobOf(2);
+  const std::vector<BatchJob> Batch{A, B, C, A, B, C};
+  auto Serialize = [](const DriverReport &R) {
+    return driverReportToJson(R, /*IncludeTiming=*/false,
+                              /*IncludeTasks=*/true)
+        .dump();
+  };
+  BatchDriver Fresh(2);
+  const std::string FreshBytes = Serialize(Fresh.run(Batch));
+
+  for (bool Transparent : {false, true}) {
+    SCOPED_TRACE(Transparent ? "transparent" : "plain");
+    char Template[] = "/tmp/layra-driver-test-XXXXXX";
+    const char *Made = mkdtemp(Template);
+    ASSERT_NE(Made, nullptr);
+    struct RemoveOnExit {
+      std::string Path;
+      ~RemoveOnExit() { (void)std::system(("rm -rf '" + Path + "'").c_str()); }
+    } Cleanup{Made};
+    DiskCache Disk(Made);
+    ASSERT_TRUE(Disk.valid()) << Disk.error();
+    {
+      BatchDriver Seeder(1);
+      Seeder.setOutcomeStore(&Disk);
+      Seeder.run({B});
+    }
+    BatchDriver Driver(2);
+    Driver.setCacheCapacity(2);
+    Driver.run({A});
+    Driver.setOutcomeStore(&Disk);
+    const DiskCacheStats Before = Disk.stats();
+
+    DriverReport Report = Driver.run(Batch, Transparent);
+
+    // Only the keys the memory cache missed reach the store, once each.
+    const DiskCacheStats After = Disk.stats();
+    EXPECT_EQ(After.Hits - Before.Hits, 1u);
+    EXPECT_EQ(After.Misses - Before.Misses, 1u);
+    EXPECT_EQ(After.Writes - Before.Writes, 1u);
+
+    ASSERT_EQ(Report.Jobs.size(), 6u);
+    const bool WantHit[6] = {!Transparent, !Transparent, false,
+                             true,         true,         true};
+    for (size_t J = 0; J < 6; ++J) {
+      ASSERT_EQ(Report.Jobs[J].Tasks.size(), 1u);
+      EXPECT_EQ(Report.Jobs[J].Tasks[0].CacheHit, WantHit[J]) << "job " << J;
+      EXPECT_EQ(Report.Jobs[J].CacheHits, WantHit[J] ? 1u : 0u) << "job " << J;
+    }
+    EXPECT_EQ(Report.CacheHits, Transparent ? 3u : 5u);
+    // The memory cache held A; re-seating B and storing C evicted A.
+    EXPECT_EQ(Report.CacheEntries, Transparent ? 3u : 2u);
+    EXPECT_EQ(Report.CacheEvictions, Transparent ? 0u : 1u);
+    if (Transparent) {
+      EXPECT_EQ(Serialize(Report), FreshBytes);
+    }
+
+    DriverCacheCounters Counters = Driver.pipelineCacheCounters();
+    EXPECT_EQ(Counters.Hits, 5u);
+    EXPECT_EQ(Counters.Misses, 2u); // A's warm-up solve and C's.
+    EXPECT_EQ(Counters.Entries, 2u);
+    EXPECT_EQ(Counters.Evictions, 1u);
+
+    // B was re-seated before C's solve was committed, so C is the most
+    // recently used entry and the only one a bound of 1 keeps.
+    Driver.setOutcomeStore(nullptr);
+    Driver.setCacheCapacity(1);
+    EXPECT_TRUE(Driver.run({C}).Jobs[0].Tasks[0].CacheHit);
+    EXPECT_FALSE(Driver.run({B}).Jobs[0].Tasks[0].CacheHit);
   }
 }

@@ -8,7 +8,8 @@
 /// \file
 /// Unit tests of the content-addressed on-disk outcome store: round-trips
 /// within and across instances, rejection (and deletion) of truncated,
-/// corrupted, and wrong-revision entries, byte-cap LRU eviction, and the
+/// corrupted, wrong-revision and wrong-size entries, LRU eviction under
+/// the byte cap (an entry bound) within and across instances, and the
 /// degraded no-op mode for an unusable directory.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -217,6 +219,90 @@ TEST(DiskCacheTest, ByteCapEvictsLeastRecentlyUsed) {
   expectEqualOutcome(Got, sampleOutcome(1));
   EXPECT_TRUE(Cache.lookup(3, Got));
   EXPECT_FALSE(Cache.lookup(2, Got));
+}
+
+TEST(DiskCacheTest, StartupScanDeletesWrongSizeKeyFiles) {
+  TempDir Dir;
+  constexpr uint64_t Key = 13;
+  {
+    DiskCache Cache(Dir.Path);
+    ASSERT_TRUE(Cache.valid()) << Cache.error();
+    Cache.store(Key, sampleOutcome(5));
+  }
+  std::string Path = entryPathFor(Dir.Path, Key);
+  std::FILE *F = std::fopen(Path.c_str(), "ab");
+  ASSERT_NE(F, nullptr);
+  ASSERT_EQ(std::fputc('X', F), 'X'); // One byte past the entry format.
+  std::fclose(F);
+
+  DiskCache Cache(Dir.Path);
+  ASSERT_TRUE(Cache.valid()) << Cache.error();
+  DiskCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Entries, 0u);
+  EXPECT_EQ(S.Bytes, 0u);
+  EXPECT_EQ(S.Evictions, 0u);
+  EXPECT_FALSE(fileExists(Path));
+}
+
+TEST(DiskCacheTest, StartupScanSkipsKeyFilesOutsideTheirFanOutDirectory) {
+  // A copy of an entry under another two-hex directory is not where
+  // lookup() reads it, so it must not count as a second entry.
+  TempDir Dir;
+  constexpr uint64_t Key = 0xab00000000000011ULL;
+  {
+    DiskCache Cache(Dir.Path);
+    ASSERT_TRUE(Cache.valid()) << Cache.error();
+    Cache.store(Key, sampleOutcome(6));
+  }
+  ASSERT_EQ(::mkdir((Dir.Path + "/cd").c_str(), 0777), 0);
+  std::string Cmd = "cp '" + entryPathFor(Dir.Path, Key) + "' '" + Dir.Path +
+                    "/cd/ab00000000000011'";
+  ASSERT_EQ(std::system(Cmd.c_str()), 0);
+
+  DiskCache Cache(Dir.Path);
+  ASSERT_TRUE(Cache.valid()) << Cache.error();
+  DiskCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Entries, 1u);
+  EXPECT_EQ(S.Bytes, DiskCache::entryBytes());
+  TaskOutcome Got;
+  ASSERT_TRUE(Cache.lookup(Key, Got));
+  expectEqualOutcome(Got, sampleOutcome(6));
+}
+
+TEST(DiskCacheTest, ReopeningUnderASmallerCapKeepsTheMostRecentlyUsed) {
+  TempDir Dir;
+  {
+    DiskCache Cache(Dir.Path);
+    ASSERT_TRUE(Cache.valid()) << Cache.error();
+    for (uint64_t Key = 1; Key <= 5; ++Key)
+      Cache.store(Key, sampleOutcome(unsigned(Key)));
+  }
+  // Pin the persisted recency (file mtimes): 4 and 2 are the most
+  // recently used, then 5, 1, 3.  Explicit times keep the test off the
+  // file system's timestamp granularity.
+  const uint64_t Order[] = {3, 1, 5, 2, 4};
+  for (unsigned I = 0; I < 5; ++I) {
+    struct timespec Times[2];
+    Times[0].tv_sec = Times[1].tv_sec = 1000000 + I;
+    Times[0].tv_nsec = Times[1].tv_nsec = 0;
+    ASSERT_EQ(::utimensat(AT_FDCWD, entryPathFor(Dir.Path, Order[I]).c_str(),
+                          Times, 0),
+              0);
+  }
+
+  DiskCache Cache(Dir.Path, 2 * DiskCache::entryBytes());
+  ASSERT_TRUE(Cache.valid()) << Cache.error();
+  DiskCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Entries, 2u);
+  EXPECT_EQ(S.Bytes, 2 * DiskCache::entryBytes());
+  EXPECT_EQ(S.Evictions, 3u);
+  for (uint64_t Key : {1, 3, 5})
+    EXPECT_FALSE(fileExists(entryPathFor(Dir.Path, Key))) << Key;
+  TaskOutcome Got;
+  for (uint64_t Key : {2, 4}) {
+    ASSERT_TRUE(Cache.lookup(Key, Got)) << Key;
+    expectEqualOutcome(Got, sampleOutcome(unsigned(Key)));
+  }
 }
 
 TEST(DiskCacheTest, TinyCapStillKeepsTheNewestEntry) {

@@ -112,6 +112,7 @@ std::string directSubmitReport(const ServiceRequest &Req) {
     Job.SuiteName = Sub.Name;
     Job.SuiteData = &Sub;
     Job.NumRegisters = Regs;
+    Job.Options = Req.Options;
     Jobs.push_back(Job);
   }
   BatchDriver Driver(kServerThreads);
@@ -401,9 +402,9 @@ TEST(ServerLoopbackTest, MemoryStaysBoundedByCacheCapacity) {
   }
 
   ServerStats Stats = S.stats();
-  EXPECT_EQ(Stats.CacheCapacity, 8u);
-  EXPECT_LE(Stats.CacheEntries, 8u);
-  EXPECT_GT(Stats.CacheEvictions, 0u);
+  EXPECT_EQ(Stats.Cache.Capacity, 8u);
+  EXPECT_LE(Stats.Cache.Entries, 8u);
+  EXPECT_GT(Stats.Cache.Evictions, 0u);
 }
 
 TEST(ServerLoopbackTest, SubmitIrMatchesDirectDriverAndRejectsBadIr) {
@@ -655,6 +656,42 @@ TEST(ServerLoopbackTest, BruteAllocatorIsUnknownAndServerSurvives) {
       << Response;
   EXPECT_NE(Response.find("unknown allocator 'brute'"), std::string::npos)
       << Response;
+  EXPECT_TRUE(Conn.ping(&Error)) << Error;
+}
+
+TEST(ServerLoopbackTest, OptimalOnA70CliqueAnswersAndServerSurvives) {
+  // 70 values live together at the return: one 70-clique, past the 64
+  // members the clique-tree DP can hold.  At 2 registers its state
+  // estimate is small, so the exact solver used to pick the DP and abort
+  // the whole server.
+  TempDir Dir;
+  ServerOptions Opt;
+  Opt.UnixPath = Dir.socketPath("optimal.sock");
+  Opt.Threads = kServerThreads;
+  Server S(Opt);
+  std::string Error;
+  ASSERT_TRUE(S.start(&Error)) << Error;
+
+  std::string Ir = "function wide {\nentry:  ; depth=0 freq=1\n";
+  std::string Ret = "  ret";
+  for (unsigned V = 0; V < 70; ++V) {
+    Ir += "  %v" + std::to_string(V) + " = op\n";
+    Ret += (V ? ", %v" : " %v") + std::to_string(V);
+  }
+  Ir += Ret + "\n}\n";
+  ServiceRequest Req;
+  Req.K = ServiceRequest::Kind::SubmitIr;
+  Req.IrText = Ir;
+  Req.Regs = {2};
+  Req.Options.AllocatorName = "optimal";
+
+  Client Conn = Client::connectToUnix(Opt.UnixPath, &Error);
+  ASSERT_TRUE(Conn.valid()) << Error;
+  std::string Response;
+  ASSERT_TRUE(
+      Conn.call(Client::makeSubmitIrRequest(Req), Response, &Error))
+      << Error;
+  EXPECT_EQ(Response, directSubmitReport(Req));
   EXPECT_TRUE(Conn.ping(&Error)) << Error;
 }
 
@@ -994,16 +1031,16 @@ TEST(ServerLoopbackTest, DiskCacheWarmRestartServesIdenticalBytes) {
 
   ServerStats Cold;
   serveOnce("cold.sock", Cold);
-  EXPECT_TRUE(Cold.DiskCacheEnabled);
-  EXPECT_GT(Cold.DiskWrites, 0u);
-  EXPECT_GT(Cold.DiskEntries, 0u);
+  EXPECT_TRUE(Cold.Disk.has_value());
+  EXPECT_GT(Cold.Disk.value().Writes, 0u);
+  EXPECT_GT(Cold.Disk.value().Entries, 0u);
 
   // Second process, same directory: its memory caches start empty, so
   // every task resolves through the disk store.
   ServerStats Warm;
   serveOnce("warm.sock", Warm);
-  EXPECT_GT(Warm.DiskHits, 0u);
-  EXPECT_EQ(Warm.DiskWrites, 0u); // Nothing new to persist.
+  EXPECT_GT(Warm.Disk.value().Hits, 0u);
+  EXPECT_EQ(Warm.Disk.value().Writes, 0u); // Nothing new to persist.
 
   // Scrub the cache tree so TempDir can rmdir.
   std::string Cmd = "rm -rf '" + CacheDir + "'";

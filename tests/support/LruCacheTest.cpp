@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Direct unit coverage for support/LruCache.h -- the bound behind both
-/// batch-driver content-hash caches.  Eviction order is part of the
-/// driver's determinism contract, so it is pinned here explicitly instead
-/// of only indirectly through driver reports.
+/// Direct unit coverage for support/LruCache.h -- the bound behind the
+/// batch driver's outcome cache and the on-disk outcome store.  Eviction
+/// order is part of the driver's determinism contract, so it is pinned
+/// here explicitly instead of only indirectly through driver reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 using namespace layra;
 
@@ -119,15 +120,38 @@ TEST(LruCacheTest, FindPointerStableUntilEviction) {
   EXPECT_EQ(*P, "one");   // std::list nodes do not move.
 }
 
-TEST(LruCacheTest, ClearEmptiesWithoutCountingEvictions) {
-  LruCache<int, int> Cache(4);
+TEST(LruCacheTest, EraseRemovesWithoutCountingAnEviction) {
+  std::vector<int> Evicted;
+  LruCache<int, int> Cache(2, [&](const int &Key) { Evicted.push_back(Key); });
   Cache.insert(1, 1);
   Cache.insert(2, 2);
-  Cache.clear();
-  EXPECT_EQ(Cache.size(), 0u);
+  Cache.erase(1);
+  Cache.erase(7); // Absent: a no-op.
+  EXPECT_EQ(Cache.size(), 1u);
   EXPECT_EQ(Cache.evictions(), 0u);
-  EXPECT_EQ(Cache.find(1), nullptr);
-  // The cache is fully usable after clear().
+  EXPECT_TRUE(Evicted.empty());
+  EXPECT_EQ(Cache.peek(1), nullptr);
+  // The freed slot takes a new entry without evicting 2.
   Cache.insert(3, 3);
-  ASSERT_NE(Cache.find(3), nullptr);
+  EXPECT_EQ(Cache.evictions(), 0u);
+  EXPECT_NE(Cache.peek(2), nullptr);
+}
+
+TEST(LruCacheTest, EvictionHookSeesEachEvictedKeyInLruOrder) {
+  std::vector<int> Evicted;
+  LruCache<int, int> Cache(3, [&](const int &Key) {
+    Evicted.push_back(Key);
+  });
+  for (int I = 1; I <= 3; ++I)
+    Cache.insert(I, I);
+  Cache.find(1); // Recency, least first: 2, 3, 1.
+  Cache.insert(4, 4);
+  EXPECT_EQ(Evicted, std::vector<int>({2}));
+  Cache.insert(5, 5);
+  EXPECT_EQ(Evicted, std::vector<int>({2, 3}));
+  // Recency is now 1, 4, 5; shrinking evicts the two oldest in order.
+  Cache.setCapacity(1);
+  EXPECT_EQ(Evicted, std::vector<int>({2, 3, 1, 4}));
+  EXPECT_EQ(Cache.evictions(), Evicted.size());
+  EXPECT_NE(Cache.peek(5), nullptr);
 }
